@@ -28,6 +28,7 @@ from .errors import (
     NotTnn,
     NotTridiagonal,
     Overflow,
+    RangeExceeded,
     SingularLeadingMinor,
     StructureLost,
     TodaError,

@@ -11,7 +11,8 @@ Commands:
 
 Exit codes: 0 success; 1 input/config error; 2 negative finding (not TNN,
 non-general point, spectrum failure); 3 blowup (simulate only, partial
-output is still written).
+output is still written); 4 range exceeded: a state entry leaves double
+range (simulate and reconstruct, nothing is written).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     NonRealSpectrum,
     NonSimpleSpectrum,
     NotTridiagonal,
+    RangeExceeded,
     TodaError,
     TooLarge,
     ZeroCofactorValue,
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_BLOWUP = 3
+EXIT_RANGE = 4
 
 
 def _fail(message: str, code: int) -> int:
@@ -74,6 +77,8 @@ def cmd_simulate(args) -> int:
         traj = flow.trajectory(
             L0, args.t0, args.t1, args.dt, args.method, rk4_dt=args.rk4_dt
         )
+    except RangeExceeded as exc:
+        return _fail(str(exc), EXIT_RANGE)
     except (ValueError, TodaError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
@@ -153,6 +158,8 @@ def cmd_reconstruct(args) -> int:
         L = jacobi.reconstruct(spec, point)
     except NonGeneralDivisor as exc:
         return _fail(f"non-general point: tau index {exc.index} vanishes", EXIT_NEGATIVE)
+    except RangeExceeded as exc:
+        return _fail(str(exc), EXIT_RANGE)
     _dump(L.to_json_dict(), args.out)
     return EXIT_OK
 

@@ -98,5 +98,20 @@ class Overflow(TodaError):
         super().__init__(message or f"numerical blowup: |b| exceeded threshold at t={time!r}")
 
 
+class RangeExceeded(TodaError):
+    """An evolved coordinate or a reconstructed entry left double range.
+
+    The state still exists mathematically; it just cannot be represented as
+    a float (a subdiagonal entry below the smallest normal double, say).
+
+    Attributes:
+        time: flow time at which the value left range.
+    """
+
+    def __init__(self, time: float, message: str | None = None):
+        self.time = time
+        super().__init__(message or f"value leaves double range at t={time!r}")
+
+
 class GridMiss(UserWarning):
     """A tau function approaches zero on the scan grid without a sign change."""

@@ -25,7 +25,15 @@ from typing import Optional
 import numpy as np
 
 from . import jacobi, lax
-from .errors import Blowup, GridMiss, NonGeneralDivisor, Overflow, SingularLeadingMinor, StructureLost
+from .errors import (
+    Blowup,
+    GridMiss,
+    NonGeneralDivisor,
+    Overflow,
+    RangeExceeded,
+    SingularLeadingMinor,
+    StructureLost,
+)
 
 RK4_OVERFLOW_THRESHOLD = 1e12
 STRUCTURE_TOL = 1e-9
@@ -120,12 +128,15 @@ def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
 
 
 def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
-    """Closed-form state at time t through the linearized coordinates."""
+    """Closed-form state at time t through the linearized coordinates.
+
+    Raises Blowup when a tau value vanishes at t and RangeExceeded when an
+    entry of the state leaves double range.
+    """
     spec = lax.spectrum(L0)
     F0 = jacobi.abel_jacobi(L0, spec=spec)
-    Ft = jacobi.evolve_point(F0, spec, t)
     try:
-        return jacobi.reconstruct(spec, Ft)
+        return next(jacobi.reconstruct_along(spec, F0, t))
     except NonGeneralDivisor as exc:
         raise Blowup(t, tau_index=exc.index) from exc
 
@@ -158,15 +169,12 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     remaining = float(t)
     direction = math.copysign(1.0, t) if t != 0.0 else 1.0
 
-    def rhs(ya, yb):
-        return toda_derivative(ya, yb)
-
     while abs(remaining) > 0.0:
         h = direction * min(dt, abs(remaining))
-        k1a, k1b = rhs(a, b)
-        k2a, k2b = rhs(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = rhs(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = rhs(a + h * k3a, b + h * k3b)
+        k1a, k1b = toda_derivative(a, b)
+        k2a, k2b = toda_derivative(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+        k3a, k3b = toda_derivative(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+        k4a, k4b = toda_derivative(a + h * k3a, b + h * k3b)
         a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         elapsed += h
@@ -251,7 +259,9 @@ def trajectory(
 
     The state at sample time t is the solution advanced by t - t0 from L0.
     Sampling stops, with ``blowup`` set to the failing sample time, when the
-    selected solver reports a blowup or overflow.
+    selected solver reports a blowup or overflow.  The tau method raises
+    RangeExceeded, with the sample time, when a state entry leaves double
+    range; that is not a blowup.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -268,15 +278,14 @@ def trajectory(
     if method == "tau":
         spec = lax.spectrum(L0)
         F0 = jacobi.abel_jacobi(L0, spec=spec)
-        for t in sample_ts:
-            try:
-                Ft = jacobi.evolve_point(F0, spec, t - t0)
-                state = jacobi.reconstruct(spec, Ft)
-            except (NonGeneralDivisor, ValueError):
-                blowup = float(t)
-                break
-            times.append(t)
-            states.append(state)
+        try:
+            for state in jacobi.reconstruct_along(spec, F0, sample_ts - t0):
+                states.append(state)
+        except NonGeneralDivisor:
+            blowup = float(sample_ts[len(states)])
+        except RangeExceeded as exc:
+            raise RangeExceeded(float(sample_ts[len(states)])) from exc
+        times = sample_ts[: len(states)]
     elif method == "symes":
         for t in sample_ts:
             try:
@@ -308,11 +317,6 @@ def trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _tau_grid_data(spec: lax.Spectrum, F0: jacobi.JacobiPoint, t: float):
-    ts = jacobi.tau_sequence(spec, jacobi.evolve_point(F0, spec, t))
-    return ts.sign_tau, ts.generality
-
-
 def detect_blowup(
     spec: lax.Spectrum,
     F0: jacobi.JacobiPoint,
@@ -326,16 +330,16 @@ def detect_blowup(
 
     Scans a uniform grid for sign changes and refines the earliest bracket by
     bisection.  A tau that dips below the tangency threshold without changing
-    sign is reported as a GridMiss warning, not resolved.
+    sign is reported as a GridMiss warning, not resolved.  One TauKernel
+    serves the whole grid and every bisection step.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     ts = np.linspace(t0, t1, grid + 1)
     n = spec.lambdas.size
-    signs = np.empty((ts.size, n + 1))
-    gens = np.empty((ts.size, n + 1))
-    for i, t in enumerate(ts):
-        signs[i], gens[i] = _tau_grid_data(spec, F0, float(t))
+    kernel = jacobi.TauKernel(spec, F0)
+    values = kernel.evaluate(ts)
+    signs, gens = values.sign_tau, values.generality
 
     exact = np.nonzero(signs == 0.0)
     first_exact = int(exact[0][0]) if exact[0].size else None
@@ -367,7 +371,7 @@ def detect_blowup(
         s_lo = signs[i, k]
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
-            s_mid = _tau_grid_data(spec, F0, mid)[0][k]
+            s_mid = kernel.evaluate(mid).sign_tau[0, k]
             if s_mid == 0.0:
                 lo = hi = mid
                 break

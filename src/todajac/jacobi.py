@@ -22,22 +22,26 @@ formed in log space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lax
-from .errors import NonGeneralDivisor, NonPositiveZ, ZeroCofactorValue
+from .errors import NonGeneralDivisor, NonPositiveZ, RangeExceeded, ZeroCofactorValue
+from .lax import _readonly
 
 DEFAULT_GENERAL_TOL = 1e-12
 DEFAULT_ZERO_COFACTOR_TOL = 1e-12
 
-
-def _readonly(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+# terms per kernel block: the (times, 2^(n+1)) work arrays stay at 128 KiB
+# each, and each numpy call stays short
+_BLOCK_TERMS = 1 << 14
+# logs of the smallest normal and the largest finite double
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +143,50 @@ def _tau_matrix(lams: np.ndarray, f: np.ndarray, k: int, last_power: int) -> np.
     return np.column_stack(cols)
 
 
-class _LaplaceTerms:
-    """Closed-form Laplace expansion data for the tau determinants.
+class _Subsets(NamedTuple):
+    """The 2^n index sets S of 1..n, ordered by size (row order within a size
+    follows the bit mask)."""
+
+    masks: np.ndarray  # (2^n, n) 0/1 membership
+    pairs: tuple  # (i, j) index arrays of the pairs i < j
+    same_side: np.ndarray  # (2^n, n(n-1)/2) 1 where a pair lies in S or in ~S
+    sizes: np.ndarray  # (2^n,) |S|, nondecreasing
+    starts: np.ndarray  # (n+1,) first row of each size class
+    signs: np.ndarray  # (2^n,) sign of S's Laplace term before the f signs
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> _Subsets:
+    count = 1 << n
+    bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
+    bits = bits[np.argsort(bits.sum(axis=1), kind="stable")]
+    sizes = bits.sum(axis=1)
+    i, j = np.triu_indices(n, 1)
+    # (-1)**(1-based row sum + parity of the point-weighted column positions),
+    # times the calibrated epsilon sign of the size class
+    parity = (bits @ np.arange(1, n + 1) + sizes * n - sizes * (sizes - 1) // 2) % 2
+    return _Subsets(
+        masks=_readonly(bits),
+        pairs=(_readonly(i, dtype=int), _readonly(j, dtype=int)),
+        same_side=_readonly(bits[:, i] == bits[:, j]),
+        sizes=_readonly(sizes, dtype=int),
+        starts=_readonly(np.searchsorted(sizes, np.arange(n + 1)), dtype=int),
+        signs=_readonly(np.where(parity == 0, 1.0, -1.0) * epsilon_signs(n)[sizes]),
+    )
+
+
+class TauGrid(NamedTuple):
+    """Tau data at T times, each field a (T, n+1) array (see TauSequence)."""
+
+    sign_tau: np.ndarray
+    log_abs_tau: np.ndarray
+    sign_tau_prime: np.ndarray
+    log_abs_tau_prime: np.ndarray
+    generality: np.ndarray
+
+
+class TauKernel:
+    """Tau and tau' values of one point along the flow, as exponential sums.
 
     The determinant with n-k leading Vandermonde columns and k point-weighted
     columns expands over size-k index sets S as
@@ -148,61 +194,62 @@ class _LaplaceTerms:
         (-1)**(sum(S) + parity(k)) * prod(f[S]) * vdm(lams[S]) * vdm(lams[~S])
 
     (1-based row sums; vdm factors are positive for an increasing spectrum).
-    The primed determinants carry an extra factor sum(lams[S]) from the
-    shifted top power (a bialternant identity).  Summing the signed terms
-    with the largest magnitude factored out is accurate at any coordinate
-    grading, with relative error ~ eps divided by the generality ratio.
+    The primed determinants carry an extra factor e1(S) = sum(lams[S]) from
+    the shifted top power (a bialternant identity).  Along the flow only
+    prod(f[S]) moves: evolve_point(F, spec, t) has coordinates
+    f[i] * exp(t * (lams[i] - lams[0])), so the log of each term gains
+    t * (e1(S) - k * lams[0]).  Term logs, signs and these rates are fixed by
+    (spec, F), and ``evaluate`` sums them for a whole array of times without
+    forming the evolved points, so no coordinate can leave double range.
+    Summing each signed class with its largest magnitude factored out is
+    accurate at any coordinate grading, with relative error ~ eps divided by
+    the generality ratio.
     """
 
-    def __init__(self, lams: np.ndarray, f: np.ndarray):
+    def __init__(self, spec: lax.Spectrum, F):
+        lams = spec.lambdas
         n = lams.size
+        f = F.f if isinstance(F, JacobiPoint) else np.asarray(F, dtype=float)
+        if f.shape != (n,):
+            raise ValueError(f"point length {f.shape} does not match spectrum size {n}")
+        if np.any(f == 0.0):
+            raise ValueError("point entries must be nonzero")
+        sub = _subsets(n)
+        i, j = sub.pairs
+        logs = sub.masks @ np.log(np.abs(f)) + sub.same_side @ np.log(np.abs(lams[j] - lams[i]))
+        signs = sub.signs * (-1.0) ** (sub.masks @ (f < 0.0))
+        e1 = sub.masks @ lams
+        # unprimed terms, then primed ones (the empty set's primed term is 0,
+        # which gives tau'[0] = 0); one column block per size class
         with np.errstate(divide="ignore"):
-            gaps = np.log(np.abs(lams[None, :] - lams[:, None]) + np.eye(n))
-        np.fill_diagonal(gaps, 0.0)
-        count = 1 << n
-        masks = ((np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        self.popcounts = masks.sum(axis=1).astype(int)
-        in_pairs = 0.5 * np.einsum("mi,ij,mj->m", masks, gaps, masks)
-        comp = (count - 1) ^ np.arange(count)
-        with np.errstate(divide="ignore"):
-            self.term_logs = masks @ np.log(np.abs(f)) + in_pairs + in_pairs[comp]
-        row_sums = masks @ np.arange(1, n + 1)
-        neg_f = masks @ (f < 0.0).astype(float)
-        self.term_signs = np.where((row_sums + neg_f) % 2 == 0, 1.0, -1.0)
-        self.e1 = masks @ lams
+            self.logs = np.concatenate([logs, logs + np.log(np.abs(e1))])
+        self.signs = np.concatenate([signs, signs * np.sign(e1)])
+        rates = e1 - sub.sizes * lams[0]
+        self.rates = np.concatenate([rates, rates])
+        self.starts = np.concatenate([sub.starts, sub.starts + sub.sizes.size])
+        self.classes = np.concatenate([sub.sizes, sub.sizes + n + 1])
         self.n = n
 
-    def signed_sum(self, k: int, primed: bool):
-        """(sign, log|value|, generality) of the size-k signed term sum."""
-        sel = self.popcounts == k
-        logs = self.term_logs[sel]
-        signs = self.term_signs[sel]
-        if primed:
-            extra = self.e1[sel]
-            with np.errstate(divide="ignore"):
-                logs = logs + np.log(np.abs(extra))
-            signs = signs * np.sign(extra)
-        # fixed parity of the point-weighted column positions
-        if (k * self.n - k * (k - 1) // 2) % 2:
-            signs = -signs
-        m = float(np.max(logs))
-        if m == -math.inf:
-            return 0.0, -math.inf, 0.0
-        scaled = np.exp(logs - m)
-        total = float(np.dot(signs, scaled))
-        bound = float(np.sum(scaled))
-        if total == 0.0:
-            return 0.0, -math.inf, 0.0
-        return math.copysign(1.0, total), m + math.log(abs(total)), abs(total) / bound
-
-
-def _exp_or_saturate(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    def evaluate(self, times) -> TauGrid:
+        """Tau data of the point evolved by each of ``times``."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        shape = (times.size, self.starts.size)
+        sign, log_abs, generality = np.empty(shape), np.empty(shape), np.empty(shape)
+        block = max(1, _BLOCK_TERMS // self.logs.size)
+        for lo in range(0, times.size, block):
+            rows = slice(lo, lo + block)
+            logs = self.logs + times[rows, None] * self.rates
+            m = np.maximum.reduceat(logs, self.starts, axis=1)
+            m[m == -math.inf] = 0.0  # every term of the class is zero
+            scaled = np.exp(logs - m[:, self.classes])
+            total = np.add.reduceat(scaled * self.signs, self.starts, axis=1)
+            bound = np.add.reduceat(scaled, self.starts, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_abs[rows] = m + np.log(np.abs(total))
+                generality[rows] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
+            sign[rows] = np.sign(total)
+        k = self.n + 1
+        return TauGrid(sign[:, :k], log_abs[:, :k], sign[:, k:], log_abs[:, k:], generality[:, :k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,35 +282,12 @@ def tau_sequence(spec: lax.Spectrum, F) -> TauSequence:
     ``F`` may be a JacobiPoint (canonical values) or any raw nonvanishing
     tuple; raw tuples scale tau[k] by the k-th power of the normalization.
     """
-    lams = spec.lambdas
-    n = lams.size
-    f = F.f if isinstance(F, JacobiPoint) else np.asarray(F, dtype=float)
-    if f.shape != (n,):
-        raise ValueError(f"point length {f.shape} does not match spectrum size {n}")
-    if np.any(f == 0.0):
-        raise ValueError("point entries must be nonzero")
-
-    eps = epsilon_signs(n)
-    sign_t = np.zeros(n + 1)
-    log_t = np.full(n + 1, -math.inf)
-    sign_p = np.zeros(n + 1)
-    log_p = np.full(n + 1, -math.inf)
-    generality = np.zeros(n + 1)
-
-    terms = _LaplaceTerms(lams, f)
-    for k in range(n + 1):
-        s, lg, gen = terms.signed_sum(k, primed=False)
-        sign_t[k] = s * eps[k]
-        log_t[k] = lg
-        generality[k] = gen
-        if k >= 1:
-            s2, lg2, _ = terms.signed_sum(k, primed=True)
-            sign_p[k] = s2 * eps[k]
-            log_p[k] = lg2
-
+    sign_t, log_t, sign_p, log_p, generality = (
+        field[0] for field in TauKernel(spec, F).evaluate(0.0)
+    )
     with np.errstate(over="ignore"):
-        tau = sign_t * np.array([_exp_or_saturate(x) for x in log_t])
-        tau_prime = sign_p * np.array([_exp_or_saturate(x) for x in log_p])
+        tau = sign_t * np.exp(log_t)
+        tau_prime = sign_p * np.exp(log_p)
     return TauSequence(
         tau=_readonly(tau),
         tau_prime=_readonly(tau_prime),
@@ -336,40 +360,58 @@ def reconstruct(
     """Inverse of the linearization map on general points.
 
     Quotients are evaluated in log space so strongly evolved points (raw tau
-    far outside double range) still reconstruct cleanly.
+    far outside double range) still reconstruct cleanly.  Raises
+    NonGeneralDivisor when a tau value vanishes and RangeExceeded (t = 0)
+    when an entry of the matrix itself leaves double range.
     """
-    ts = tau_sequence(spec, F)
-    n = ts.n
-    for k in range(n + 1):
-        if ts.sign_tau[k] == 0.0 or ts.generality[k] <= general_tol:
-            raise NonGeneralDivisor(k)
-    b = np.empty(n - 1)
-    for k in range(1, n):
-        sign = ts.sign_tau[k - 1] * ts.sign_tau[k + 1]
-        b[k - 1] = sign * _exp_or_saturate(
-            ts.log_abs_tau[k - 1] + ts.log_abs_tau[k + 1] - 2.0 * ts.log_abs_tau[k]
-        )
-    ratios = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        if ts.sign_tau_prime[k] != 0.0:
-            ratios[k] = (
-                ts.sign_tau_prime[k]
-                * ts.sign_tau[k]
-                * _exp_or_saturate(ts.log_abs_tau_prime[k] - ts.log_abs_tau[k])
-            )
-    a = np.diff(ratios)
-    return lax.LaxMatrix(n=n, a=a, b=b)
+    return next(reconstruct_along(spec, F, 0.0, general_tol))
+
+
+def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAULT_GENERAL_TOL):
+    """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
+
+    One TauKernel evaluation covers every time and no evolved point is
+    formed.  Iteration stops at the first failing time by raising
+    NonGeneralDivisor, or RangeExceeded with that time when an entry leaves
+    double range (a subdiagonal entry below the smallest normal double, say).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    grid = TauKernel(spec, F0).evaluate(times)
+    sign, log_t = grid.sign_tau, grid.log_abs_tau
+    nongeneral = (sign == 0.0) | (grid.generality <= general_tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # b_k = tau[k-1] * tau[k+1] / tau[k]**2; a_k = diff of tau'[k] / tau[k]
+        log_b = log_t[:, :-2] + log_t[:, 2:] - 2.0 * log_t[:, 1:-1]
+        log_r = grid.log_abs_tau_prime[:, 1:] - log_t[:, 1:]
+        out_of_range = ((log_b < _LOG_TINY) | (log_b > _LOG_HUGE)).any(axis=1) | (
+            log_r > _LOG_HUGE
+        ).any(axis=1)
+        b = sign[:, :-2] * sign[:, 2:] * np.exp(log_b)
+        ratios = grid.sign_tau_prime[:, 1:] * sign[:, 1:] * np.exp(log_r)
+    a = np.diff(ratios, axis=1, prepend=0.0)
+    n = a.shape[1]
+    for i, t in enumerate(times.tolist()):
+        if nongeneral[i].any():
+            raise NonGeneralDivisor(int(np.argmax(nongeneral[i])))
+        if out_of_range[i]:
+            raise RangeExceeded(t, f"reconstructed entries leave double range at t={t!r}")
+        yield lax.LaxMatrix(n=n, a=a[i], b=b[i])
 
 
 def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:
     """Multiplicative flow: multiply coordinate i by exp(t * lambda_i).
 
     Exponents are shifted by their maximum before exponentiating, which is
-    harmless projectively and avoids overflow.
+    harmless projectively and avoids overflow.  Raises RangeExceeded when a
+    normalized coordinate under- or overflows.
     """
     lams = spec.lambdas
     if F0.n != lams.size:
         raise ValueError("point and spectrum sizes differ")
     z = t * lams
     w = np.exp(z - np.max(z)) * F0.f
-    return JacobiPoint.from_raw(w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = w / w[0]
+    if not np.all(np.isfinite(w)) or np.any(w == 0.0):
+        raise RangeExceeded(t, f"evolved coordinates leave double range at t={t!r}")
+    return JacobiPoint(f=w)

@@ -52,6 +52,15 @@ class TestSimulate:
         text = out.read_text()
         assert text.strip().endswith("# blowup t=0.000000")
 
+    def test_range_exceeded_exit_code(self, tmp_path):
+        path = write_json(tmp_path / "wide.json", {"n": 2, "a": [1.0, 9.0], "b": [0.5]})
+        out = tmp_path / "traj.csv"
+        rc = main(
+            ["simulate", "--matrix", path, "--t0", "0", "--t1", "100", "--dt", "10",
+             "--method", "tau", "--out", str(out)]
+        )
+        assert rc == 4
+
     def test_missing_file(self, tmp_path):
         rc = main(
             ["simulate", "--matrix", str(tmp_path / "absent.json"), "--t0", "0",

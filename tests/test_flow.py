@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from todajac import flow, jacobi, lax, tnn
-from todajac.errors import Blowup, GridMiss, Overflow, SingularLeadingMinor
+from todajac.errors import Blowup, GridMiss, Overflow, RangeExceeded, SingularLeadingMinor
 
 RNG = np.random.default_rng(99173)
 
@@ -267,6 +267,26 @@ class TestTrajectory:
             assert traj.blowup is None
             for state in traj.states:
                 assert tnn.is_tnn_tridiagonal(state, tol=1e-10).is_tnn
+
+    def test_long_cone_run_never_blows_up(self):
+        # b decays like exp(-gap * t) but stays inside double range up to t = 200
+        L = lax.LaxMatrix(n=4, a=np.array([1.0, 3.0, 5.0, 8.0]), b=np.full(3, 0.5))
+        traj = flow.trajectory(L, 0.0, 200.0, 10.0, "tau")
+        assert traj.blowup is None
+        assert len(traj.states) == 21
+        for state in traj.states:
+            assert tnn.is_tnn_tridiagonal(state).is_tnn
+
+    def test_state_out_of_double_range_is_not_a_blowup(self):
+        # b(100) is about exp(-800), below the smallest normal double
+        L = lax.LaxMatrix(n=2, a=np.array([1.0, 9.0]), b=np.array([0.5]))
+        with pytest.raises(RangeExceeded) as info:
+            flow.solve_tau(L, 100.0)
+        assert info.value.time == 100.0
+        # reported at the sample time, not at the time elapsed since t0
+        with pytest.raises(RangeExceeded) as info:
+            flow.trajectory(L, 10.0, 120.0, 10.0, "tau")
+        assert info.value.time == 100.0
 
     def test_csv_format(self):
         traj = flow.trajectory(L2, 0.0, 1.0, 0.1, "tau")

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from todajac import jacobi, lax, tnn
-from todajac.errors import NonGeneralDivisor, NonPositiveZ, ZeroCofactorValue
+from todajac import flow, jacobi, lax, tnn
+from todajac.errors import NonGeneralDivisor, NonPositiveZ, RangeExceeded, ZeroCofactorValue
 
 RNG = np.random.default_rng(424242)
 
@@ -327,6 +327,75 @@ class TestEvolvePoint:
         spec = lax.Spectrum(np.array([0.5, 4.0, 9.5]))
         P = jacobi.evolve_point(jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]), spec, 50.0)
         assert np.all(np.isfinite(P.f))
+
+    def test_underflow_raises_range_exceeded(self):
+        spec = lax.Spectrum(np.array([0.5, 4.0, 9.5]))
+        with pytest.raises(RangeExceeded) as info:
+            jacobi.evolve_point(jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]), spec, -200.0)
+        assert info.value.time == -200.0
+
+
+# ---------------------------------------------------------------------------
+# batched tau kernel
+# ---------------------------------------------------------------------------
+
+
+class TestTauKernel:
+    # own generators, so the module RNG stream of the other tests is unchanged
+
+    def test_matches_dense_determinants(self):
+        # oracle: eps_k * det of the mixed Vandermonde / point columns, formed
+        # densely on the materialized evolved point
+        rng = np.random.default_rng(5150)
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            spec = random_spectrum(rng, n)
+            P = jacobi.JacobiPoint.from_raw(
+                rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-1.5, 1.5, n))
+            )
+            times = rng.uniform(-2.0, 2.0, 4)
+            grid = jacobi.TauKernel(spec, P).evaluate(times)
+            eps = jacobi.epsilon_signs(n)
+            for row, t in enumerate(times):
+                f = jacobi.evolve_point(P, spec, t).f
+                for k in range(n + 1):
+                    if grid.generality[row, k] <= 1e-6:
+                        continue
+                    det = np.linalg.det(jacobi._tau_matrix(spec.lambdas, f, k, k - 1))
+                    got = grid.sign_tau[row, k] * math.exp(grid.log_abs_tau[row, k])
+                    assert got == pytest.approx(eps[k] * det, rel=1e-8)
+                    if k >= 1:
+                        det_p = np.linalg.det(jacobi._tau_matrix(spec.lambdas, f, k, k))
+                        got_p = grid.sign_tau_prime[row, k] * math.exp(grid.log_abs_tau_prime[row, k])
+                        assert got_p == pytest.approx(eps[k] * det_p, rel=1e-8)
+                    checked += 1
+        assert checked > 300
+
+    def test_rows_match_single_time_evaluation(self):
+        rng = np.random.default_rng(5151)
+        for n in (2, 5, 8):
+            spec = random_spectrum(rng, n)
+            P = jacobi.JacobiPoint.from_raw(rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2, 2, n)))
+            kernel = jacobi.TauKernel(spec, P)
+            times = np.linspace(-5.0, 5.0, 601)  # several kernel blocks at n = 5 and 8
+            grid = kernel.evaluate(times)
+            for row in range(0, times.size, 37):
+                single = kernel.evaluate(times[row])
+                for many, one in zip(grid, single):
+                    np.testing.assert_array_equal(many[row], one[0])
+
+    def test_trajectory_matches_solve_tau(self):
+        rng = np.random.default_rng(5152)
+        for _ in range(5):
+            n = int(rng.integers(2, 7))
+            L = jacobi.reconstruct(random_spectrum(rng, n), random_cone_point(rng, n, log_range=1.5))
+            traj = flow.trajectory(L, -1.0, 2.0, 0.25, "tau")
+            assert traj.blowup is None
+            for t, state in zip(traj.times, traj.states):
+                ref = flow.solve_tau(L, t + 1.0)
+                np.testing.assert_allclose(state.a, ref.a, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(state.b, ref.b, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
