@@ -223,11 +223,10 @@ def chop_integral(L: LaxMatrix) -> np.ndarray:
 
 
 def symmetric_tridiagonal_eigenvalues(diag, off) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix by bisection.
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Uses the classic negative-pivot count of the shifted LDL^T recurrence
-    (a Sturm sequence) to bracket each eigenvalue inside the Gershgorin
-    interval, then bisects every bracket to machine precision.
+    LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the dense
+    matrix with diagonal ``diag`` and off-diagonals ``off``.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -236,44 +235,7 @@ def symmetric_tridiagonal_eigenvalues(diag, off) -> np.ndarray:
         return d.copy()
     if e.shape != (n - 1,):
         raise ValueError("off-diagonal must have length n-1")
-    e2 = e * e
-
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    eps = np.finfo(float).eps
-    pad = eps * max(abs(lo), abs(hi), 1.0)
-    lo -= pad
-    hi += pad
-    pivmin = max(float(np.max(e2)), 1.0) * 1e-290
-
-    def count_below(x: np.ndarray) -> np.ndarray:
-        # negative-pivot count; a vanishing pivot counts as negative
-        q = d[0] - x
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        cnt = (q < 0).astype(np.int64)
-        for k in range(1, n):
-            q = d[k] - x - e2[k - 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            cnt += q < 0
-        return cnt
-
-    targets = np.arange(1, n + 1)
-    lo_v = np.full(n, lo)
-    hi_v = np.full(n, hi)
-    tol = 4.0 * eps
-    while True:
-        width = hi_v - lo_v
-        limit = tol * np.maximum(np.maximum(np.abs(lo_v), np.abs(hi_v)), 1.0)
-        if np.all(width <= limit):
-            break
-        mid = 0.5 * (lo_v + hi_v)
-        go_left = count_below(mid) >= targets
-        hi_v = np.where(go_left, mid, hi_v)
-        lo_v = np.where(go_left, lo_v, mid)
-    return 0.5 * (lo_v + hi_v)
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
 def _charpoly_value_and_derivative(L: LaxMatrix, x: np.ndarray):
@@ -325,9 +287,9 @@ def spectrum(
     """All eigenvalues of L, sorted ascending.
 
     With a positive subdiagonal, L is diagonally similar to the symmetric
-    tridiagonal matrix with off-diagonals sqrt(b), and the Sturm bisection
-    route applies (all eigenvalues real).  Otherwise falls back to roots of
-    the characteristic polynomial.
+    tridiagonal matrix with off-diagonals sqrt(b), whose (all real)
+    eigenvalues come from LAPACK.  Otherwise falls back to roots of the
+    characteristic polynomial.
     """
     if np.all(L.b > 0):
         lams = symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))

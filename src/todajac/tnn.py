@@ -11,6 +11,7 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -91,12 +92,18 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
     return TnnReport(is_tnn=True, witness=None, method="exhaustive")
 
 
+@functools.lru_cache(maxsize=None)
+def _band_masks(n: int) -> tuple:
+    """Boolean masks of the entries off and on the three bands of an n x n matrix."""
+    offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return lax._readonly(offsets >= 2, dtype=bool), lax._readonly(offsets <= 1, dtype=bool)
+
+
 def _check_tridiagonal_structure(M: np.ndarray, structure_tol: float = 0.0) -> None:
-    n = M.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) >= 2 and abs(M[i, j]) > structure_tol:
-                raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
+    outside = _band_masks(M.shape[0])[0] & (np.abs(M) > structure_tol)
+    if outside.any():
+        i, j = (int(v) for v in np.argwhere(outside)[0])
+        raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
 
 
 def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
@@ -109,33 +116,34 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
     M = _as_dense(M)
     _check_tridiagonal_structure(M)
     n = M.shape[0]
-    for i in range(n):
-        for j in range(max(0, i - 1), min(n, i + 2)):
-            if not M[i, j] >= -tol:
-                return TnnReport(
-                    is_tnn=False,
-                    witness=MinorWitness(rows=(i,), cols=(j,), value=float(M[i, j])),
-                    method="tridiagonal-criterion",
-                )
-    # dets[s][m] = det M[s..m, s..m] via the three-term recurrence
-    dets = {}
-    for s in range(n):
-        prev2, prev1 = 1.0, float(M[s, s])
-        dets[(s, s)] = prev1
-        for m in range(s + 1, n):
-            cur = M[m, m] * prev1 - M[m - 1, m] * M[m, m - 1] * prev2
-            dets[(s, m)] = float(cur)
-            prev2, prev1 = prev1, cur
+    bad = np.argwhere(_band_masks(n)[1] & ~(M >= -tol))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        return TnnReport(
+            is_tnn=False,
+            witness=MinorWitness(rows=(i,), cols=(j,), value=float(M[i, j])),
+            method="tridiagonal-criterion",
+        )
+    # det M[s..s+size-1] for every start s, advanced over size by the
+    # three-term recurrence.  Python floats: at n <= 8 a numpy call per size
+    # costs more than the whole list of starts.
+    d = np.diag(M).tolist()
+    coupling = (np.diag(M, 1) * np.diag(M, -1)).tolist()
+    prev2, prev1 = [1.0] * n, d
     for size in range(2, n + 1):
-        for s in range(0, n - size + 1):
-            m = s + size - 1
-            if not dets[(s, m)] >= -tol:
-                window = tuple(range(s, m + 1))
+        cur = [
+            d[s + size - 1] * prev1[s] - coupling[s + size - 2] * prev2[s]
+            for s in range(n - size + 1)
+        ]
+        for s, value in enumerate(cur):
+            if not value >= -tol:
+                window = tuple(range(s, s + size))
                 return TnnReport(
                     is_tnn=False,
-                    witness=MinorWitness(rows=window, cols=window, value=dets[(s, m)]),
+                    witness=MinorWitness(rows=window, cols=window, value=value),
                     method="tridiagonal-criterion",
                 )
+        prev2, prev1 = prev1, cur
     return TnnReport(is_tnn=True, witness=None, method="tridiagonal-criterion")
 
 

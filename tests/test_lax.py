@@ -190,6 +190,37 @@ class TestSpectrumOp:
         np.testing.assert_allclose(s.lambdas, [-1.0, 1.0], atol=1e-13)
         assert not s.positive
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_symmetric_route_matches_charpoly_oracle(self, n):
+        # no LAPACK on the checking side: sign changes of det(L - x E) from
+        # the value recurrence, the trace, and the companion-root route
+        rng = np.random.default_rng(9000 + n)
+        for _ in range(40):
+            a = rng.uniform(-2, 2, n)
+            b = np.exp(rng.uniform(-8.0, 1.0, n - 1))
+            L = make(a, b)
+            lams = lax.symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))
+            assert lams.shape == (n,) and np.all(np.diff(lams) > 0)
+            scale = float(np.max(np.abs(lams)))
+            pad = 1e-12 * max(scale, 1.0)
+            probes = np.concatenate(
+                [[lams[0] - pad], 0.5 * (lams[:-1] + lams[1:]), [lams[-1] + pad]]
+            )
+            values, _ = lax._charpoly_value_and_derivative(L, probes)
+            np.testing.assert_array_equal(np.sign(values), (-1.0) ** np.arange(n + 1))
+            assert abs(lams.sum() - a.sum()) <= 1e-13 * max(float(np.sum(np.abs(lams))), 1.0)
+            roots = lax.charpoly_root_eigenvalues(L)
+            assert np.max(np.abs(lams - roots)) <= 1e-12 * scale
+
+    def test_symmetric_route_small_and_malformed_inputs(self):
+        np.testing.assert_array_equal(
+            lax.symmetric_tridiagonal_eigenvalues([2.5], []), [2.5]
+        )
+        with pytest.raises(ValueError, match="length n-1"):
+            lax.symmetric_tridiagonal_eigenvalues([1.0, 2.0, 3.0], [0.5])
+        with pytest.raises(ValueError, match="length n-1"):
+            lax.symmetric_tridiagonal_eigenvalues([1.0, 2.0], [0.5, 0.5])
+
 
 # ---------------------------------------------------------------------------
 # minor

@@ -19,6 +19,29 @@ def random_tridiagonal(rng, n, a_lo=-0.5, a_hi=2.5, b_lo=0.01, b_hi=1.5):
     return make(rng.uniform(a_lo, a_hi, n), rng.uniform(b_lo, b_hi, n - 1))
 
 
+def plain_loop_tridiagonal_criterion(M, tol):
+    """Entry signs row-major, then window determinants by (size, start)."""
+    n = M.shape[0]
+    for i in range(n):
+        for j in range(max(0, i - 1), min(n, i + 2)):
+            if not M[i, j] >= -tol:
+                return False, ((i,), (j,), float(M[i, j]))
+    dets = {}
+    for s in range(n):
+        prev2, prev1 = 1.0, float(M[s, s])
+        for m in range(s + 1, n):
+            cur = M[m, m] * prev1 - M[m - 1, m] * M[m, m - 1] * prev2
+            dets[(s, m)] = float(cur)
+            prev2, prev1 = prev1, cur
+    for size in range(2, n + 1):
+        for s in range(0, n - size + 1):
+            value = dets[(s, s + size - 1)]
+            if not value >= -tol:
+                window = tuple(range(s, s + size))
+                return False, (window, window, value)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # exhaustive check
 # ---------------------------------------------------------------------------
@@ -118,6 +141,62 @@ class TestTridiagonalCriterion:
                 continue
             hits += 1
             assert tnn.is_tnn_tridiagonal(L).is_tnn
+
+    def test_witness_matches_plain_loop_reference(self):
+        rng = np.random.default_rng(31337)
+        rejected = last_bits = 0
+        for trial in range(2000):
+            n = int(rng.integers(2, 9))
+            M = np.diag(rng.uniform(0.5, 3.0, n))
+            M[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.01, 1.5, n - 1)
+            M[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.01, 1.5, n - 1)
+            if trial % 3 == 0:
+                # one negative entry somewhere on the three bands
+                i = int(rng.integers(0, n))
+                j = min(max(i + int(rng.integers(-1, 2)), 0), n - 1)
+                M[i, j] = -rng.uniform(0.0, 1.0)
+            elif trial % 3 == 1:
+                # set the last diagonal entry of one window to within a few
+                # ulps of cancelling its determinant
+                s = int(rng.integers(0, n - 1))
+                m = int(rng.integers(s + 1, n))
+                prev2, prev1 = 1.0, M[s, s]
+                for k in range(s + 1, m):
+                    prev2, prev1 = prev1, M[k, k] * prev1 - M[k - 1, k] * M[k, k - 1] * prev2
+                if prev1 != 0.0:
+                    ratio = M[m - 1, m] * M[m, m - 1] * prev2 / prev1
+                    M[m, m] = ratio + int(rng.integers(-3, 4)) * np.spacing(ratio)
+            tol = (0.0, 1e-12)[trial % 2]
+            report = tnn.is_tnn_tridiagonal(M, tol=tol)
+            got = (report.is_tnn, report.witness and (
+                report.witness.rows, report.witness.cols, report.witness.value
+            ))
+            want = plain_loop_tridiagonal_criterion(M, tol)
+            assert got == want, f"trial {trial}: M={M!r}, tol={tol}"
+            rejected += not want[0]
+            last_bits += not want[0] and abs(want[1][2]) < 1e-13
+        assert rejected > 1000 and last_bits > 50
+
+    def test_structure_error_matches_plain_loop_reference(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            M = np.diag(rng.uniform(0.5, 2.0, n))
+            for _ in range(2):
+                i = int(rng.integers(0, n - 2))
+                j = i + 2 + int(rng.integers(0, n - i - 2))
+                if rng.random() < 0.5:
+                    i, j = j, i
+                M[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-300, 1.0)
+            expected = next(
+                f"entry ({r},{c})={M[r, c]!r} outside the three bands"
+                for r in range(n)
+                for c in range(n)
+                if abs(r - c) >= 2 and abs(M[r, c]) > 0.0
+            )
+            with pytest.raises(NotTridiagonal) as info:
+                tnn.is_tnn_tridiagonal(M)
+            assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------
