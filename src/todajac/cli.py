@@ -18,6 +18,7 @@ range (simulate and reconstruct, nothing is written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -186,7 +187,9 @@ def cmd_verify_theorem(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``toda`` parser, built once; each parse_args fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="toda",
         description="Finite Toda lattice: simulation, linearization and TNN checks.",

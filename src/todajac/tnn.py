@@ -93,17 +93,41 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _band_masks(n: int) -> tuple:
-    """Boolean masks of the entries off and on the three bands of an n x n matrix."""
-    offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return lax._readonly(offsets >= 2, dtype=bool), lax._readonly(offsets <= 1, dtype=bool)
+def _outside_bands(n: int) -> np.ndarray:
+    """Boolean mask of the entries off the three bands of an n x n matrix."""
+    return lax._readonly(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2, dtype=bool)
 
 
 def _check_tridiagonal_structure(M: np.ndarray, structure_tol: float = 0.0) -> None:
-    outside = _band_masks(M.shape[0])[0] & (np.abs(M) > structure_tol)
+    outside = _outside_bands(M.shape[0]) & (np.abs(M) > structure_tol)
     if outside.any():
         i, j = (int(v) for v in np.argwhere(outside)[0])
         raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
+
+
+@functools.lru_cache(maxsize=None)
+def _band_entries(n: int) -> tuple:
+    """Row-major order of the band entries stored as [diagonal, super, sub].
+
+    Returns the read-only positions into that concatenation and the row and
+    column of each entry, in the order the entries appear row by row.
+    """
+    entries = sorted(
+        [(i, i, i) for i in range(n)]
+        + [(i, i + 1, n + i) for i in range(n - 1)]
+        + [(i + 1, i, 2 * n - 1 + i) for i in range(n - 1)]
+    )
+    rows, cols, positions = zip(*entries)
+    return lax._readonly(positions, dtype=np.intp), rows, cols
+
+
+def _bands(M) -> tuple:
+    """Diagonal, superdiagonal and subdiagonal of a tridiagonal matrix."""
+    if isinstance(M, lax.LaxMatrix):
+        return M.a, np.ones(M.n - 1), M.b
+    M = _as_dense(M)
+    _check_tridiagonal_structure(M)
+    return np.diag(M), np.diag(M, 1), np.diag(M, -1)
 
 
 def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
@@ -111,24 +135,28 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
 
     Equivalent to the exhaustive check on every tridiagonal matrix, at
     O(n^2) cost.  Witness order: all entries first (size-1 minors, row-major),
-    then contiguous windows by increasing size and start index.
+    then contiguous windows by increasing size and start index.  A LaxMatrix
+    is read through its bands; a dense array must be tridiagonal.
     """
-    M = _as_dense(M)
-    _check_tridiagonal_structure(M)
-    n = M.shape[0]
-    bad = np.argwhere(_band_masks(n)[1] & ~(M >= -tol))
+    diag, sup, sub = _bands(M)
+    n = diag.size
+    positions, rows, cols = _band_entries(n)
+    entries = np.concatenate((diag, sup, sub))[positions]
+    bad = np.flatnonzero(~(entries >= -tol))
     if bad.size:
-        i, j = (int(v) for v in bad[0])
+        first = int(bad[0])
         return TnnReport(
             is_tnn=False,
-            witness=MinorWitness(rows=(i,), cols=(j,), value=float(M[i, j])),
+            witness=MinorWitness(
+                rows=(rows[first],), cols=(cols[first],), value=float(entries[first])
+            ),
             method="tridiagonal-criterion",
         )
     # det M[s..s+size-1] for every start s, advanced over size by the
     # three-term recurrence.  Python floats: at n <= 8 a numpy call per size
     # costs more than the whole list of starts.
-    d = np.diag(M).tolist()
-    coupling = (np.diag(M, 1) * np.diag(M, -1)).tolist()
+    d = diag.tolist()
+    coupling = (sup * sub).tolist()
     prev2, prev1 = [1.0] * n, d
     for size in range(2, n + 1):
         cur = [

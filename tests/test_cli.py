@@ -108,6 +108,15 @@ class TestCheckTnn:
         report = json.loads(capsys.readouterr().out)
         assert report["witness"] == {"rows": [0, 1], "cols": [0, 1], "value": -1.0}
 
+    def test_parsed_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        # det = 1 - 1.0001 = -1e-4: TNN within --tol 1e-3, not TNN at the exact default
+        path = write_json(tmp_path / "near.json", {"n": 2, "a": [1.0, 1.0], "b": [1.0001]})
+        assert main(["check-tnn", "--matrix", path, "--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_tnn"] is True
+        assert main(["check-tnn", "--matrix", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["witness"]["rows"] == [0, 1] and report["witness"]["value"] < 0.0
+
     def test_size_gate(self, tmp_path):
         big = {"n": 9, "a": [1.0] * 9, "b": [1.0] * 8}
         path = write_json(tmp_path / "big.json", big)

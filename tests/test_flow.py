@@ -35,6 +35,39 @@ def noncone_two_by_two():
     return jacobi.reconstruct(spec, jacobi.JacobiPoint.from_raw([1.0, math.exp(-2.0)])), spec
 
 
+def rk4_reference(L0, t, dt):
+    """Frozen copy of the two-array RK4 loop: the fused integrator must match it bit for bit."""
+
+    def derivative(a, b):
+        adot = np.empty_like(a)
+        adot[0] = b[0]
+        adot[-1] = -b[-1]
+        if a.size > 2:
+            adot[1:-1] = b[1:] - b[:-1]
+        return adot, b * (a[1:] - a[:-1])
+
+    a = L0.a.copy()
+    b = L0.b.copy()
+    elapsed = 0.0
+    remaining = float(t)
+    direction = math.copysign(1.0, t) if t != 0.0 else 1.0
+    while abs(remaining) > 0.0:
+        h = direction * min(dt, abs(remaining))
+        k1a, k1b = derivative(a, b)
+        k2a, k2b = derivative(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+        k3a, k3b = derivative(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+        k4a, k4b = derivative(a + h * k3a, b + h * k3b)
+        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        elapsed += h
+        remaining -= h
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))) or np.any(
+            np.abs(b) > flow.RK4_OVERFLOW_THRESHOLD
+        ):
+            raise Overflow(elapsed)
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 # ---------------------------------------------------------------------------
@@ -183,6 +216,41 @@ class TestSolvers:
         with pytest.raises(Overflow) as err:
             flow.solve_rk4(Lnc, 1.5, 1e-5)
         assert 0.9 < err.value.time < 1.1
+
+    def test_rk4_matches_reference_loop_bit_for_bit(self):
+        rng = np.random.default_rng(20264)
+        partial = 0
+        for case in range(200):
+            n = 2 + case % 7
+            dt = (1e-3, 1e-4)[case % 2]
+            a = rng.uniform(-2.0, 3.0, n)
+            b = rng.uniform(0.05, 2.0, n - 1)
+            if case % 4 >= 2:
+                b *= rng.choice([-1.0, 1.0], n - 1)
+            L = lax.LaxMatrix(n=n, a=a, b=b)
+            if case % 25 == 0:
+                t = 0.0
+            elif case % 5 == 0:
+                t = float(rng.integers(1, 100)) * dt  # a multiple of dt, up to rounding
+            else:
+                t = float(rng.uniform(0.0, 100.0 * dt))
+            t *= rng.choice([-1.0, 1.0])
+            partial += t / dt != math.floor(t / dt)
+            want_a, want_b = rk4_reference(L, t, dt)
+            got = flow.solve_rk4(L, t, dt)
+            assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b), (
+                f"case {case}: n={n}, t={t!r}, dt={dt}"
+            )
+        assert partial > 100
+
+    def test_rk4_overflow_time_matches_reference_loop(self):
+        Lnc, _ = noncone_two_by_two()
+        for dt in (1e-3, 1e-4):
+            with pytest.raises(Overflow) as want:
+                rk4_reference(Lnc, 1.5, dt)
+            with pytest.raises(Overflow) as got:
+                flow.solve_rk4(Lnc, 1.5, dt)
+            assert got.value.time == want.value.time
 
     def test_isospectrality_closed_form(self):
         for _ in range(6):

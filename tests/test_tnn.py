@@ -144,7 +144,7 @@ class TestTridiagonalCriterion:
 
     def test_witness_matches_plain_loop_reference(self):
         rng = np.random.default_rng(31337)
-        rejected = last_bits = 0
+        rejected = last_bits = lax_cases = lax_rejected = 0
         for trial in range(2000):
             n = int(rng.integers(2, 9))
             M = np.diag(rng.uniform(0.5, 3.0, n))
@@ -173,9 +173,22 @@ class TestTridiagonalCriterion:
             ))
             want = plain_loop_tridiagonal_criterion(M, tol)
             assert got == want, f"trial {trial}: M={M!r}, tol={tol}"
+            # the same windows as a LaxMatrix: unit superdiagonal, b = the coupling
+            coupling = np.diag(M, 1) * np.diag(M, -1)
+            if np.all(coupling != 0.0):
+                L = lax.LaxMatrix(n=n, a=np.diag(M), b=coupling)
+                report = tnn.is_tnn_tridiagonal(L, tol=tol)
+                lax_got = (report.is_tnn, report.witness and (
+                    report.witness.rows, report.witness.cols, report.witness.value
+                ))
+                lax_want = plain_loop_tridiagonal_criterion(L.to_dense(), tol)
+                assert lax_got == lax_want, f"trial {trial}: L={L!r}, tol={tol}"
+                lax_cases += 1
+                lax_rejected += not lax_want[0]
             rejected += not want[0]
             last_bits += not want[0] and abs(want[1][2]) < 1e-13
         assert rejected > 1000 and last_bits > 50
+        assert lax_cases > 1900 and lax_rejected > 1000
 
     def test_structure_error_matches_plain_loop_reference(self):
         rng = np.random.default_rng(4242)
