@@ -6,7 +6,10 @@ matrices TNN is equivalent to nonnegative off-diagonal entries plus
 nonnegative contiguous principal minors, and, when the off-diagonal entries
 are positive, to strict eigenvalue interlacing with a positive bottom
 eigenvalue.  All three routes are implemented and cross-checked in the test
-suite.
+suite.  A square matrix is TP iff its n^2 initial minors (contiguous minors
+touching the first row or the first column) are positive (Gasca & Peña,
+"Total positivity and Neville elimination", Linear Algebra Appl. 165, 1992),
+which is how total positivity is decided here.
 """
 
 from __future__ import annotations
@@ -59,11 +62,34 @@ def _as_dense(M) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> tuple:
+    """The k-subsets of range(n), lexicographic, as tuples and as a read-only array."""
+    combos = tuple(itertools.combinations(range(n), k))
+    return combos, lax._readonly(combos, dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=None)
+def _initial_minor_blocks(n: int) -> tuple:
+    """Flat indices of the initial-minor blocks of an n x n matrix, per size.
+
+    Entry k-1 is a read-only (2(n-k)+1, k, k) array: the column-initial
+    blocks (rows i-k+1..i, columns 0..k-1) for i = k-1..n-1, then the
+    row-initial blocks (rows 0..k-1, columns j-k+1..j) for j = k..n-1, so
+    the leading block is listed once and there are n^2 blocks in all.
+    """
+    blocks = []
+    for k in range(1, n + 1):
+        span = np.arange(k)
+        corners = [(r, 0) for r in range(n - k + 1)] + [(0, c) for c in range(1, n - k + 1)]
+        flat = [(r + span)[:, None] * n + (c + span) for r, c in corners]
+        blocks.append(lax._readonly(flat, dtype=np.intp))
+    return tuple(blocks)
+
+
 def _all_minors_by_size(M: np.ndarray, k: int):
     """All k x k minors in lexicographic (rows, cols) order, batched."""
-    n = M.shape[0]
-    combos = list(itertools.combinations(range(n), k))
-    idx = np.array(combos)
+    combos, idx = _subsets(M.shape[0], k)
     sub = M[idx[:, None, :, None], idx[None, :, None, :]]
     dets = np.linalg.det(sub.reshape(-1, k, k))
     return combos, dets
@@ -176,14 +202,19 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
 
 
 def is_totally_positive(M) -> bool:
-    """True iff every minor is strictly positive (n <= 8)."""
+    """True iff every minor is strictly positive (n <= 8).
+
+    Decided from the n^2 initial minors, the contiguous minors that touch
+    the first row or the first column: a square matrix is totally positive
+    iff all of them are positive (Gasca & Peña, Linear Algebra Appl. 165,
+    1992).  One batched determinant per size, smallest size first.
+    """
     M = _as_dense(M)
     n = M.shape[0]
     if n > EXHAUSTIVE_MAX_N:
         raise TooLarge(f"total-positivity check limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    for k in range(1, n + 1):
-        _, dets = _all_minors_by_size(M, k)
-        if not np.all(dets > 0.0):
+    for blocks in _initial_minor_blocks(n):
+        if not np.all(np.linalg.det(np.take(M, blocks)) > 0.0):
             return False
     return True
 

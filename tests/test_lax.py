@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from todajac import lax
+from todajac import jacobi, lax, verify
 from todajac.errors import (
     BadIndex,
+    NonGeneralDivisor,
     NonRealSpectrum,
     NonSimpleSpectrum,
 )
@@ -32,6 +33,21 @@ def charpoly_oracle(L):
     vals = [((-1.0) ** n) * np.linalg.det(dense - x * np.eye(n)) for x in nodes]
     V = np.vander(nodes, n + 1, increasing=True)
     return np.linalg.solve(V, np.array(vals))
+
+
+def companion_root_eigenvalues(L, imag_tol=lax.DEFAULT_IMAG_TOL):
+    """Polished roots of char_poly from its companion matrix: the fallback
+    route before it moved to LAPACK eigvals, kept as an oracle."""
+    roots = npoly.polyroots(lax.char_poly(L))
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    if np.any(np.abs(roots.imag) > imag_tol * scale):
+        raise NonRealSpectrum("companion root off the real axis")
+    lams = roots.real.copy()
+    for _ in range(3):
+        val, der = lax._charpoly_value_and_derivative(L, lams)
+        step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
+        lams = lams - np.clip(step, -0.1 * scale, 0.1 * scale)
+    return np.sort(lams)
 
 
 def cofactor_minor_oracle(dense, i, j):
@@ -211,6 +227,47 @@ class TestSpectrumOp:
             assert abs(lams.sum() - a.sum()) <= 1e-13 * max(float(np.sum(np.abs(lams))), 1.0)
             roots = lax.charpoly_root_eigenvalues(L)
             assert np.max(np.abs(lams - roots)) <= 1e-12 * scale
+
+    def test_sign_mixed_fallback_matches_companion_oracle(self):
+        # non-cone points over spectra in (0.5, 2.5) with gaps >= 0.05 and
+        # coordinate log range 1, reconstructed through the tau functions
+        rng = np.random.default_rng(2585)
+        cases = 0
+        for i in range(700):
+            n = 2 + i % 7
+            spec = verify.sample_spectrum(rng, n, 0.5, 2.5, min_gap=0.05)
+            cone = jacobi.alternating_signs(n)
+            signs = cone
+            while signs == cone:
+                signs = tuple(float(s) for s in rng.choice([-1.0, 1.0], n - 1))
+            try:
+                L = jacobi.reconstruct(spec, verify.sample_point(rng, n, signs, 1.0))
+            except NonGeneralDivisor:
+                continue
+            if np.all(L.b > 0):
+                continue
+            cases += 1
+            lams = lax.charpoly_root_eigenvalues(L)
+            want = companion_root_eigenvalues(L)
+            np.testing.assert_allclose(lams, want, rtol=1e-9, atol=0, err_msg=f"L={L!r}")
+        assert cases > 600
+
+    def test_sign_mixed_fallback_non_real_verdict_matches_companion_oracle(self):
+        rng = np.random.default_rng(4242)
+        raised = 0
+        for i in range(2000):
+            n = 2 + i % 7
+            b = rng.uniform(0.05, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+            L = make(rng.uniform(-2.0, 2.0, n), b)
+            try:
+                companion_root_eigenvalues(L)
+            except NonRealSpectrum:
+                with pytest.raises(NonRealSpectrum):
+                    lax.charpoly_root_eigenvalues(L)
+                raised += 1
+            else:
+                lax.charpoly_root_eigenvalues(L)
+        assert 500 < raised < 1900
 
     def test_symmetric_route_small_and_malformed_inputs(self):
         np.testing.assert_array_equal(

@@ -1,9 +1,12 @@
 """Tests for total-nonnegativity, total-positivity and interlacing checks."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from todajac import lax, tnn
+from todajac import lax, tnn, verify
 from todajac.errors import NotTnn, NotTridiagonal, TooLarge
 
 RNG = np.random.default_rng(7151)
@@ -40,6 +43,93 @@ def plain_loop_tridiagonal_criterion(M, tol):
                 window = tuple(range(s, s + size))
                 return False, (window, window, value)
     return True, None
+
+
+def all_minors_totally_positive(M):
+    """Reference: np.linalg.det of every square submatrix is positive."""
+    n = M.shape[0]
+    for k in range(1, n + 1):
+        idx = np.array(list(itertools.combinations(range(n), k)))
+        blocks = M[idx[:, None, :, None], idx[None, :, None, :]].reshape(-1, k, k)
+        if not np.all(np.linalg.det(blocks) > 0.0):
+            return False
+    return True
+
+
+def exact_det(A):
+    """Determinant of a float matrix in exact rational arithmetic."""
+    A = [[Fraction(float(x)) for x in row] for row in A]
+    n, det = len(A), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if A[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            f = A[r][c] / A[c][c]
+            for j in range(c, n):
+                A[r][j] -= f * A[c][j]
+    return det
+
+
+def initial_minor_blocks(M):
+    """The n^2 contiguous blocks of M whose lower-right corner is (i, j) and
+    that touch the first row or the first column."""
+    n = M.shape[0]
+    for i in range(n):
+        for j in range(n):
+            k = min(i, j) + 1
+            yield M[i - k + 1:i + 1, j - k + 1:j + 1]
+
+
+def reference_power_search(M, k_max):
+    """Smallest k <= k_max with M**k totally positive by the all-minors reference."""
+    power = np.eye(M.shape[0])
+    for k in range(1, k_max + 1):
+        power = power @ M
+        if all_minors_totally_positive(power):
+            return True, k
+    return False, None
+
+
+def tnn_tridiagonal_dense(rng, n, singular=False):
+    """(unit lower bidiagonal) @ (upper bidiagonal, unit superdiagonal): TNN.
+
+    With ``singular`` the last pivot is zero: the product and its powers are
+    singular up to the rounding of the matrix products.
+    """
+    d = rng.uniform(0.1, 2.0, n)
+    if singular:
+        d[-1] = 0.0
+    lower = np.eye(n) + np.diag(rng.uniform(0.05, 1.0, n - 1), -1)
+    return lower @ (np.diag(d) + np.eye(n, k=1))
+
+
+def total_positivity_corpus(rng):
+    """Powers of TNN tridiagonals, exp(x_i y_j) kernels with one-entry
+    perturbations, uniform dense matrices, and the transposes of all."""
+    corpus = []
+    for n in range(2, 9):
+        for singular in (False, False, True):
+            L = tnn_tridiagonal_dense(rng, n, singular)
+            power = np.eye(n)
+            for _ in range(2 * n):
+                power = power @ L
+                corpus.append(power)
+        for _ in range(6):
+            x, y = np.sort(rng.uniform(-1.5, 1.5, (2, n)), axis=1)
+            K = np.exp(np.outer(x, y))
+            corpus.append(K)
+            for _ in range(4):
+                P = K.copy()
+                i, j = rng.integers(0, n, 2)
+                P[i, j] *= rng.uniform(0.5, 1.5)
+                corpus.append(P)
+        corpus.extend(rng.uniform(0.0, 1.0, (n, n)) for _ in range(10))
+    return corpus + [M.T for M in corpus]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +324,26 @@ class TestTotallyPositive:
             if tnn.is_totally_positive(M):
                 assert tnn.is_tnn_exhaustive(M).is_tnn
 
+    def test_initial_minors_match_all_minors_reference(self):
+        corpus = total_positivity_corpus(np.random.default_rng(5150))
+        verdicts = [all_minors_totally_positive(M) for M in corpus]
+        disputed = 0
+        for M, want in zip(corpus, verdicts):
+            if tnn.is_totally_positive(M) == want:
+                continue
+            # The float verdicts may part only where rounding decides one: the
+            # matrix is exactly TP (the reference lost a sign), or LAPACK got
+            # the sign of one of the initial minors wrong.
+            assert not want, f"M={M!r}"
+            exact = [exact_det(B) for B in initial_minor_blocks(M)]
+            floats = [np.linalg.det(B) for B in initial_minor_blocks(M)]
+            assert all(e > 0 for e in exact) or any(
+                np.sign(f) != np.sign(e) for f, e in zip(floats, exact)
+            ), f"M={M!r}"
+            disputed += 1
+        assert len(corpus) == 980 and 300 < sum(verdicts) < len(corpus) - 300
+        assert disputed <= len(corpus) // 100
+
 
 # ---------------------------------------------------------------------------
 # irreducibility
@@ -260,6 +370,17 @@ class TestIrreducible:
     def test_requires_tnn(self):
         with pytest.raises(NotTnn):
             tnn.is_irreducible_tnn(make([0, 0], [1]))
+
+    def test_power_search_matches_all_minors_reference(self):
+        rng = np.random.default_rng(8088)
+        found = 0
+        for i in range(500):
+            n = 2 + i % 5
+            L = verify.sample_tnn_rejection(rng, n)
+            result = tnn.is_irreducible_tnn(L)
+            assert result == reference_power_search(L.to_dense(), 2 * n), f"L={L!r}"
+            found += result[0]
+        assert found > 400
 
     def test_gantmacher_krein_positive_simple_spectrum(self):
         found = 0
