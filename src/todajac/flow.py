@@ -216,7 +216,10 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
         remaining -= h
         if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
             raise Overflow(elapsed)
-    return lax.LaxMatrix(n=n, a=y[:n], b=y_b)
+    # finite after every step; a vanished subdiagonal entry gets the
+    # validating constructor's error
+    make = lax.LaxMatrix._trusted if y_b.all() else lax.LaxMatrix
+    return make(n=n, a=y[:n], b=y_b)
 
 
 # ---------------------------------------------------------------------------

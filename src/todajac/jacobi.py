@@ -1,7 +1,9 @@
 """Jacobi-coordinate side of the flow: tau determinants and linearization.
 
 A phase-space matrix with simple real spectrum maps to the projective tuple
-of its (1,1)-cofactor values at the eigenvalues (``abel_jacobi``).  Under the
+of its (1,1)-cofactor values at the eigenvalues (``abel_jacobi``; for a
+positive subdiagonal they come from the Weyl-function residues, which keep
+their relative accuracy on strongly evolved states).  Under the
 flow this tuple just gets multiplied componentwise by exp(t*lambda_i)
 (``evolve_point``), and the matrix is recovered from tau determinants mixing
 Vandermonde columns with point-weighted ones (``reconstruct``):
@@ -18,6 +20,11 @@ the totally nonnegative ones.
 Tau values can overflow double precision for strongly evolved points, so the
 sequence also carries (sign, log|tau|) pairs and all internal quotients are
 formed in log space.
+
+``TauKernel`` and the reconstruction quotients also run on stacks of points
+(one row per point).  Their term sums are elementwise adds in a fixed order,
+never BLAS products, whose summation order depends on matrix shape and
+memory layout; so a stacked row equals the single-point call bit for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +75,14 @@ class JacobiPoint:
                 raise ValueError("normalization by the first entry under/overflowed")
         object.__setattr__(self, "f", _readonly(f))
 
+    @classmethod
+    def _trusted(cls, f) -> "JacobiPoint":
+        """A 1-D tuple the caller knows to be finite, nonzero and normalized
+        to f[0] = 1.  No checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "f", _readonly(f))
+        return out
+
     @property
     def n(self) -> int:
         return int(self.f.size)
@@ -110,6 +125,21 @@ class SignComponent:
         return cls(signs=tuple(1 if ch == "+" else -1 for ch in text))
 
 
+def _normalized_point(values: np.ndarray) -> JacobiPoint:
+    """JacobiPoint.from_raw(values) for a library-built 1-D array.
+
+    The constructor accepts a tuple exactly when values[0] and its
+    normalized form values / values[0] are finite and nonzero, so only that
+    is checked; any other tuple gets the constructor's own error.
+    """
+    first = values[0]
+    if first != 0.0 and np.isfinite(first):
+        f = values / first
+        if np.isfinite(f).all() and f.all():
+            return JacobiPoint._trusted(f)
+    return JacobiPoint.from_raw(values)
+
+
 def alternating_signs(n: int) -> tuple:
     """The cone pattern for f[1:]: starts negative and alternates."""
     return tuple(-1 if i % 2 == 0 else 1 for i in range(n - 1))
@@ -147,32 +177,50 @@ class _Subsets(NamedTuple):
     """The 2^n index sets S of 1..n, ordered by size (row order within a size
     follows the bit mask)."""
 
-    masks: np.ndarray  # (2^n, n) 0/1 membership
-    pairs: tuple  # (i, j) index arrays of the pairs i < j
-    same_side: np.ndarray  # (2^n, n(n-1)/2) 1 where a pair lies in S or in ~S
+    masks: np.ndarray  # (2^n,) bit mask of each set (bit i: index i+1 in S)
+    complements: np.ndarray  # (2^n,) bit mask of the complement of each set
+    below: np.ndarray  # (n, 1, n) True at [k, 0, i] for i < k
     sizes: np.ndarray  # (2^n,) |S|, nondecreasing
-    starts: np.ndarray  # (n+1,) first row of each size class
     signs: np.ndarray  # (2^n,) sign of S's Laplace term before the f signs
+    term_starts: np.ndarray  # (2n+2,) first term of each size class, unprimed then primed
+    term_classes: np.ndarray  # (2^(n+1),) class of each term
 
 
 @functools.lru_cache(maxsize=None)
 def _subsets(n: int) -> _Subsets:
     count = 1 << n
     bits = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
-    bits = bits[np.argsort(bits.sum(axis=1), kind="stable")]
+    masks = np.argsort(bits.sum(axis=1), kind="stable")
+    bits = bits[masks]
     sizes = bits.sum(axis=1)
-    i, j = np.triu_indices(n, 1)
     # (-1)**(1-based row sum + parity of the point-weighted column positions),
     # times the calibrated epsilon sign of the size class
     parity = (bits @ np.arange(1, n + 1) + sizes * n - sizes * (sizes - 1) // 2) % 2
+    starts = np.searchsorted(sizes, np.arange(n + 1))
     return _Subsets(
-        masks=_readonly(bits),
-        pairs=(_readonly(i, dtype=int), _readonly(j, dtype=int)),
-        same_side=_readonly(bits[:, i] == bits[:, j]),
+        masks=_readonly(masks, dtype=np.intp),
+        complements=_readonly((count - 1) ^ masks, dtype=np.intp),
+        below=_readonly(np.tri(n, k=-1)[:, None, :], dtype=bool),
         sizes=_readonly(sizes, dtype=int),
-        starts=_readonly(np.searchsorted(sizes, np.arange(n + 1)), dtype=int),
         signs=_readonly(np.where(parity == 0, 1.0, -1.0) * epsilon_signs(n)[sizes]),
+        term_starts=_readonly(np.concatenate([starts, starts + count]), dtype=int),
+        term_classes=_readonly(np.concatenate([sizes, sizes + n + 1]), dtype=int),
     )
+
+
+def _subset_sums(x: np.ndarray) -> np.ndarray:
+    """sum(x[s, S]) for every row s of x (rows, m) and every subset S of
+    range(m), indexed by bit mask: shape (rows, 2^m).
+
+    Each sum adds its members from the lowest index up, one elementwise add
+    per member, so no value depends on memory layout or on the number of
+    rows (BLAS picks its summation order by matrix shape, so a stacked BLAS
+    product rounds differently from the single-row one).
+    """
+    out = np.zeros((x.shape[0], 1 << x.shape[1]))
+    for k in range(x.shape[1]):
+        out[:, 1 << k : 2 << k] = out[:, : 1 << k] + x[:, k : k + 1]
+    return out
 
 
 class TauGrid(NamedTuple):
@@ -186,7 +234,7 @@ class TauGrid(NamedTuple):
 
 
 class TauKernel:
-    """Tau and tau' values of one point along the flow, as exponential sums.
+    """Tau and tau' values of points along the flow, as exponential sums.
 
     The determinant with n-k leading Vandermonde columns and k point-weighted
     columns expands over size-k index sets S as
@@ -204,50 +252,80 @@ class TauKernel:
     Summing each signed class with its largest magnitude factored out is
     accurate at any coordinate grading, with relative error ~ eps divided by
     the generality ratio.
+
+    ``spec`` and ``F`` may also be stacks: arrays of eigenvalue rows and of
+    point rows, shape (S, n) each.  Every term sum is built by elementwise
+    adds in a fixed order (``_subset_sums``), which depends on neither memory
+    layout nor stack height, so each row equals the kernel of that row alone
+    bit for bit.
     """
 
-    def __init__(self, spec: lax.Spectrum, F):
-        lams = spec.lambdas
-        n = lams.size
+    def __init__(self, spec, F):
+        lams = spec.lambdas if isinstance(spec, lax.Spectrum) else np.asarray(spec, dtype=float)
         f = F.f if isinstance(F, JacobiPoint) else np.asarray(F, dtype=float)
-        if f.shape != (n,):
+        n = lams.shape[-1]
+        if f.shape != lams.shape:
             raise ValueError(f"point length {f.shape} does not match spectrum size {n}")
-        if np.any(f == 0.0):
+        if not f.all():
             raise ValueError("point entries must be nonzero")
+        lams, f = lams.reshape(-1, n), f.reshape(-1, n)
+        rows = lams.shape[0]
         sub = _subsets(n)
-        i, j = sub.pairs
-        logs = sub.masks @ np.log(np.abs(f)) + sub.same_side @ np.log(np.abs(lams[j] - lams[i]))
-        signs = sub.signs * (-1.0) ** (sub.masks @ (f < 0.0))
-        e1 = sub.masks @ lams
+        # [k, s, i] = log|lams[s, k] - lams[s, i]| for i < k, 0 elsewhere
+        gaps = np.log(np.abs(np.where(sub.below, lams.T[:, :, None] - lams, 1.0)))
+        sums = _subset_sums(
+            np.concatenate([np.log(np.abs(f)), lams, (f < 0.0) * 1.0, gaps.reshape(n * rows, n)])
+        )
+        by_set = sums[: 3 * rows, sub.masks]
+        log_f, e1, negatives = by_set[:rows], by_set[rows : 2 * rows], by_set[2 * rows :]
+        pairs = sums[3 * rows :].reshape(n, rows, -1)
+        # log vdm(lams[S]): adding index k, the largest so far, adds the log
+        # gaps between k and every i in S
+        vdm = np.zeros((rows, 1 << n))
+        for k in range(1, n):
+            vdm[:, 1 << k : 2 << k] = vdm[:, : 1 << k] + pairs[k, :, : 1 << k]
+        logs = log_f + vdm[:, sub.masks] + vdm[:, sub.complements]
+        # an exact count, so its parity is exact
+        signs = sub.signs * np.where(negatives.astype(int) & 1, -1.0, 1.0)
         # unprimed terms, then primed ones (the empty set's primed term is 0,
         # which gives tau'[0] = 0); one column block per size class
-        with np.errstate(divide="ignore"):
-            self.logs = np.concatenate([logs, logs + np.log(np.abs(e1))])
-        self.signs = np.concatenate([signs, signs * np.sign(e1)])
-        rates = e1 - sub.sizes * lams[0]
-        self.rates = np.concatenate([rates, rates])
-        self.starts = np.concatenate([sub.starts, sub.starts + sub.sizes.size])
-        self.classes = np.concatenate([sub.sizes, sub.sizes + n + 1])
+        log_e1 = np.log(np.abs(e1), out=np.full_like(e1, -math.inf), where=e1 != 0.0)
+        self.logs = np.concatenate([logs, logs + log_e1], axis=1)
+        self.signs = np.concatenate([signs, signs * np.sign(e1)], axis=1)
+        rates = e1 - sub.sizes * lams[:, :1]
+        self.rates = np.concatenate([rates, rates], axis=1)
+        self.starts, self.classes = sub.term_starts, sub.term_classes
         self.n = n
 
     def evaluate(self, times) -> TauGrid:
-        """Tau data of the point evolved by each of ``times``."""
+        """Tau data of the point evolved by each of ``times``.
+
+        For a stack, row s is point s evolved by times[s] (one time for all
+        rows, or one point for all times, broadcasts).
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        shape = (times.size, self.starts.size)
+        points, terms = self.logs.shape
+        rows = max(points, times.size)
+        if {points, times.size} - {1, rows}:
+            raise ValueError(f"{times.size} times do not match a stack of {points} points")
+        shape = (rows, self.starts.size)
         sign, log_abs, generality = np.empty(shape), np.empty(shape), np.empty(shape)
-        block = max(1, _BLOCK_TERMS // self.logs.size)
-        for lo in range(0, times.size, block):
-            rows = slice(lo, lo + block)
-            logs = self.logs + times[rows, None] * self.rates
+        block = max(1, _BLOCK_TERMS // terms)
+        for lo in range(0, rows, block):
+            part = slice(lo, lo + block)
+            # a single point or a single time serves every row
+            at = slice(None) if points == 1 else part
+            when = slice(None) if times.size == 1 else part
+            logs = self.logs[at] + times[when, None] * self.rates[at]
             m = np.maximum.reduceat(logs, self.starts, axis=1)
             m[m == -math.inf] = 0.0  # every term of the class is zero
             scaled = np.exp(logs - m[:, self.classes])
-            total = np.add.reduceat(scaled * self.signs, self.starts, axis=1)
+            total = np.add.reduceat(scaled * self.signs[at], self.starts, axis=1)
             bound = np.add.reduceat(scaled, self.starts, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_abs[rows] = m + np.log(np.abs(total))
-                generality[rows] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
-            sign[rows] = np.sign(total)
+                log_abs[part] = m + np.log(np.abs(total))
+                generality[part] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
+            sign[part] = np.sign(total)
         k = self.n + 1
         return TauGrid(sign[:, :k], log_abs[:, :k], sign[:, k:], log_abs[:, k:], generality[:, :k])
 
@@ -336,15 +414,18 @@ def abel_jacobi(
     """
     if spec is None:
         spec = lax.spectrum(L)
-    vals = lax.chop_values(L, spec.lambdas)
+    vals = lax._weyl_cofactor_values(L.a, L.b, spec.lambdas) if np.all(L.b > 0) else None
+    if vals is None or not np.isfinite(vals).all():
+        # sign-mixed b, or eigenvalue differences beyond double range
+        vals = lax.chop_values(L, spec.lambdas)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0 or np.any(np.abs(vals) <= zero_tol * scale):
         i = int(np.argmin(np.abs(vals)))
         raise ZeroCofactorValue(
-            f"cofactor value {vals[i]!r} at eigenvalue {spec.lambdas[i]!r} is "
-            "numerically zero"
+            f"cofactor value {float(vals[i])!r} at eigenvalue {float(spec.lambdas[i])!r} "
+            "is numerically zero"
         )
-    return JacobiPoint.from_raw(vals)
+    return _normalized_point(vals)
 
 
 def is_general_point(spec: lax.Spectrum, F, tol: float = DEFAULT_GENERAL_TOL) -> bool:
@@ -367,16 +448,18 @@ def reconstruct(
     return next(reconstruct_along(spec, F, 0.0, general_tol))
 
 
-def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAULT_GENERAL_TOL):
-    """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
+class _Rows(NamedTuple):
+    """Reconstructed bands of each tau row and why a row may not stand."""
 
-    One TauKernel evaluation covers every time and no evolved point is
-    formed.  Iteration stops at the first failing time by raising
-    NonGeneralDivisor, or RangeExceeded with that time when an entry leaves
-    double range (a subdiagonal entry below the smallest normal double, say).
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    grid = TauKernel(spec, F0).evaluate(times)
+    a: np.ndarray  # (R, n)
+    b: np.ndarray  # (R, n-1)
+    nongeneral: np.ndarray  # (R, n+1) a tau value vanishes at scale
+    out_of_range: np.ndarray  # (R,) an entry leaves double range
+    finite: np.ndarray  # (R,) every diagonal entry is finite
+
+
+def _reconstruct_rows(grid: TauGrid, general_tol: float) -> _Rows:
+    """The reconstruction quotients on every row of a tau grid at once."""
     sign, log_t = grid.sign_tau, grid.log_abs_tau
     nongeneral = (sign == 0.0) | (grid.generality <= general_tol)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -388,14 +471,30 @@ def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAUL
         ).any(axis=1)
         b = sign[:, :-2] * sign[:, 2:] * np.exp(log_b)
         ratios = grid.sign_tau_prime[:, 1:] * sign[:, 1:] * np.exp(log_r)
-    a = np.diff(ratios, axis=1, prepend=0.0)
-    n = a.shape[1]
+        a = np.diff(ratios, axis=1, prepend=0.0)
+    return _Rows(a, b, nongeneral, out_of_range, np.isfinite(a).all(axis=1))
+
+
+def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAULT_GENERAL_TOL):
+    """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
+
+    One TauKernel evaluation covers every time and no evolved point is
+    formed.  Iteration stops at the first failing time by raising
+    NonGeneralDivisor, or RangeExceeded with that time when an entry leaves
+    double range (a subdiagonal entry below the smallest normal double, say).
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times), general_tol)
+    n = rows.a.shape[1]
     for i, t in enumerate(times.tolist()):
-        if nongeneral[i].any():
-            raise NonGeneralDivisor(int(np.argmax(nongeneral[i])))
-        if out_of_range[i]:
+        if rows.nongeneral[i].any():
+            raise NonGeneralDivisor(int(np.argmax(rows.nongeneral[i])))
+        if rows.out_of_range[i]:
             raise RangeExceeded(t, f"reconstructed entries leave double range at t={t!r}")
-        yield lax.LaxMatrix(n=n, a=a[i], b=b[i])
+        # b is in normal range here; a non-finite diagonal gets the
+        # validating constructor's error
+        make = lax.LaxMatrix._trusted if rows.finite[i] else lax.LaxMatrix
+        yield make(n=n, a=rows.a[i], b=rows.b[i])
 
 
 def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:
@@ -414,4 +513,4 @@ def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:
         w = w / w[0]
     if not np.all(np.isfinite(w)) or np.any(w == 0.0):
         raise RangeExceeded(t, f"evolved coordinates leave double range at t={t!r}")
-    return JacobiPoint(f=w)
+    return JacobiPoint._trusted(w)

@@ -65,6 +65,16 @@ class LaxMatrix:
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 
+    @classmethod
+    def _trusted(cls, n: int, a, b) -> "LaxMatrix":
+        """Bands the caller has just built and knows to be valid: finite,
+        of lengths n and n-1, with a nonzero subdiagonal.  No checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "a", _readonly(a))
+        object.__setattr__(out, "b", _readonly(b))
+        return out
+
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
         m[np.arange(self.n), np.arange(self.n)] = self.a
@@ -115,6 +125,15 @@ class Spectrum:
                     f"tolerance {self.separation:.3e}"
                 )
         object.__setattr__(self, "lambdas", _readonly(lams))
+
+    @classmethod
+    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION) -> "Spectrum":
+        """Eigenvalues the caller knows to be finite with every gap above
+        ``separation`` and above 0.  No checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "lambdas", _readonly(lambdas))
+        object.__setattr__(out, "separation", separation)
+        return out
 
     @property
     def n(self) -> int:
@@ -228,16 +247,49 @@ def symmetric_tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) on the dense
-    matrix with diagonal ``diag`` and off-diagonals ``off``.
+    matrix with diagonal ``diag`` and off-diagonals ``off``.  Leading axes
+    are a stack of matrices (``diag`` (..., n), ``off`` (..., n-1)), solved
+    in one call; each row equals its single-matrix call bit for bit.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
-    n = d.size
+    n = d.shape[-1]
     if n == 1:
         return d.copy()
-    if e.shape != (n - 1,):
+    if e.shape != d.shape[:-1] + (n - 1,):
         raise ValueError("off-diagonal must have length n-1")
-    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return np.linalg.eigvalsh(_symmetric_tridiagonal(d, e))
+
+
+def _symmetric_tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrices from diagonals (..., n) and
+    off-diagonals (..., n-1)."""
+    n = d.shape[-1]
+    dense = np.zeros(d.shape + (n,))
+    i = np.arange(n)
+    dense[..., i, i] = d
+    dense[..., i[1:], i[:-1]] = e
+    dense[..., i[:-1], i[1:]] = e
+    return dense
+
+
+def _weyl_cofactor_values(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """chop_values at the eigenvalues, for a positive subdiagonal, from the
+    residues of the Weyl function: (-1)**(n-1) * v_i[0]**2 * p'(lam_i).
+
+    v_i is the unit eigenvector of the symmetrized matrix (off-diagonals
+    sqrt(b)) and p'(lam_i) = prod over j != i of (lam_i - lam_j).  Unlike the
+    recurrence evaluated at a rounded eigenvalue, this keeps its relative
+    accuracy where lam_i nearly meets an eigenvalue of the trailing corner.
+    Leading axes are a stack, as in symmetric_tridiagonal_eigenvalues.
+    """
+    n = a.shape[-1]
+    vecs = np.linalg.eigh(_symmetric_tridiagonal(a, np.sqrt(b)))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = lams[..., :, None] - lams[..., None, :]
+        i = np.arange(n)
+        diffs[..., i, i] = 1.0
+        return (-1.0) ** (n - 1) * vecs[..., 0, :] ** 2 * np.multiply.reduce(diffs, axis=-1)
 
 
 def _charpoly_value_and_derivative(L: LaxMatrix, x: np.ndarray):
@@ -302,8 +354,11 @@ def spectrum(
     if lams.size > 1 and np.min(gaps) <= separation:
         i = int(np.argmin(gaps))
         raise NonSimpleSpectrum(
-            f"eigenvalues {lams[i]!r} and {lams[i + 1]!r} closer than {separation:.1e}"
+            f"eigenvalues {float(lams[i])!r} and {float(lams[i + 1])!r} closer than "
+            f"{separation:.1e}"
         )
+    if separation >= 0.0 and np.isfinite(lams).all():
+        return Spectrum._trusted(lams, separation)
     return Spectrum(lambdas=lams, separation=separation)
 
 

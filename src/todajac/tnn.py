@@ -164,6 +164,12 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
     then contiguous windows by increasing size and start index.  A LaxMatrix
     is read through its bands; a dense array must be tridiagonal.
     """
+    return _tridiagonal_criterion(M, tol)[0]
+
+
+def _tridiagonal_criterion(M, tol: float):
+    """is_tnn_tridiagonal's report and, when the matrix passes, det M: the
+    last window of the recurrence."""
     diag, sup, sub = _bands(M)
     n = diag.size
     positions, rows, cols = _band_entries(n)
@@ -171,13 +177,14 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
     bad = np.flatnonzero(~(entries >= -tol))
     if bad.size:
         first = int(bad[0])
-        return TnnReport(
+        report = TnnReport(
             is_tnn=False,
             witness=MinorWitness(
                 rows=(rows[first],), cols=(cols[first],), value=float(entries[first])
             ),
             method="tridiagonal-criterion",
         )
+        return report, None
     # det M[s..s+size-1] for every start s, advanced over size by the
     # three-term recurrence.  Python floats: at n <= 8 a numpy call per size
     # costs more than the whole list of starts.
@@ -192,13 +199,15 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
         for s, value in enumerate(cur):
             if not value >= -tol:
                 window = tuple(range(s, s + size))
-                return TnnReport(
+                report = TnnReport(
                     is_tnn=False,
                     witness=MinorWitness(rows=window, cols=window, value=value),
                     method="tridiagonal-criterion",
                 )
+                return report, None
         prev2, prev1 = prev1, cur
-    return TnnReport(is_tnn=True, witness=None, method="tridiagonal-criterion")
+    report = TnnReport(is_tnn=True, witness=None, method="tridiagonal-criterion")
+    return report, prev1[0]
 
 
 def is_totally_positive(M) -> bool:
@@ -223,12 +232,17 @@ def is_irreducible_tnn(M, k_max: Optional[int] = None, tol: float = 0.0):
     """Search for the smallest power of a TNN matrix that is totally positive.
 
     Returns ``(True, k)`` with the smallest exponent k <= k_max such that
-    M**k is TP, or ``(False, None)`` when no power within the bound is.  The
-    default bound 2n is an empirical desk-scale cutoff; a miss is reported as
-    False, never as a proof of reducibility.
+    M**k is TP, or ``(False, None)`` when no power within the bound is.  A
+    matrix with det M <= 0 or a zero off-diagonal entry gets ``(False,
+    None)`` at once: a TNN tridiagonal matrix has a totally positive power
+    only if it is nonsingular with positive off-diagonal entries
+    (Gantmacher & Krein, Oscillation Matrices and Kernels, Ch. II), so for
+    such an input the answer is a proof.  Otherwise the default bound 2n is
+    an empirical desk-scale cutoff; a miss is reported as False, never as a
+    proof of reducibility.
     """
     M = _as_dense(M)
-    report = is_tnn_tridiagonal(M, tol=tol)
+    report, det = _tridiagonal_criterion(M, tol)
     if not report.is_tnn:
         raise NotTnn(f"input is not TNN (witness minor {report.witness.value!r})")
     n = M.shape[0]
@@ -236,6 +250,8 @@ def is_irreducible_tnn(M, k_max: Optional[int] = None, tol: float = 0.0):
         k_max = 2 * n
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if det <= 0.0 or not (np.diag(M, 1).all() and np.diag(M, -1).all()):
+        return False, None
     power = np.eye(n)
     for k in range(1, k_max + 1):
         power = power @ M
@@ -260,7 +276,7 @@ class InterlacingData:
 def _principal_corner_spectrum(a: np.ndarray, b: np.ndarray, separation: float) -> lax.Spectrum:
     if a.size == 1:
         return lax.Spectrum(lambdas=np.array([float(a[0])]), separation=separation)
-    sub = lax.LaxMatrix(n=a.size, a=a, b=b)
+    sub = lax.LaxMatrix._trusted(n=a.size, a=a, b=b)  # bands of a valid matrix
     return lax.spectrum(sub, separation=separation)
 
 

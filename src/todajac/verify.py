@@ -8,8 +8,18 @@ linearization to land in the alternating cone.
 
 Every sample draws from its own RNG stream keyed by (seed, direction,
 index), so reports are byte-identical however the loop is scheduled; the
-TODA_WORKERS environment variable (0 or unset = sequential) fans the loop
-out to a process pool.
+TODA_WORKERS environment variable (0 or unset = sequential) fans the chunks
+of indices out to a process pool.
+
+Each direction runs on stacks of samples: the forward cone points are
+reconstructed by one stacked tau-kernel pass, and the converse matrices are
+linearized by one stacked eigvalsh call and one stacked Weyl-residue
+evaluation.  A stack holds at most the tau kernel's block of 2^14 terms
+(32 samples at n = 8).  Every stacked row equals its single-object call bit
+for bit, so a row that does not pass the stack (non-general, out of range,
+nonsimple, not TNN, not in the cone, ...) is simply run again through the
+per-sample ``_forward_case``/``_converse_case``, which decides it and writes
+its report entry.
 """
 
 from __future__ import annotations
@@ -44,15 +54,19 @@ def sample_spectrum(rng, n, lo=DEFAULT_SPEC_RANGE[0], hi=DEFAULT_SPEC_RANGE[1], 
         min_gap = 1e-6 * (hi - lo)
     while True:
         lams = np.sort(rng.uniform(lo, hi, n))
-        if n == 1 or np.min(np.diff(lams)) > min_gap:
-            return lax.Spectrum(lams)
+        gap = np.min(np.diff(lams)) if n > 1 else np.inf
+        if n == 1 or gap > min_gap:
+            # rng.uniform draws are finite, so gaps above the default
+            # separation leave nothing to check
+            trusted = gap > lax.DEFAULT_SEPARATION
+            return (lax.Spectrum._trusted if trusted else lax.Spectrum)(lams)
 
 
 def sample_point(rng, n, signs, log_range=DEFAULT_COORD_LOG_RANGE):
     """Point with |coordinates| log-uniform and the given tail sign pattern."""
     mags = np.exp(rng.uniform(-log_range, log_range, n))
     f = np.concatenate(([mags[0]], np.asarray(signs, dtype=float) * mags[1:]))
-    return jacobi.JacobiPoint.from_raw(f)
+    return jacobi._normalized_point(f)
 
 
 def sample_cone_point(rng, n, log_range=DEFAULT_COORD_LOG_RANGE):
@@ -67,16 +81,16 @@ def sample_tnn_rejection(
     Falls back to a bidiagonal-product construction (always TNN) if the try
     budget is exhausted, keeping the stream deterministic either way.
     """
+    # rng.uniform draws are finite, and a positive b range keeps b nonzero
+    make = lax.LaxMatrix._trusted if n >= 2 and b_range[0] > 0.0 else lax.LaxMatrix
     for _ in range(max_tries):
-        L = lax.LaxMatrix(
-            n=n, a=rng.uniform(*a_range, n), b=rng.uniform(*b_range, n - 1)
-        )
+        L = make(n=n, a=rng.uniform(*a_range, n), b=rng.uniform(*b_range, n - 1))
         if tnn.is_tnn_tridiagonal(L, tol=0.0).is_tnn:
             return L
     c = rng.uniform(0.05, 1.0, n - 1)
     d = rng.uniform(0.1, 2.0, n)
     a = d + np.concatenate(([0.0], c))
-    return lax.LaxMatrix(n=n, a=a, b=c * d[:-1])
+    return make(n=n, a=a, b=c * d[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +98,27 @@ def sample_tnn_rejection(
 # ---------------------------------------------------------------------------
 
 
-def _forward_case(args):
-    n, seed, index, tol, spec_lo, spec_hi, coord_range = args
+def _forward_draw(n, seed, index, spec_lo, spec_hi, coord_range):
     rng = np.random.default_rng([seed, _FORWARD, index])
     spec = sample_spectrum(rng, n, spec_lo, spec_hi)
-    point = sample_cone_point(rng, n, coord_range)
+    return spec, sample_cone_point(rng, n, coord_range)
+
+
+def _converse_draw(n, seed, index, spec_lo, spec_hi, coord_range):
+    """(spectrum, cone point evolved to a random time) for even indices, a
+    rejection-sampled TNN matrix for odd ones."""
+    rng = np.random.default_rng([seed, _CONVERSE, index])
+    if index % 2 == 0:
+        spec = sample_spectrum(rng, n, spec_lo, spec_hi)
+        point = sample_cone_point(rng, n, coord_range)
+        t = float(rng.uniform(-1.5, 1.5))
+        return spec, jacobi.evolve_point(point, spec, t)
+    return sample_tnn_rejection(rng, n)
+
+
+def _forward_case(args):
+    n, seed, index, tol, spec_lo, spec_hi, coord_range = args
+    spec, point = _forward_draw(n, seed, index, spec_lo, spec_hi, coord_range)
     case = {"spectrum": spec.to_json_dict(), "point": point.to_json_dict()}
     try:
         L = jacobi.reconstruct(spec, point)
@@ -103,14 +133,8 @@ def _forward_case(args):
 
 def _converse_case(args):
     n, seed, index, tol, spec_lo, spec_hi, coord_range = args
-    rng = np.random.default_rng([seed, _CONVERSE, index])
-    if index % 2 == 0:
-        spec = sample_spectrum(rng, n, spec_lo, spec_hi)
-        point = sample_cone_point(rng, n, coord_range)
-        t = float(rng.uniform(-1.5, 1.5))
-        L = jacobi.reconstruct(spec, jacobi.evolve_point(point, spec, t))
-    else:
-        L = sample_tnn_rejection(rng, n)
+    drawn = _converse_draw(n, seed, index, spec_lo, spec_hi, coord_range)
+    L = drawn if isinstance(drawn, lax.LaxMatrix) else jacobi.reconstruct(*drawn)
     case = {"matrix": L.to_json_dict()}
     try:
         image = jacobi.abel_jacobi(L)
@@ -121,6 +145,97 @@ def _converse_case(args):
         case["point"] = image.to_json_dict()
         return index, False, "image not in the alternating cone", case
     return index, True, None, case
+
+
+# ---------------------------------------------------------------------------
+# stacked checks: one chunk of indices per call
+# ---------------------------------------------------------------------------
+
+
+def _draws(draw, n, seed, indices, spec_lo, spec_hi, coord_range) -> list:
+    """Draws of ``indices`` in order, up to the first one that raises.
+
+    That index and the ones after it are left to the per-sample route,
+    which raises the same error again in sample order.
+    """
+    out = []
+    for index in indices:
+        try:
+            out.append(draw(n, seed, index, spec_lo, spec_hi, coord_range))
+        except (TodaError, ValueError, OverflowError):
+            break
+    return out
+
+
+def _stacked_reconstruct(pairs):
+    """Bands of reconstruct(spec, point) for (spec, point) pairs, one tau
+    kernel pass, and which rows stand (general, in range, finite)."""
+    lams = np.array([spec.lambdas for spec, _ in pairs])
+    f = np.array([point.f for _, point in pairs])
+    grid = jacobi.TauKernel(lams, f).evaluate(0.0)
+    rows = jacobi._reconstruct_rows(grid, jacobi.DEFAULT_GENERAL_TOL)
+    return rows.a, rows.b, rows.finite & ~rows.out_of_range & ~rows.nongeneral.any(axis=1)
+
+
+def _cone_images(a, b):
+    """Whether abel_jacobi of each matrix (bands a, b > 0) lands in the cone.
+
+    One stacked eigvalsh call for the spectra and one stacked Weyl-residue
+    evaluation for the cofactor values, as in abel_jacobi; a row reads True
+    only where abel_jacobi returns a cone point without error.
+    """
+    n = a.shape[1]
+    lams = lax.symmetric_tridiagonal_eigenvalues(a, np.sqrt(b))
+    vals = lax._weyl_cofactor_values(a, b, lams)
+    simple = np.min(np.diff(lams, axis=1), axis=1) > lax.DEFAULT_SEPARATION
+    scale = np.max(np.abs(vals), axis=1, keepdims=True)
+    general = (np.abs(vals) > jacobi.DEFAULT_ZERO_COFACTOR_TOL * scale).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = vals[:, 1:] / vals[:, :1]
+    cone = np.array(jacobi.alternating_signs(n)) > 0
+    return simple & general & ((tail > 0.0) == cone).all(axis=1)
+
+
+def _settle(case_fn, passed, n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range) -> list:
+    """Results of indices lo..hi-1: rows that passed the stack are done; the
+    others are decided, with their report entry, by ``case_fn``."""
+    return [
+        (index, True, None, None)
+        if ok
+        else case_fn((n, seed, index, tol, spec_lo, spec_hi, coord_range))
+        for index, ok in zip(range(lo, hi), passed.tolist())
+    ]
+
+
+def _forward_chunk(args):
+    n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range = args
+    pairs = _draws(_forward_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
+    passed = np.zeros(hi - lo, dtype=bool)
+    if pairs:
+        a, b, stands = _stacked_reconstruct(pairs)
+        for r in np.flatnonzero(stands).tolist():
+            L = lax.LaxMatrix._trusted(n=n, a=a[r], b=b[r])
+            passed[r] = tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn
+    return _settle(_forward_case, passed, *args)
+
+
+def _converse_chunk(args):
+    n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range = args
+    draws = _draws(_converse_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
+    a, b = np.empty((len(draws), n)), np.empty((len(draws), n - 1))
+    stands = np.ones(len(draws), dtype=bool)
+    evolved = [r for r, d in enumerate(draws) if not isinstance(d, lax.LaxMatrix)]
+    if evolved:
+        a[evolved], b[evolved], stands[evolved] = _stacked_reconstruct([draws[r] for r in evolved])
+    for r, d in enumerate(draws):
+        if isinstance(d, lax.LaxMatrix):
+            a[r], b[r] = d.a, d.b
+    stands &= (b > 0.0).all(axis=1)
+    passed = np.zeros(hi - lo, dtype=bool)
+    rows = np.flatnonzero(stands)
+    if rows.size:
+        passed[rows] = _cone_images(a[rows], b[rows])
+    return _settle(_converse_case, passed, *args)
 
 
 def _pattern_case(args):
@@ -181,13 +296,21 @@ def workers_from_env() -> int:
         return 0
 
 
-def _run_cases(fn, arglist, workers: int):
+def _run_cases(fn, arglist, workers: int) -> list:
+    """fn over arglist, in order, on a process pool when workers > 0."""
     if workers > 0 and len(arglist) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, arglist, chunksize=max(1, len(arglist) // (4 * workers))))
-    else:
-        results = [fn(a) for a in arglist]
-    return sorted(results, key=lambda r: r[0])
+            return list(pool.map(fn, arglist, chunksize=max(1, len(arglist) // (4 * workers))))
+    return [fn(a) for a in arglist]
+
+
+def _chunks(n: int, samples: int, workers: int) -> list:
+    """(lo, hi) index ranges: stacks of at most _BLOCK_TERMS tau terms, and
+    at least one per worker."""
+    height = max(1, jacobi._BLOCK_TERMS >> (n + 1))
+    if workers > 0:
+        height = min(height, max(1, -(-samples // workers)))
+    return [(lo, min(lo + height, samples)) for lo in range(0, samples, height)]
 
 
 def run_verification(
@@ -221,17 +344,19 @@ def run_verification(
 
     runs = []
     if direction in ("forward", "both"):
-        runs.append(("forward", _forward_case))
+        runs.append(("forward", _forward_chunk))
     if direction in ("converse", "both"):
-        runs.append(("converse", _converse_case))
+        runs.append(("converse", _converse_chunk))
 
     total = 0
     failure_cases = []
     for tag, fn in runs:
         args = [
-            (n, seed, i, tol, spec_lo, spec_hi, coord_log_range) for i in range(samples)
+            (n, seed, lo, hi, tol, spec_lo, spec_hi, coord_log_range)
+            for lo, hi in _chunks(n, samples, workers)
         ]
-        for index, ok, diagnostic, case in _run_cases(fn, args, workers):
+        chunks = _run_cases(fn, args, workers)
+        for index, ok, diagnostic, case in itertools.chain.from_iterable(chunks):
             total += 1
             if not ok:
                 failure_cases.append(

@@ -157,6 +157,17 @@ class TestLinearize:
         assert data["spectrum_positive"] is False
         assert data["in_positive_cone"] is False
 
+    def test_error_messages_print_plain_floats(self, tmp_path, capsys):
+        # a double eigenvalue, and a cofactor value that vanishes at scale
+        for data, text in (
+            ({"n": 2, "a": [1.0, 1.0], "b": [1e-30]}, "closer than"),
+            ({"n": 2, "a": [0.0, 10.0], "b": [1e-26]}, "is numerically zero"),
+        ):
+            path = write_json(tmp_path / "m.json", data)
+            assert main(["linearize", "--matrix", path]) == 2
+            err = capsys.readouterr().err
+            assert text in err and "np.float64" not in err, err
+
     def test_non_real_spectrum_exit_two(self, tmp_path):
         path = write_json(tmp_path / "rot.json", {"n": 2, "a": [0.0, 0.0], "b": [-1.0]})
         assert main(["linearize", "--matrix", path]) == 2

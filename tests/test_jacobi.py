@@ -428,3 +428,60 @@ class TestIsGeneralPoint:
                 assert general
             except NonGeneralDivisor:
                 assert not general
+
+
+# ---------------------------------------------------------------------------
+# values the library builds without re-validation
+# ---------------------------------------------------------------------------
+
+
+def assert_same_as_validated(value):
+    """Equal to the validating constructor's object, with read-only arrays."""
+    if isinstance(value, lax.LaxMatrix):
+        fields, again = ("a", "b"), lax.LaxMatrix(n=value.n, a=value.a, b=value.b)
+        assert again.n == value.n
+    elif isinstance(value, lax.Spectrum):
+        fields = ("lambdas",)
+        again = lax.Spectrum(lambdas=value.lambdas, separation=value.separation)
+    else:
+        fields, again = ("f",), jacobi.JacobiPoint.from_raw(value.f)
+    for name in fields:
+        array = getattr(value, name)
+        assert not array.flags.writeable and array.dtype == float
+        np.testing.assert_array_equal(array, getattr(again, name))
+
+
+class TestLibraryBuiltValues:
+    def test_library_built_values_equal_validated_ones(self):
+        from todajac import verify
+
+        rng = np.random.default_rng(6161)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            spec = verify.sample_spectrum(rng, n)
+            point = verify.sample_cone_point(rng, n)
+            L = jacobi.reconstruct(spec, point)
+            evolved = jacobi.evolve_point(point, spec, float(rng.uniform(-1, 1)))
+            for value in (
+                spec, point, L, evolved, lax.spectrum(L), jacobi.abel_jacobi(L),
+                verify.sample_tnn_rejection(rng, n),
+                flow.solve_rk4(L, 0.05, 1e-2), flow.solve_tau(L, 0.3),
+                *tnn.interlacing_spectra(L).__dict__.values(),
+            ):
+                assert_same_as_validated(value)
+
+    def test_user_errors_keep_type_and_message(self):
+        from todajac import verify
+
+        # coordinates beyond double range: the constructor's own message
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^point entries must be"):
+            verify.sample_cone_point(np.random.default_rng(1), 6, log_range=800.0)
+        with pytest.raises(ValueError, match="^all subdiagonal entries must be nonzero$"):
+            verify.sample_tnn_rejection(np.random.default_rng(2), 3, b_range=(0.0, 0.0))
+        with pytest.raises(ValueError, match="^LaxMatrix needs n >= 2$"):
+            verify.sample_tnn_rejection(np.random.default_rng(3), 1)
+        # eigenvalue differences beyond double range: the recurrence decides
+        with np.errstate(over="ignore"), pytest.raises(
+            ZeroCofactorValue, match="^cofactor value 0.0 at eigenvalue -1e"
+        ):
+            jacobi.abel_jacobi(make([1e308, -1e308], [1e308]))

@@ -371,6 +371,35 @@ class TestIrreducible:
         with pytest.raises(NotTnn):
             tnn.is_irreducible_tnn(make([0, 0], [1]))
 
+    def test_singular_repros_are_not_irreducible(self):
+        # no power of a singular matrix is TP; the LU determinants of these
+        # powers are positive rounding noise, which the power search trusted
+        for a, b in (([1.0, 1.5, 0.5], [0.5, 0.5]), ([1.0, 2.0, 1.0], [1.0, 1.0])):
+            assert exact_det(make(a, b).to_dense()) == 0
+            assert tnn.is_irreducible_tnn(make(a, b)) == (False, None)
+
+    def test_singular_dyadic_bidiagonal_products_are_not_irreducible(self):
+        # (unit lower bidiagonal) @ (upper bidiagonal, unit superdiagonal)
+        # with a zero last pivot: dyadic entries keep the product and its
+        # window recurrence exact, and the product exactly singular
+        rng = np.random.default_rng(9191)
+        for n in range(2, 9):
+            for _ in range(10):
+                d = rng.integers(1, 9, n) / 4.0
+                d[-1] = 0.0
+                lower = np.eye(n) + np.diag(rng.integers(1, 5, n - 1) / 4.0, -1)
+                M = lower @ (np.diag(d) + np.eye(n, k=1))
+                assert exact_det(M) == 0
+                assert tnn.is_tnn_tridiagonal(M).is_tnn
+                assert tnn.is_irreducible_tnn(M) == (False, None), f"M={M!r}"
+
+    def test_zero_coupling_is_not_irreducible(self):
+        # a decoupled TNN tridiagonal: every power keeps the zero block
+        M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        assert tnn.is_tnn_tridiagonal(M).is_tnn and exact_det(M) > 0
+        assert tnn.is_irreducible_tnn(M) == (False, None)
+        assert tnn.is_irreducible_tnn(M.T) == (False, None)
+
     def test_power_search_matches_all_minors_reference(self):
         rng = np.random.default_rng(8088)
         found = 0
