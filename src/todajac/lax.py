@@ -183,36 +183,24 @@ class PolynomialVector:
 # ---------------------------------------------------------------------------
 
 
-def _leading_minor_polys(L: LaxMatrix) -> list:
-    """Coefficients of det((L - x E)[:k, :k]) for k = 0..n (ascending)."""
-    polys = [np.array([1.0])]
-    prev = np.array([1.0])
-    cur = np.array([L.a[0], -1.0])
-    polys.append(cur)
-    for k in range(2, L.n + 1):
+def _minor_polys(a, b) -> list:
+    """Coefficients of det((L - x E)[:k, :k]) for k = 0..n (ascending).
+
+    ``a`` and ``b`` are the diagonal and subdiagonal of L.  The trailing
+    minors det((L - x E)[k:, k:]) are the leading minors of the reversed
+    bands ``a[::-1]``, ``b[::-1]``.
+    """
+    polys = [np.array([1.0]), np.array([a[0], -1.0])]
+    for k in range(2, len(a) + 1):
         # det_k = (a_k - x) det_{k-1} - b_{k-1} det_{k-2}
-        nxt = npoly.polymul(np.array([L.a[k - 1], -1.0]), cur)
-        nxt = npoly.polysub(nxt, L.b[k - 2] * prev)
-        polys.append(nxt)
-        prev, cur = cur, nxt
-    return polys
-
-
-def _trailing_minor_polys(L: LaxMatrix) -> dict:
-    """Coefficients of det((L - x E)[k-1:, k-1:]) keyed by math index k = 1..n+1."""
-    polys = {L.n + 1: np.array([1.0]), L.n: np.array([L.a[-1], -1.0])}
-    for k in range(L.n - 1, 0, -1):
-        nxt = npoly.polymul(np.array([L.a[k - 1], -1.0]), polys[k + 1])
-        nxt = npoly.polysub(nxt, L.b[k - 1] * polys[k + 2])
-        polys[k] = nxt
+        nxt = npoly.polymul(np.array([a[k - 1], -1.0]), polys[-1])
+        polys.append(npoly.polysub(nxt, b[k - 2] * polys[-2]))
     return polys
 
 
 def char_poly(L: LaxMatrix) -> np.ndarray:
     """Monic characteristic polynomial (-1)^n det(L - x E), ascending coefficients."""
-    p = _leading_minor_polys(L)[L.n]
-    coeffs = p * ((-1.0) ** L.n)
-    return coeffs
+    return _minor_polys(L.a, L.b)[L.n] * ((-1.0) ** L.n)
 
 
 def chop_values(L: LaxMatrix, points) -> np.ndarray:
@@ -235,7 +223,7 @@ def chop_integral(L: LaxMatrix) -> np.ndarray:
     Degree n-1 with leading coefficient (-1)**(n-1); this is the conserved
     polynomial whose values at the eigenvalues linearize the flow.
     """
-    return _trailing_minor_polys(L)[2]
+    return _minor_polys(L.a[::-1], L.b[::-1])[L.n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +415,14 @@ def cofactor_vectors(L: LaxMatrix) -> tuple:
     At every eigenvalue the two vectors are proportional with ratio equal to
     the (1,1)-cofactor: chop(lam) * v_minus(lam) = v_plus(lam).
     """
-    lead = _leading_minor_polys(L)
-    trail = _trailing_minor_polys(L)
+    lead = _minor_polys(L.a, L.b)
+    trail = _minor_polys(L.a[::-1], L.b[::-1])
     minus = []
     plus = []
     bprod = 1.0
     for j in range(1, L.n + 1):
         minus.append(((-1.0) ** (j - 1)) * lead[j - 1])
-        plus.append(((-1.0) ** (j + 1)) * bprod * trail[j + 1])
+        plus.append(((-1.0) ** (j + 1)) * bprod * trail[L.n - j])
         if j <= L.n - 1:
             bprod *= L.b[j - 1]
     return (

@@ -9,7 +9,11 @@ eigenvalue.  All three routes are implemented and cross-checked in the test
 suite.  A square matrix is TP iff its n^2 initial minors (contiguous minors
 touching the first row or the first column) are positive (Gasca & Peña,
 "Total positivity and Neville elimination", Linear Algebra Appl. 165, 1992),
-which is how total positivity is decided here.
+which is how total positivity is decided here.  Irreducibility of a TNN
+tridiagonal matrix (some power totally positive) is a closed form: it holds
+iff det M > 0 and every off-diagonal entry is positive, and then M**(n-1) is
+the smallest such power (Gantmacher & Krein, Oscillation Matrices and
+Kernels, Ch. II), so no power is ever multiplied out.
 """
 
 from __future__ import annotations
@@ -164,13 +168,12 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
     then contiguous windows by increasing size and start index.  A LaxMatrix
     is read through its bands; a dense array must be tridiagonal.
     """
-    return _tridiagonal_criterion(M, tol)[0]
+    return _tridiagonal_criterion(*_bands(M), tol)[0]
 
 
-def _tridiagonal_criterion(M, tol: float):
-    """is_tnn_tridiagonal's report and, when the matrix passes, det M: the
-    last window of the recurrence."""
-    diag, sup, sub = _bands(M)
+def _tridiagonal_criterion(diag, sup, sub, tol: float):
+    """is_tnn_tridiagonal's report on the bands and, when they pass, det M:
+    the last window of the recurrence."""
     n = diag.size
     positions, rows, cols = _band_entries(n)
     entries = np.concatenate((diag, sup, sub))[positions]
@@ -229,34 +232,29 @@ def is_totally_positive(M) -> bool:
 
 
 def is_irreducible_tnn(M, k_max: Optional[int] = None, tol: float = 0.0):
-    """Search for the smallest power of a TNN matrix that is totally positive.
+    """Smallest power of a TNN tridiagonal matrix that is totally positive.
 
-    Returns ``(True, k)`` with the smallest exponent k <= k_max such that
-    M**k is TP, or ``(False, None)`` when no power within the bound is.  A
-    matrix with det M <= 0 or a zero off-diagonal entry gets ``(False,
-    None)`` at once: a TNN tridiagonal matrix has a totally positive power
-    only if it is nonsingular with positive off-diagonal entries
-    (Gantmacher & Krein, Oscillation Matrices and Kernels, Ch. II), so for
-    such an input the answer is a proof.  Otherwise the default bound 2n is
-    an empirical desk-scale cutoff; a miss is reported as False, never as a
-    proof of reducibility.
+    A TNN tridiagonal matrix is oscillatory iff det M > 0 and every
+    off-diagonal entry is positive, and an oscillatory n x n matrix has
+    M**(n-1) totally positive; M**k has bandwidth k, so no smaller power is
+    (Gantmacher & Krein, Oscillation Matrices and Kernels, Ch. II; Fallat &
+    Johnson, Totally Nonnegative Matrices, Ch. 2).  A singular or decoupled
+    TNN matrix has no totally positive power.  So this returns ``(True,
+    max(n-1, 1))`` when M is oscillatory and that exponent is at most
+    ``k_max`` (unbounded by default), and ``(False, None)`` otherwise, which
+    for a TNN input is a proof.  det M is the last window of the
+    tridiagonal criterion; ``tol`` loosens only that TNN check, and the
+    closed form assumes the input passes it exactly.
     """
-    M = _as_dense(M)
-    report, det = _tridiagonal_criterion(M, tol)
+    diag, sup, sub = _bands(M)
+    report, det = _tridiagonal_criterion(diag, sup, sub, tol)
     if not report.is_tnn:
         raise NotTnn(f"input is not TNN (witness minor {report.witness.value!r})")
-    n = M.shape[0]
-    if k_max is None:
-        k_max = 2 * n
-    if k_max < 1:
+    if k_max is not None and k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if det <= 0.0 or not (np.diag(M, 1).all() and np.diag(M, -1).all()):
-        return False, None
-    power = np.eye(n)
-    for k in range(1, k_max + 1):
-        power = power @ M
-        if is_totally_positive(power):
-            return True, k
+    k = max(diag.size - 1, 1)
+    if det > 0.0 and np.all(sup > 0.0) and np.all(sub > 0.0) and (k_max is None or k <= k_max):
+        return True, k
     return False, None
 
 

@@ -460,6 +460,60 @@ class TestCofactorVectors:
 
 
 # ---------------------------------------------------------------------------
+# minor-polynomial recurrence
+# ---------------------------------------------------------------------------
+
+
+def frozen_leading_minor_polys(L):
+    """The separate leading-minor recurrence that preceded lax._minor_polys."""
+    polys = [np.array([1.0])]
+    prev = np.array([1.0])
+    cur = np.array([L.a[0], -1.0])
+    polys.append(cur)
+    for k in range(2, L.n + 1):
+        nxt = npoly.polymul(np.array([L.a[k - 1], -1.0]), cur)
+        nxt = npoly.polysub(nxt, L.b[k - 2] * prev)
+        polys.append(nxt)
+        prev, cur = cur, nxt
+    return polys
+
+
+def frozen_trailing_minor_polys(L):
+    """The separate trailing-minor recurrence, keyed by math index k = 1..n+1."""
+    polys = {L.n + 1: np.array([1.0]), L.n: np.array([L.a[-1], -1.0])}
+    for k in range(L.n - 1, 0, -1):
+        nxt = npoly.polymul(np.array([L.a[k - 1], -1.0]), polys[k + 1])
+        nxt = npoly.polysub(nxt, L.b[k - 1] * polys[k + 2])
+        polys[k] = nxt
+    return polys
+
+
+class TestMinorPolynomials:
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_matches_frozen_separate_recurrences_bit_for_bit(self, signs):
+        # one recurrence on the bands and on the reversed bands gives the same
+        # bits as the two recurrences it replaced
+        rng = np.random.default_rng(3083)
+        for n in range(2, 9):
+            for _ in range(40):
+                b = np.exp(rng.uniform(-8.0, 1.0, n - 1))
+                if signs == "mixed":
+                    b *= rng.choice([-1.0, 1.0], n - 1)
+                L = make(rng.uniform(-2.0, 3.0, n), b)
+                lead = frozen_leading_minor_polys(L)
+                trail = frozen_trailing_minor_polys(L)
+                assert np.array_equal(lax.char_poly(L), lead[n] * ((-1.0) ** n))
+                assert np.array_equal(lax.chop_integral(L), trail[2])
+                vm, vp = lax.cofactor_vectors(L)
+                bprod = 1.0
+                for j in range(1, n + 1):
+                    assert np.array_equal(vm[j - 1], ((-1.0) ** (j - 1)) * lead[j - 1])
+                    assert np.array_equal(vp[j - 1], ((-1.0) ** (j + 1)) * bprod * trail[j + 1])
+                    if j <= n - 1:
+                        bprod *= L.b[j - 1]
+
+
+# ---------------------------------------------------------------------------
 # divisor of a component
 # ---------------------------------------------------------------------------
 

@@ -58,7 +58,12 @@ def all_minors_totally_positive(M):
 
 def exact_det(A):
     """Determinant of a float matrix in exact rational arithmetic."""
-    A = [[Fraction(float(x)) for x in row] for row in A]
+    return fraction_det([[Fraction(float(x)) for x in row] for row in A])
+
+
+def fraction_det(A):
+    """Determinant of a matrix of Fractions by exact Gaussian elimination."""
+    A = [list(row) for row in A]
     n, det = len(A), Fraction(1)
     for c in range(n):
         p = next((r for r in range(c, n) if A[r][c] != 0), None)
@@ -83,6 +88,11 @@ def initial_minor_blocks(M):
         for j in range(n):
             k = min(i, j) + 1
             yield M[i - k + 1:i + 1, j - k + 1:j + 1]
+
+
+def exactly_totally_positive(P):
+    """All n^2 initial minors of a Fraction matrix are positive (Gasca-Peña)."""
+    return all(fraction_det(B) > 0 for B in initial_minor_blocks(P))
 
 
 def reference_power_search(M, k_max):
@@ -400,16 +410,42 @@ class TestIrreducible:
         assert tnn.is_irreducible_tnn(M) == (False, None)
         assert tnn.is_irreducible_tnn(M.T) == (False, None)
 
-    def test_power_search_matches_all_minors_reference(self):
+    def test_closed_form_matches_all_minors_reference(self):
+        # The float power search may part from the closed form only where
+        # exact arithmetic overrules it: L**k is exactly totally positive for
+        # the closed form's k, and L**(k-1) is not.
         rng = np.random.default_rng(8088)
         found = 0
+        disputed = []
         for i in range(500):
             n = 2 + i % 5
             L = verify.sample_tnn_rejection(rng, n)
+            dense = L.to_dense()
             result = tnn.is_irreducible_tnn(L)
-            assert result == reference_power_search(L.to_dense(), 2 * n), f"L={L!r}"
+            assert tnn.is_irreducible_tnn(dense) == result
+            if result != reference_power_search(dense, 2 * n):
+                ok, k = result
+                assert ok, f"L={L!r}"
+                exact = np.array([[Fraction(float(x)) for x in row] for row in dense], dtype=object)
+                below = np.linalg.matrix_power(exact, k - 1)
+                assert not exactly_totally_positive(below), f"L={L!r}"
+                assert exactly_totally_positive(below @ exact), f"L={L!r}"
+                disputed.append(i)
             found += result[0]
         assert found > 400
+        assert disputed == [179]
+
+    def test_closed_form_beyond_the_minor_gate(self):
+        # n > 8 is past the total-positivity check's size gate; the closed
+        # form needs no minors of a power
+        rng = np.random.default_rng(9916)
+        for n in range(9, 17):
+            L = verify.sample_tnn_rejection(rng, n)
+            assert tnn.is_irreducible_tnn(L) == (True, n - 1)
+            assert tnn.is_irreducible_tnn(L.to_dense()) == (True, n - 1)
+            assert tnn.is_irreducible_tnn(L, k_max=n - 2) == (False, None)
+            with pytest.raises(TooLarge):
+                tnn.is_totally_positive(L.to_dense())
 
     def test_gantmacher_krein_positive_simple_spectrum(self):
         found = 0
