@@ -80,6 +80,8 @@ def cmd_simulate(args) -> int:
         )
     except RangeExceeded as exc:
         return _fail(str(exc), EXIT_RANGE)
+    except (NonRealSpectrum, NonSimpleSpectrum, ZeroCofactorValue) as exc:
+        return _fail(str(exc), EXIT_NEGATIVE)
     except (ValueError, TodaError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 

@@ -3,9 +3,9 @@
 * ``solve_tau``: closed form through the linearized coordinates: linearize,
   multiply by exponentials, reconstruct.
 * ``solve_symes``: factorize exp(t*L0) = N*R with N unit lower triangular and
-  conjugate, L(t) = N^-1 L0 N.  The exponential is built by Lagrange
-  interpolation on the eigenvalues and is scaled by exp(-t*lambda_max) before
-  factorizing; the scale multiplies R only, so the conjugation is unaffected.
+  conjugate, L(t) = N^-1 L0 N.  The exponential comes from one LAPACK
+  eigendecomposition and is scaled by exp(-t*lambda_max) before factorizing;
+  the scale multiplies R only, so the conjugation is unaffected.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
   coordinates of dL/dt = [L, L_lower].  It steps one state vector
   y = [a; b] over a fixed +-1 rate matrix M: the rates are M @ y with the
@@ -48,52 +48,51 @@ STRUCTURE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _scaled_matrix_exp(L0: lax.LaxMatrix, t: float, spec: lax.Spectrum):
-    """exp(t*L0) * exp(-m) with m = max_i(t*lambda_i), plus the shift m.
+def _scaled_matrix_exp(L0: lax.LaxMatrix, t: float):
+    """exp(t*L0) * exp(-m) with m = max_i Re(t*lambda_i), the shift m, and
+    the magnitudes |V| diag(|w|) |V^-1| its entries are summed from.
 
-    Lagrange interpolation on the eigenvalues: sum_i w_i prod_{j!=i}
-    (L0 - lambda_j E) / (lambda_i - lambda_j), with w_i = exp(t*lambda_i - m).
+    One LAPACK eigendecomposition L0 = V diag(lambda) V^-1, w = exp(t*lambda
+    - m), complex until the final real part: a nearly degenerate pair may
+    come back as a conjugate pair.  A V singular in double precision spans
+    more than double range and raises RangeExceeded.
     """
-    lams = spec.lambdas
-    n = L0.n
-    dense = L0.to_dense()
-    shift = float(np.max(t * lams))
-    weights = np.exp(t * lams - shift)
-    out = np.zeros((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        proj = eye
-        for j in range(n):
-            if j == i:
-                continue
-            proj = proj @ (dense - lams[j] * eye) / (lams[i] - lams[j])
-        out += weights[i] * proj
-    return out, shift
+    lams, V = np.linalg.eig(L0.to_dense())
+    shift = float(np.max((t * lams).real))
+    Vw = V * np.exp(t * lams - shift)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise RangeExceeded(t, "the eigenvectors of L0 leave double range") from exc
+    return (Vw @ V_inv).real, shift, np.abs(Vw) @ np.abs(V_inv)
 
 
 def matrix_exp_spectral(L0: lax.LaxMatrix, t: float) -> np.ndarray:
-    """exp(t*L0) by Lagrange interpolation on a simple real spectrum."""
-    spec = lax.spectrum(L0)
-    scaled, shift = _scaled_matrix_exp(L0, t, spec)
+    """exp(t*L0) = V diag(exp(t*lambda)) V^-1 on a simple real spectrum."""
+    lax.spectrum(L0)
+    scaled, shift, _ = _scaled_matrix_exp(L0, t)
     return scaled * math.exp(shift)
 
 
-def lu_unit_lower(M) -> tuple:
+def lu_unit_lower(M, scale=None) -> tuple:
     """Doolittle factorization M = N*R, N unit lower and R upper triangular.
 
     No pivoting: row exchanges would destroy the triangular structure the
-    conjugation relies on.  A pivot that vanishes relative to what was
-    accumulated into it signals a singular leading principal minor.
+    conjugation relies on.  A pivot that vanishes relative to the magnitudes
+    accumulated into it signals a singular leading principal minor.  Those
+    magnitudes start from |M|, or from ``scale`` when M's entries are
+    themselves sums of terms whose magnitudes ``scale`` holds.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    base = np.abs(M) if scale is None else np.asarray(scale, dtype=float)
     n = M.shape[0]
     N = np.eye(n)
     R = np.zeros((n, n))
     for k in range(n):
         acc = M[k, k:].copy()
-        mass = np.abs(M[k, k:])
+        mass = base[k, k:].copy()
         for j in range(k):
             acc -= N[k, j] * R[j, k:]
             mass += np.abs(N[k, j] * R[j, k:])
@@ -115,13 +114,16 @@ def lu_unit_lower(M) -> tuple:
 
 def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     """State at time t from the LU factorization of the matrix exponential."""
-    spec = lax.spectrum(L0)
-    scaled, _ = _scaled_matrix_exp(L0, t, spec)
+    lax.spectrum(L0)
+    scaled, _, mass = _scaled_matrix_exp(L0, t)
     try:
-        N, _ = lu_unit_lower(scaled)
+        N, _ = lu_unit_lower(scaled, scale=mass)
     except SingularLeadingMinor as exc:
         raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
-    conj = np.linalg.solve(N, L0.to_dense()) @ N
+    try:
+        conj = np.linalg.solve(N, L0.to_dense()) @ N
+    except np.linalg.LinAlgError as exc:
+        raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
     superdiag = np.diagonal(conj, offset=1)
     scale = max(1.0, float(np.max(np.abs(conj))))
     if np.max(np.abs(superdiag - 1.0)) > STRUCTURE_TOL * scale:
@@ -297,7 +299,8 @@ def trajectory(
     Sampling stops, with ``blowup`` set to the failing sample time, when the
     selected solver reports a blowup or overflow.  The tau method raises
     RangeExceeded, with the sample time, when a state entry leaves double
-    range; that is not a blowup.
+    range, and the symes method when the eigenvectors of L0 do; that is not
+    a blowup.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -329,6 +332,8 @@ def trajectory(
             except (Blowup, StructureLost):
                 blowup = float(t)
                 break
+            except RangeExceeded as exc:
+                raise RangeExceeded(float(t), str(exc)) from exc
             times.append(t)
             states.append(state)
     else:
@@ -365,31 +370,25 @@ def detect_blowup(
     """Earliest zero of any tau value along the evolved point on [t0, t1].
 
     Scans a uniform grid for sign changes and refines the earliest bracket by
-    bisection.  A tau that dips below the tangency threshold without changing
-    sign is reported as a GridMiss warning, not resolved.  One TauKernel
-    serves the whole grid and every bisection step.
+    one bisection over every class that changes sign in it: each step keeps
+    the half where some remaining class changes sign and stops at an exact
+    zero of one.  A tau that dips below the tangency threshold without
+    changing sign is reported as a GridMiss warning, not resolved.  One
+    TauKernel serves the whole grid and every bisection step.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     ts = np.linspace(t0, t1, grid + 1)
-    n = spec.lambdas.size
     kernel = jacobi.TauKernel(spec, F0)
     values = kernel.evaluate(ts)
     signs, gens = values.sign_tau, values.generality
 
-    exact = np.nonzero(signs == 0.0)
-    first_exact = int(exact[0][0]) if exact[0].size else None
+    exact = np.flatnonzero((signs == 0.0).any(axis=1))
+    flips = np.flatnonzero((signs[:-1] * signs[1:] < 0.0).any(axis=1))
+    if exact.size and (not flips.size or exact[0] <= flips[0]):
+        return float(ts[exact[0]])
 
-    first_change = None  # (grid index, tau index)
-    for k in range(n + 1):
-        flips = np.nonzero(signs[:-1, k] * signs[1:, k] < 0.0)[0]
-        if flips.size and (first_change is None or flips[0] < first_change[0]):
-            first_change = (int(flips[0]), k)
-
-    if first_exact is not None and (first_change is None or first_exact <= first_change[0]):
-        return float(ts[first_exact])
-
-    if first_change is None:
+    if not flips.size:
         if float(np.min(gens)) < tangency_tol:
             warnings.warn(
                 GridMiss(
@@ -399,22 +398,18 @@ def detect_blowup(
             )
         return None
 
-    i, _ = first_change
-    candidates = [k for k in range(n + 1) if signs[i, k] * signs[i + 1, k] < 0.0]
-    roots = []
-    for k in candidates:
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        s_lo = signs[i, k]
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            s_mid = kernel.evaluate(mid).sign_tau[0, k]
-            if s_mid == 0.0:
-                lo = hi = mid
-                break
-            if s_mid * s_lo < 0.0:
-                hi = mid
-            else:
-                lo = mid
-                s_lo = s_mid
-        roots.append(0.5 * (lo + hi))
-    return float(min(roots))
+    i = int(flips[0])
+    lo, hi = float(ts[i]), float(ts[i + 1])
+    s_lo = signs[i]
+    live = s_lo * signs[i + 1] < 0.0  # classes that change sign in [lo, hi]
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        s_mid = kernel.evaluate(mid).sign_tau[0]
+        left = live & (s_mid * s_lo < 0.0)
+        if left.any():
+            hi, live = mid, left
+        elif (s_mid[live] == 0.0).any():
+            return mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -61,6 +61,31 @@ class TestSimulate:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("method", ["tau", "symes", "rk4"])
+    @pytest.mark.parametrize(
+        "matrix, failing",
+        [
+            # NonRealSpectrum: eigenvalues +-i
+            ({"n": 2, "a": [0.0, 0.0], "b": [-1.0]}, ("tau", "symes")),
+            # NonSimpleSpectrum: eigenvalues 1 +- 1e-15
+            ({"n": 2, "a": [1.0, 1.0], "b": [1e-30]}, ("tau", "symes")),
+            # ZeroCofactorValue: an eigenvalue sits on the cofactor root a2 = 2
+            ({"n": 2, "a": [1.0, 2.0], "b": [1e-13]}, ("tau",)),
+        ],
+    )
+    def test_spectrum_failure_exit_two(self, tmp_path, capsys, matrix, failing, method):
+        # rk4 needs no spectrum and integrates every one of these matrices
+        path = write_json(tmp_path / "m.json", matrix)
+        rc = main(
+            ["simulate", "--matrix", path, "--t0", "0", "--t1", "1", "--dt", "0.5",
+             "--method", method]
+        )
+        if method in failing:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert rc == 0
+
     def test_missing_file(self, tmp_path):
         rc = main(
             ["simulate", "--matrix", str(tmp_path / "absent.json"), "--t0", "0",

@@ -2,12 +2,21 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from todajac import flow, jacobi, lax, tnn
-from todajac.errors import Blowup, GridMiss, Overflow, RangeExceeded, SingularLeadingMinor
+from todajac import flow, jacobi, lax, tnn, verify
+from todajac.errors import (
+    Blowup,
+    GridMiss,
+    NonGeneralDivisor,
+    Overflow,
+    RangeExceeded,
+    SingularLeadingMinor,
+    StructureLost,
+)
 
 RNG = np.random.default_rng(99173)
 
@@ -68,6 +77,80 @@ def rk4_reference(L0, t, dt):
     return a, b
 
 
+def lagrange_exp_reference(L0, t):
+    """Frozen copy of the Lagrange interpolation exp(t*L0) = sum_i exp(t*lambda_i)
+    prod_{j!=i} (L0 - lambda_j E) / (lambda_i - lambda_j); accurate on
+    well-separated spectra only."""
+    lams = lax.spectrum(L0).lambdas
+    n = L0.n
+    dense = L0.to_dense()
+    out = np.zeros((n, n))
+    eye = np.eye(n)
+    for i in range(n):
+        proj = eye
+        for j in range(n):
+            if j != i:
+                proj = proj @ (dense - lams[j] * eye) / (lams[i] - lams[j])
+        out += math.exp(t * lams[i]) * proj
+    return out
+
+
+def detect_blowup_reference(spec, F0, t0, t1, grid=1000, refine_tol=1e-9):
+    """Frozen copy of the per-class blowup scan: one bisection per tau class
+    that changes sign in the earliest bracket, then the smallest root.
+
+    Returns (root, number of classes bisected)."""
+    ts = np.linspace(t0, t1, grid + 1)
+    n = spec.lambdas.size
+    kernel = jacobi.TauKernel(spec, F0)
+    signs = kernel.evaluate(ts).sign_tau
+    exact = np.nonzero(signs == 0.0)
+    first_exact = int(exact[0][0]) if exact[0].size else None
+    first_change = None  # (grid index, tau index)
+    for k in range(n + 1):
+        flips = np.nonzero(signs[:-1, k] * signs[1:, k] < 0.0)[0]
+        if flips.size and (first_change is None or flips[0] < first_change[0]):
+            first_change = (int(flips[0]), k)
+    if first_exact is not None and (first_change is None or first_exact <= first_change[0]):
+        return float(ts[first_exact]), 0
+    if first_change is None:
+        return None, 0
+    i, _ = first_change
+    candidates = [k for k in range(n + 1) if signs[i, k] * signs[i + 1, k] < 0.0]
+    roots = []
+    for k in candidates:
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        s_lo = signs[i, k]
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            s_mid = kernel.evaluate(mid).sign_tau[0, k]
+            if s_mid == 0.0:
+                lo = hi = mid
+                break
+            if s_mid * s_lo < 0.0:
+                hi = mid
+            else:
+                lo = mid
+                s_lo = s_mid
+        roots.append(0.5 * (lo + hi))
+    return float(min(roots)), len(candidates)
+
+
+def clustered_cone_matrices(rng, count, width=0.01):
+    """Cone matrices, n = 8, with four eigenvalues in a window of the given
+    width inside a spectrum drawn from (0.5, 2.5)."""
+    out = []
+    while len(out) < count:
+        lams = np.sort(rng.uniform(0.5, 2.5, 8))
+        lams[2:6] = rng.uniform(1.0, 2.0) + rng.uniform(0.0, width, 4)
+        lams = np.sort(lams)
+        if np.min(np.diff(lams)) <= lax.DEFAULT_SEPARATION:
+            continue
+        point = verify.sample_cone_point(rng, 8, 2.0)
+        out.append(jacobi.reconstruct(lax.Spectrum(lams), point))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
 # ---------------------------------------------------------------------------
@@ -98,6 +181,26 @@ class TestMatrixExp:
             w, V = np.linalg.eig(L.to_dense())
             ref = (V @ np.diag(np.exp(t * w)) @ np.linalg.inv(V)).real
             np.testing.assert_allclose(flow.matrix_exp_spectral(L, t), ref, rtol=1e-8, atol=1e-10)
+
+    def test_matches_lagrange_reference_on_separated_spectra(self):
+        rng = np.random.default_rng(2571)
+        checked = 0
+        while checked < 60:
+            n = 2 + checked % 7
+            lams = np.sort(rng.uniform(-3.0, 3.0, n))
+            if np.min(np.diff(lams)) < 0.25:
+                continue
+            signs = rng.choice([-1.0, 1.0], n) if checked % 2 else (-1.0) ** np.arange(n)
+            point = jacobi.JacobiPoint.from_raw(signs * np.exp(rng.uniform(-1.0, 1.0, n)))
+            try:
+                L = jacobi.reconstruct(lax.Spectrum(lams), point)
+            except NonGeneralDivisor:
+                continue
+            checked += 1
+            t = float(rng.uniform(-1.0, 1.0))
+            ref = lagrange_exp_reference(L, t)
+            got = flow.matrix_exp_spectral(L, t)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +237,22 @@ class TestLuUnitLower:
             np.testing.assert_allclose(N @ R, M, rtol=1e-10, atol=1e-10)
             assert np.allclose(np.triu(N, 1), 0.0) and np.allclose(np.diag(N), 1.0)
             assert np.allclose(np.tril(R, -1), 0.0)
+
+    def test_scale_defaults_to_matrix_magnitudes(self):
+        for _ in range(10):
+            n = int(RNG.integers(2, 7))
+            M = RNG.uniform(-2, 2, (n, n)) + 3.0 * np.eye(n)
+            N, R = flow.lu_unit_lower(M)
+            N2, R2 = flow.lu_unit_lower(M, scale=np.abs(M))
+            assert np.array_equal(N, N2) and np.array_equal(R, R2)
+
+    def test_scale_flags_cancelled_pivot(self):
+        # the (1,1) entry is the rounding residue of terms of size 1
+        M = [[1e-15, 1.0], [1.0, 1.0]]
+        assert flow.lu_unit_lower(M)[1][0, 0] == 1e-15
+        with pytest.raises(SingularLeadingMinor) as err:
+            flow.lu_unit_lower(M, scale=[[1.0, 1.0], [1.0, 1.0]])
+        assert err.value.order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +437,49 @@ class TestTrajectory:
         assert np.all(np.isfinite(flow.solve_symes(Lnc, 0.99).a))
         assert np.all(np.isfinite(flow.solve_symes(Lnc, 1.01).a))
 
+    def test_symes_blowup_at_and_near_singular_time(self):
+        Lnc, _ = noncone_two_by_two()
+        for t in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-14):
+            with pytest.raises(Blowup):
+                flow.solve_tau(Lnc, float(t))
+            with pytest.raises(Blowup):
+                flow.solve_symes(Lnc, float(t))
+        # the state is conditioned like 1/|t - 1| here: against a 60-digit
+        # reference each route is off by about 1.6e-6 relative
+        for t in (1.0 - 1e-10, 1.0 + 1e-10):
+            sym, tau = flow.solve_symes(Lnc, t), flow.solve_tau(Lnc, t)
+            np.testing.assert_allclose(sym.a, tau.a, rtol=1e-5)
+            np.testing.assert_allclose(sym.b, tau.b, rtol=1e-5)
+
+    def test_symes_matches_tau_on_clustered_spectra(self):
+        rng = np.random.default_rng(31415)
+        for L in clustered_cone_matrices(rng, 12):
+            t0 = float(rng.uniform(-1.0, 0.0))
+            tr_tau = flow.trajectory(L, t0, t0 + 1.0, 0.05, "tau")
+            tr_sym = flow.trajectory(L, t0, t0 + 1.0, 0.05, "symes")
+            assert tr_tau.blowup is None and tr_sym.blowup is None
+            assert len(tr_sym.states) == 21
+            for s1, s2 in zip(tr_tau.states, tr_sym.states):
+                assert np.allclose(s1.a, s2.a, rtol=1e-8, atol=1e-10)
+                assert np.allclose(s1.b, s2.b, rtol=1e-8, atol=1e-10)
+
+    def test_eigenvectors_out_of_range_are_not_a_blowup(self):
+        # sqrt(b)^7 = 1e350: the eigenvector entries span more than double range
+        L = lax.LaxMatrix(n=8, a=np.linspace(0.0, 1.0, 8), b=np.full(7, 1e100))
+        with pytest.raises(RangeExceeded):
+            flow.solve_symes(L, 0.5)
+        with pytest.raises(RangeExceeded) as info:
+            flow.trajectory(L, 2.0, 3.0, 0.5, "symes")
+        assert info.value.time == 2.0
+
+    def test_singular_conjugation_is_structure_lost(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(StructureLost):
+            flow.solve_symes(L2, 0.5)
+
     def test_methods_match_along_run(self):
         L, _ = random_tnn(RNG, 3)
         tr_tau = flow.trajectory(L, -0.5, 0.5, 0.25, "tau")
@@ -411,6 +573,48 @@ class TestDetectBlowup:
             self.SPEC, jacobi.JacobiPoint.from_raw([1.0, kappa]), -1.0, 1.0
         )
         assert root == pytest.approx(expected, abs=1e-9)
+
+    def test_single_bisection_matches_per_class_reference(self):
+        rng = np.random.default_rng(6029)
+        roots = multi = 0
+        for i in range(600):
+            n = 2 + i % 7
+            while True:
+                lams = np.sort(rng.uniform(-3.0, 3.0, n))
+                if np.min(np.diff(lams)) > 0.05:
+                    break
+            spec = lax.Spectrum(lams)
+            point = jacobi.JacobiPoint.from_raw(
+                rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-3.0, 3.0, n))
+            )
+            grid = (20, 100)[i % 2]
+            expected, classes = detect_blowup_reference(spec, point, -10.0, 10.0, grid=grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridMiss)
+                got = flow.detect_blowup(spec, point, -10.0, 10.0, grid=grid)
+            assert got == expected
+            roots += got is not None
+            multi += classes > 1
+        assert roots > 400
+        assert multi >= 5  # brackets where several classes change sign occur
+
+    @pytest.mark.parametrize(
+        "lams, f, t0, t1",
+        [
+            # a class with two roots and no sign change over the bracket
+            ([-4.0, -1.0, 3.0, 4.0], [0.25, -0.5, -0.25, 1.0], -3.0, 3.0),
+            # a class that changes sign in the right half only, and twice in
+            # the left half that is kept
+            ([-4.0, -3.0, 1.0, 3.0, 4.0], [-0.5, -1.0, -1.0, 0.5, 0.5], -2.0, 2.0),
+            # an exact zero at the first midpoint and a sign change left of it
+            ([1.0, 2.0, 3.0], [-2.0, 1.0, 4.0], -3.0, 3.0),
+        ],
+    )
+    def test_single_bisection_on_one_bracket_matches_reference(self, lams, f, t0, t1):
+        spec = lax.Spectrum(np.array(lams))
+        point = jacobi.JacobiPoint.from_raw(f)
+        expected, _ = detect_blowup_reference(spec, point, t0, t1, grid=1)
+        assert flow.detect_blowup(spec, point, t0, t1, grid=1) == expected
 
     def test_grid_miss_warns(self):
         with pytest.warns(GridMiss):
