@@ -30,6 +30,7 @@ from .errors import (
     Overflow,
     RangeExceeded,
     SingularLeadingMinor,
+    SpectrumOverflow,
     StructureLost,
     TodaError,
     TooLarge,

@@ -10,9 +10,10 @@ Commands:
   matrices and that TNN matrices linearize into the cone.
 
 Exit codes: 0 success; 1 input/config error; 2 negative finding (not TNN,
-non-general point, spectrum failure); 3 blowup (simulate only, partial
-output is still written); 4 range exceeded: a state entry leaves double
-range (simulate and reconstruct, nothing is written).
+non-general point, spectrum failure: eigenvalues that are non-real,
+non-simple or whose polish leaves double range); 3 blowup (simulate only,
+partial output is still written); 4 range exceeded: a state entry leaves
+double range (simulate and reconstruct, nothing is written).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NonSimpleSpectrum,
     NotTridiagonal,
     RangeExceeded,
+    SpectrumOverflow,
     TodaError,
     TooLarge,
     ZeroCofactorValue,
@@ -40,6 +42,9 @@ EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_BLOWUP = 3
 EXIT_RANGE = 4
+
+# a spectrum that cannot be computed is a negative finding (exit 2)
+SPECTRUM_FAILURES = (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow)
 
 
 def _fail(message: str, code: int) -> int:
@@ -80,7 +85,7 @@ def cmd_simulate(args) -> int:
         )
     except RangeExceeded as exc:
         return _fail(str(exc), EXIT_RANGE)
-    except (NonRealSpectrum, NonSimpleSpectrum, ZeroCofactorValue) as exc:
+    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
         return _fail(str(exc), EXIT_NEGATIVE)
     except (ValueError, TodaError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -112,7 +117,7 @@ def cmd_check_tnn(args) -> int:
         else:
             try:
                 ok = tnn.check_interlacing(tnn.interlacing_spectra(L))
-            except (NonRealSpectrum, NonSimpleSpectrum) as exc:
+            except SPECTRUM_FAILURES as exc:
                 print(f"note: spectrum test failed ({exc})", file=sys.stderr)
                 ok = False
             report = tnn.TnnReport(is_tnn=ok, witness=None, method="interlacing")
@@ -130,7 +135,7 @@ def cmd_linearize(args) -> int:
     try:
         spec = lax.spectrum(L)
         point = jacobi.abel_jacobi(L, spec=spec)
-    except (NonRealSpectrum, NonSimpleSpectrum, ZeroCofactorValue) as exc:
+    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
         return _fail(str(exc), EXIT_NEGATIVE)
     ts = jacobi.tau_sequence(spec, point)
     component, alternating = jacobi.sign_component(point)

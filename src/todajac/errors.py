@@ -13,6 +13,10 @@ class NonSimpleSpectrum(TodaError):
     """Two eigenvalues are closer than the separation tolerance."""
 
 
+class SpectrumOverflow(TodaError):
+    """The Newton polish of a sign-mixed spectrum left double range."""
+
+
 class BadIndex(TodaError):
     """Minor index lists must be strictly increasing, equal length and in bounds."""
 

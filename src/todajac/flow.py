@@ -2,10 +2,25 @@
 
 * ``solve_tau``: closed form through the linearized coordinates: linearize,
   multiply by exponentials, reconstruct.
-* ``solve_symes``: factorize exp(t*L0) = N*R with N unit lower triangular and
-  conjugate, L(t) = N^-1 L0 N.  The exponential comes from one LAPACK
-  eigendecomposition and is scaled by exp(-t*lambda_max) before factorizing;
-  the scale multiplies R only, so the conjugation is unaffected.
+* ``solve_symes``: Symes's factorization of exp(t*L0) (Symes, "The QR
+  algorithm and scattering for the finite nonperiodic Toda lattice",
+  Physica D 4, 1982).  The sign of b picks the route:
+
+  - b > 0: the QR form.  One ``eigh`` of the symmetrized matrix,
+    J0 = V diag(lambda) V^T, gives S(t) = Q^T diag(lambda) Q, with Q the Q
+    factor of diag(exp(t(lambda - max)/2)) V^T whose rows are sorted by
+    decreasing exponent, which keeps the QR accurate on graded rows (Cox &
+    Higham, BIT 38, 1998); a = diag S, b = subdiag(S)**2.  It holds for
+    every t and never reports Blowup.
+  - sign-mixed b: factorize exp(t*L0) = N*R with N unit lower triangular and
+    conjugate, L(t) = N^-1 L0 N.  The exponential comes from one LAPACK
+    eigendecomposition and is scaled by exp(-t*lambda_max) before
+    factorizing; the scale multiplies R only, so the conjugation is
+    unaffected.  A vanishing pivot is a vanishing tau value: Blowup.
+
+  Both routes raise RangeExceeded when the eigenvectors of L0 leave double
+  range (for b > 0: the diagonal similarity cumprod(sqrt(b)) is not finite
+  or reaches 0), and the QR route also when a state entry does.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
   coordinates of dL/dt = [L, L_lower].  It steps one state vector
   y = [a; b] over a fixed +-1 rate matrix M: the rates are M @ y with the
@@ -14,7 +29,9 @@
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
-integrator when a subdiagonal entry passes the overflow threshold.
+integrator when a subdiagonal entry passes the overflow threshold.  On a
+positive subdiagonal no tau value vanishes, so neither closed form reports
+one.
 """
 
 from __future__ import annotations
@@ -41,6 +58,7 @@ from .errors import (
 
 RK4_OVERFLOW_THRESHOLD = 1e12
 STRUCTURE_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +130,62 @@ def lu_unit_lower(M, scale=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _symes_qr(L0: lax.LaxMatrix, times):
+    """Yield the state at each of ``times`` for a positive subdiagonal.
+
+    Symes's QR form of the flow (module docstring): S(t) = Q^T diag(lambda) Q
+    with Q the Q factor of diag(exp(t(lambda - max)/2)) V^T, rows sorted by
+    decreasing exponent; a = diag S and b = subdiag(S)**2, so the signs of
+    R's diagonal drop out.  One ``eigh`` serves every time and one stacked
+    QR covers them all.  S is summed elementwise, not by BLAS products, so a
+    row equals its single-time call bit for bit.
+
+    Raises RangeExceeded with the first time when the similarity
+    cumprod(sqrt(b)) leaves double range, and with a sample's time when its
+    state does (b below the smallest normal double, as in the tau route).
+    """
+    lax.spectrum(L0)
+    times = np.asarray(times, dtype=float)
+    root_b = np.sqrt(L0.b)
+    with np.errstate(over="ignore", under="ignore"):
+        similarity = np.cumprod(root_b)
+    if not (np.isfinite(similarity).all() and similarity.all()):
+        raise RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
+    lams, V = np.linalg.eigh(lax._symmetric_tridiagonal(L0.a, root_b))
+    rates = times[:, None] * lams
+    order = np.argsort(-rates, axis=1, kind="stable")
+    rates = np.take_along_axis(rates, order, axis=1)
+    graded = np.exp(0.5 * (rates - rates[:, :1]))[:, :, None] * V.T[order]
+    Q = np.linalg.qr(graded)[0]
+    weighted = lams[order][:, :, None] * Q
+    a = (weighted * Q).sum(axis=1)
+    sub = (weighted[:, :, 1:] * Q[:, :, :-1]).sum(axis=1)
+    b = sub * sub
+    # a finite, b finite and normal: what the trusted constructor needs
+    in_range = np.isfinite(a).all(axis=1) & ((b >= _TINY) & (b < np.inf)).all(axis=1)
+    for i, t in enumerate(times.tolist()):
+        if not in_range[i]:
+            raise RangeExceeded(t, "the state's entries leave double range")
+        yield lax.LaxMatrix._trusted(n=L0.n, a=a[i], b=b[i])
+
+
 def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
-    """State at time t from the LU factorization of the matrix exponential."""
+    """State at time t from Symes's factorization of exp(t*L0).
+
+    The sign of b picks the route (see the module docstring).  For b > 0 it
+    is the one-time case of the QR kernel that ``trajectory`` uses: it never
+    raises Blowup, and it raises RangeExceeded when the similarity
+    cumprod(sqrt(b)) or the state leaves double range.  That route is
+    backward stable, not accurate entry by entry: each entry is off by a
+    rounding error relative to max |lambda|, so an entry much smaller than
+    the norm of L0 (a huge b beside a small a, say) may keep few correct
+    digits.  For sign-mixed b it is the LU factorization of the matrix
+    exponential and the conjugation N^-1 L0 N: Blowup when a leading minor
+    vanishes (a tau value does), StructureLost when the conjugation fails,
+    RangeExceeded when the eigenvectors of L0 leave double range.
+    """
+    if np.all(L0.b > 0):
+        return next(_symes_qr(L0, [t]))
     lax.spectrum(L0)
     scaled, _, mass = _scaled_matrix_exp(L0, t)
     try:
@@ -299,8 +371,14 @@ def trajectory(
     Sampling stops, with ``blowup`` set to the failing sample time, when the
     selected solver reports a blowup or overflow.  The tau method raises
     RangeExceeded, with the sample time, when a state entry leaves double
-    range, and the symes method when the eigenvectors of L0 do; that is not
-    a blowup.
+    range, and the symes method when the eigenvectors of L0 (at t0) or a
+    state entry do; that is not a blowup.
+
+    For b > 0 the symes method is one call of the QR kernel over every
+    sample (one spectrum check, one ``eigh``, one stacked QR; Symes 1982,
+    Cox & Higham 1998), its rows equal ``solve_symes`` bit for bit, and it
+    never reports a blowup.  For sign-mixed b it calls ``solve_symes`` per
+    sample and stops at the first Blowup or StructureLost.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -324,6 +402,13 @@ def trajectory(
             blowup = float(sample_ts[len(states)])
         except RangeExceeded as exc:
             raise RangeExceeded(float(sample_ts[len(states)])) from exc
+        times = sample_ts[: len(states)]
+    elif method == "symes" and np.all(L0.b > 0):
+        try:
+            for state in _symes_qr(L0, sample_ts - t0):
+                states.append(state)
+        except RangeExceeded as exc:
+            raise RangeExceeded(float(sample_ts[len(states)]), str(exc)) from exc
         times = sample_ts[: len(states)]
     elif method == "symes":
         for t in sample_ts:

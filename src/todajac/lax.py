@@ -24,6 +24,7 @@ from .errors import (
     DegenerateComponent,
     NonRealSpectrum,
     NonSimpleSpectrum,
+    SpectrumOverflow,
 )
 
 DEFAULT_SEPARATION = 1e-10
@@ -306,7 +307,9 @@ def charpoly_root_eigenvalues(L: LaxMatrix, imag_tol: float = DEFAULT_IMAG_TOL) 
     general eigensolver (``numpy.linalg.eigvals``) on the dense matrix, then
     three Newton steps on the determinant value recurrence, which lower the
     median relative error from about 1e-15 to about 2e-16.  Raises
-    NonRealSpectrum when a root strays off the real axis.
+    NonRealSpectrum when a root strays off the real axis and SpectrumOverflow
+    when a polish step is not finite (the determinant recurrence leaves
+    double range).
     """
     roots = np.linalg.eigvals(L.to_dense())
     scale = max(1.0, float(np.max(np.abs(roots))))
@@ -314,11 +317,14 @@ def charpoly_root_eigenvalues(L: LaxMatrix, imag_tol: float = DEFAULT_IMAG_TOL) 
         worst = roots[np.argmax(np.abs(roots.imag))]
         raise NonRealSpectrum(f"root {worst} has nonnegligible imaginary part")
     lams = roots.real.copy()
-    for _ in range(3):
-        val, der = _charpoly_value_and_derivative(L, lams)
-        step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
-        step = np.clip(step, -0.1 * scale, 0.1 * scale)
-        lams = lams - step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            val, der = _charpoly_value_and_derivative(L, lams)
+            step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
+            if not np.isfinite(step).all():
+                raise SpectrumOverflow("the Newton polish of the eigenvalues leaves double range")
+            step = np.clip(step, -0.1 * scale, 0.1 * scale)
+            lams = lams - step
     return np.sort(lams)
 
 

@@ -11,6 +11,8 @@ from todajac.cli import main
 
 MAT_CONE = {"n": 2, "a": [2.0, 2.0], "b": [1.0]}
 MAT_SWAP = {"n": 2, "a": [0.0, 0.0], "b": [1.0]}
+# sign-mixed, huge b: the Newton polish of the spectrum overflows
+MAT_POLISH_OVERFLOW = {"n": 8, "a": [0.1 * i for i in range(8)], "b": [-1e200] * 7}
 
 
 def write_json(path, data):
@@ -196,6 +198,22 @@ class TestLinearize:
     def test_non_real_spectrum_exit_two(self, tmp_path):
         path = write_json(tmp_path / "rot.json", {"n": 2, "a": [0.0, 0.0], "b": [-1.0]})
         assert main(["linearize", "--matrix", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["linearize"],
+        ["check-tnn", "--mode", "interlacing"],
+        ["simulate", "--t0", "0", "--t1", "1", "--dt", "0.5", "--method", "tau"],
+        ["simulate", "--t0", "0", "--t1", "1", "--dt", "0.5", "--method", "symes"],
+    ],
+)
+def test_spectrum_overflow_is_a_spectrum_failure(tmp_path, capsys, command):
+    # the suite turns the overflow RuntimeWarning into an error
+    path = write_json(tmp_path / "m.json", MAT_POLISH_OVERFLOW)
+    assert main(command + ["--matrix", path]) == 2
+    assert "polish of the eigenvalues leaves double range" in capsys.readouterr().err
 
 
 class TestReconstruct:

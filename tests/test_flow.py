@@ -476,9 +476,11 @@ class TestTrajectory:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        # np.linalg.solve conjugates only on the sign-mixed route
+        Lnc, _ = noncone_two_by_two()
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(StructureLost):
-            flow.solve_symes(L2, 0.5)
+            flow.solve_symes(Lnc, 0.5)
 
     def test_methods_match_along_run(self):
         L, _ = random_tnn(RNG, 3)
@@ -539,6 +541,85 @@ class TestTrajectory:
         assert d["method"] == "rk4" and d["blowup"] is None
         assert len(d["states"]) == len(d["times"]) == 3
         assert d["states"][0] == {"n": 2, "a": [2.0, 2.0], "b": [1.0]}
+
+
+def wide_range_cone_matrices(rng, sizes):
+    """Cone matrices with eigenvalues in (0.1, 10), gaps >= 0.05, coordinate
+    log range 1."""
+    out = []
+    for n in sizes:
+        spec = verify.sample_spectrum(rng, n, 0.1, 10.0, min_gap=0.05)
+        out.append(jacobi.reconstruct(spec, verify.sample_cone_point(rng, n, 1.0)))
+    return out
+
+
+class TestSymesQR:
+    """The b > 0 route of solve_symes and trajectory("symes")."""
+
+    def test_trajectory_rows_equal_single_time_calls(self):
+        rng = np.random.default_rng(60221)
+        for L in wide_range_cone_matrices(rng, [2 + i % 7 for i in range(35)]):
+            t0 = float(rng.uniform(-1.0, 0.0))
+            t1 = t0 + float(rng.uniform(0.5, 10.0))
+            traj = flow.trajectory(L, t0, t1, (t1 - t0) / 20, "symes")
+            assert traj.blowup is None and len(traj.states) == 21
+            for t, state in zip(traj.times, traj.states):
+                one = flow.solve_symes(L, float(t) - t0)
+                assert np.array_equal(one.a, state.a) and np.array_equal(one.b, state.b)
+
+    def test_matches_tau_over_wide_ranges(self):
+        # the regime where the LU route missed 9-11 of 12 runs
+        rng = np.random.default_rng(27182)
+        misses = 0
+        for L in wide_range_cone_matrices(rng, [4, 8] * 12):
+            t1 = float(rng.uniform(1.0, 10.0))
+            tr_tau = flow.trajectory(L, 0.0, t1, t1 / 20, "tau")
+            tr_sym = flow.trajectory(L, 0.0, t1, t1 / 20, "symes")
+            assert tr_tau.blowup is None and tr_sym.blowup is None
+            for s1, s2 in zip(tr_tau.states, tr_sym.states):
+                misses += not (
+                    np.allclose(s1.a, s2.a, rtol=1e-8, atol=1e-10)
+                    and np.allclose(s1.b, s2.b, rtol=1e-8, atol=1e-10)
+                )
+        assert misses == 0
+
+    def test_golden_long_times_match_closed_form(self):
+        # a = 2 +- tanh t, b = 1 / cosh(t)**2; the LU route raised Blowup from t = 17
+        for t in range(17, 41):
+            S = flow.solve_symes(L2, float(t))
+            np.testing.assert_allclose(S.a, [2.0 + math.tanh(t), 2.0 - math.tanh(t)], atol=1e-13)
+            np.testing.assert_allclose(S.b, [1.0 / math.cosh(t) ** 2], rtol=1e-12)
+        traj = flow.trajectory(L2, 0.0, 40.0, 1.0, "symes")
+        assert traj.blowup is None and len(traj.states) == 41
+
+    @pytest.mark.parametrize("n, b", [(4, 1e100), (3, 1e300), (5, 1e150)])
+    def test_huge_subdiagonal_is_backward_stable(self, n, b):
+        # each entry is off by rounding relative to max |lambda|, no more
+        L = lax.LaxMatrix(n=n, a=np.linspace(0.0, 1.0, n), b=np.full(n - 1, b))
+        S = flow.solve_symes(L, 0.0)
+        scale = float(np.max(np.abs(lax.spectrum(L).lambdas)))
+        assert np.max(np.abs(S.a - L.a)) <= 1e-13 * scale
+        assert np.max(np.abs(np.sqrt(S.b) - np.sqrt(L.b))) <= 1e-13 * scale
+
+    def test_state_out_of_double_range_at_the_tau_time(self):
+        # b(t) falls below the smallest normal double between t = 88 and 89
+        L = lax.LaxMatrix(n=2, a=np.array([1.0, 9.0]), b=np.array([0.5]))
+        with pytest.raises(RangeExceeded) as info:
+            flow.solve_symes(L, 90.0)
+        assert info.value.time == 90.0
+        with pytest.raises(RangeExceeded) as info:
+            flow.trajectory(L, 10.0, 120.0, 10.0, "symes")
+        assert info.value.time == 100.0
+
+    def test_never_reaches_the_lu_route(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the LU route ran on a positive subdiagonal")
+
+        monkeypatch.setattr(flow, "lu_unit_lower", unreachable)
+        monkeypatch.setattr(np.linalg, "solve", unreachable)
+        L, _ = random_tnn(RNG, 5)
+        flow.solve_symes(L, 0.5)
+        flow.trajectory(L, -1.0, 1.0, 0.1, "symes")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from todajac.errors import (
     NonGeneralDivisor,
     NonRealSpectrum,
     NonSimpleSpectrum,
+    SpectrumOverflow,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -174,6 +175,10 @@ class TestSpectrumOp:
     def test_near_degenerate_raises_non_simple(self):
         with pytest.raises(NonSimpleSpectrum):
             lax.spectrum(make([1, 1], [1e-30]))
+
+    def test_overflowing_polish_raises_spectrum_overflow(self):
+        with pytest.raises(SpectrumOverflow):
+            lax.spectrum(make(np.linspace(0.0, 0.7, 8), np.full(7, -1e200)))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_sturm_matches_lapack_oracle(self, n):
