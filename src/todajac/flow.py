@@ -1,5 +1,9 @@
 """Time evolution of the lattice by three independent methods.
 
+Each method is one private generator over an array of times
+(``_tau_states``, ``_symes_states``, ``_rk4_states``) and ``trajectory`` runs
+it over the samples; ``solve_tau`` and ``solve_symes`` are the one-time case.
+
 * ``solve_tau``: closed form through the linearized coordinates: linearize,
   multiply by exponentials, reconstruct.
 * ``solve_symes``: Symes's factorization of exp(t*L0) (Symes, "The QR
@@ -13,10 +17,11 @@
     Higham, BIT 38, 1998); a = diag S, b = subdiag(S)**2.  It holds for
     every t and never reports Blowup.
   - sign-mixed b: factorize exp(t*L0) = N*R with N unit lower triangular and
-    conjugate, L(t) = N^-1 L0 N.  The exponential comes from one LAPACK
-    eigendecomposition and is scaled by exp(-t*lambda_max) before
-    factorizing; the scale multiplies R only, so the conjugation is
-    unaffected.  A vanishing pivot is a vanishing tau value: Blowup.
+    conjugate, L(t) = N^-1 L0 N.  One LAPACK eigendecomposition of L0
+    serves every time; each exponential is scaled by exp(-t*lambda_max)
+    before factorizing, and the scale multiplies R only, so the conjugation
+    is unaffected.  A vanishing pivot is a vanishing tau value: Blowup; a
+    failed conjugation is StructureLost.
 
   Both routes raise RangeExceeded when the eigenvectors of L0 leave double
   range (for b > 0: the diagonal similarity cumprod(sqrt(b)) is not finite
@@ -66,29 +71,33 @@ _TINY = np.finfo(float).tiny
 # ---------------------------------------------------------------------------
 
 
-def _scaled_matrix_exp(L0: lax.LaxMatrix, t: float):
-    """exp(t*L0) * exp(-m) with m = max_i Re(t*lambda_i), the shift m, and
-    the magnitudes |V| diag(|w|) |V^-1| its entries are summed from.
-
-    One LAPACK eigendecomposition L0 = V diag(lambda) V^-1, w = exp(t*lambda
-    - m), complex until the final real part: a nearly degenerate pair may
-    come back as a conjugate pair.  A V singular in double precision spans
-    more than double range and raises RangeExceeded.
-    """
+def _eigendecomposition(L0: lax.LaxMatrix, t: float) -> tuple:
+    """(lambda, V, V^-1) with L0 = V diag(lambda) V^-1 from one LAPACK call,
+    complex: a nearly degenerate pair may come back as a conjugate pair.  A V
+    singular in double precision spans more than double range: RangeExceeded
+    with time t."""
     lams, V = np.linalg.eig(L0.to_dense())
-    shift = float(np.max((t * lams).real))
-    Vw = V * np.exp(t * lams - shift)
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise RangeExceeded(t, "the eigenvectors of L0 leave double range") from exc
+    return lams, V, V_inv
+
+
+def _scaled_exp(eig: tuple, t: float):
+    """exp(t*L0) * exp(-m) with m = max_i Re(t*lambda_i), the shift m, and
+    the magnitudes |V| diag(|w|) |V^-1| its entries are summed from, where
+    ``eig`` is L0's eigendecomposition and w = exp(t*lambda - m)."""
+    lams, V, V_inv = eig
+    shift = float(np.max((t * lams).real))
+    Vw = V * np.exp(t * lams - shift)
     return (Vw @ V_inv).real, shift, np.abs(Vw) @ np.abs(V_inv)
 
 
 def matrix_exp_spectral(L0: lax.LaxMatrix, t: float) -> np.ndarray:
     """exp(t*L0) = V diag(exp(t*lambda)) V^-1 on a simple real spectrum."""
     lax.spectrum(L0)
-    scaled, shift, _ = _scaled_matrix_exp(L0, t)
+    scaled, shift, _ = _scaled_exp(_eigendecomposition(L0, t), t)
     return scaled * math.exp(shift)
 
 
@@ -130,6 +139,13 @@ def lu_unit_lower(M, scale=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _tau_states(L0: lax.LaxMatrix, times):
+    """Yield the closed-form state at each of ``times``: one spectrum, one
+    linearization and one tau kernel pass (``jacobi.reconstruct_along``)."""
+    spec = lax.spectrum(L0)
+    yield from jacobi.reconstruct_along(spec, jacobi.abel_jacobi(L0, spec=spec), times)
+
+
 def _symes_qr(L0: lax.LaxMatrix, times):
     """Yield the state at each of ``times`` for a positive subdiagonal.
 
@@ -138,7 +154,8 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     decreasing exponent; a = diag S and b = subdiag(S)**2, so the signs of
     R's diagonal drop out.  One ``eigh`` serves every time and one stacked
     QR covers them all.  S is summed elementwise, not by BLAS products, so a
-    row equals its single-time call bit for bit.
+    row equals its single-time call bit for bit.  The states are read-only
+    row views of the stacked bands.
 
     Raises RangeExceeded with the first time when the similarity
     cumprod(sqrt(b)) leaves double range, and with a sample's time when its
@@ -161,6 +178,8 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     a = (weighted * Q).sum(axis=1)
     sub = (weighted[:, :, 1:] * Q[:, :, :-1]).sum(axis=1)
     b = sub * sub
+    a.setflags(write=False)
+    b.setflags(write=False)
     # a finite, b finite and normal: what the trusted constructor needs
     in_range = np.isfinite(a).all(axis=1) & ((b >= _TINY) & (b < np.inf)).all(axis=1)
     for i, t in enumerate(times.tolist()):
@@ -169,40 +188,45 @@ def _symes_qr(L0: lax.LaxMatrix, times):
         yield lax.LaxMatrix._trusted(n=L0.n, a=a[i], b=b[i])
 
 
-def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
-    """State at time t from Symes's factorization of exp(t*L0).
-
-    The sign of b picks the route (see the module docstring).  For b > 0 it
-    is the one-time case of the QR kernel that ``trajectory`` uses: it never
-    raises Blowup, and it raises RangeExceeded when the similarity
-    cumprod(sqrt(b)) or the state leaves double range.  That route is
-    backward stable, not accurate entry by entry: each entry is off by a
-    rounding error relative to max |lambda|, so an entry much smaller than
-    the norm of L0 (a huge b beside a small a, say) may keep few correct
-    digits.  For sign-mixed b it is the LU factorization of the matrix
-    exponential and the conjugation N^-1 L0 N: Blowup when a leading minor
-    vanishes (a tau value does), StructureLost when the conjugation fails,
-    RangeExceeded when the eigenvectors of L0 leave double range.
-    """
-    if np.all(L0.b > 0):
-        return next(_symes_qr(L0, [t]))
+def _symes_lu(L0: lax.LaxMatrix, times):
+    """Yield the state at each of ``times`` for a sign-mixed subdiagonal: one
+    spectrum check and one eigendecomposition of L0 serve every time."""
     lax.spectrum(L0)
-    scaled, _, mass = _scaled_matrix_exp(L0, t)
-    try:
-        N, _ = lu_unit_lower(scaled, scale=mass)
-    except SingularLeadingMinor as exc:
-        raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
-    try:
-        conj = np.linalg.solve(N, L0.to_dense()) @ N
-    except np.linalg.LinAlgError as exc:
-        raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
-    superdiag = np.diagonal(conj, offset=1)
-    scale = max(1.0, float(np.max(np.abs(conj))))
-    if np.max(np.abs(superdiag - 1.0)) > STRUCTURE_TOL * scale:
-        raise StructureLost(
-            f"superdiagonal deviates from 1 by {np.max(np.abs(superdiag - 1.0)):.3e}"
-        )
-    return lax.LaxMatrix(n=L0.n, a=np.diagonal(conj).copy(), b=np.diagonal(conj, offset=-1).copy())
+    times = np.asarray(times, dtype=float).tolist()
+    eig = _eigendecomposition(L0, times[0])
+    dense = L0.to_dense()
+    for t in times:
+        scaled, _, mass = _scaled_exp(eig, t)
+        try:
+            N, _ = lu_unit_lower(scaled, scale=mass)
+        except SingularLeadingMinor as exc:
+            raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
+        try:
+            conj = np.linalg.solve(N, dense) @ N
+        except np.linalg.LinAlgError as exc:
+            raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
+        deviation = np.max(np.abs(np.diagonal(conj, offset=1) - 1.0))
+        if deviation > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(conj)))):
+            raise StructureLost(f"superdiagonal deviates from 1 by {deviation:.3e}")
+        yield lax.LaxMatrix(n=L0.n, a=np.diagonal(conj), b=np.diagonal(conj, offset=-1))
+
+
+def _symes_states(L0: lax.LaxMatrix, times):
+    """Symes states at each of ``times``; the sign of b picks the route."""
+    return (_symes_qr if np.all(L0.b > 0) else _symes_lu)(L0, times)
+
+
+def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
+    """State at time t from Symes's factorization of exp(t*L0): the one-time
+    case of the kernel ``trajectory`` uses, routes and errors as in the
+    module docstring.
+
+    The QR route (b > 0) is backward stable, not accurate entry by entry:
+    each entry is off by a rounding error relative to max |lambda|, so an
+    entry much smaller than the norm of L0 (a huge b beside a small a, say)
+    may keep few correct digits.
+    """
+    return next(_symes_states(L0, [t]))
 
 
 def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
@@ -211,10 +235,8 @@ def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     Raises Blowup when a tau value vanishes at t and RangeExceeded when an
     entry of the state leaves double range.
     """
-    spec = lax.spectrum(L0)
-    F0 = jacobi.abel_jacobi(L0, spec=spec)
     try:
-        return next(jacobi.reconstruct_along(spec, F0, t))
+        return next(_tau_states(L0, [t]))
     except NonGeneralDivisor as exc:
         raise Blowup(t, tau_index=exc.index) from exc
 
@@ -296,6 +318,17 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     return make(n=n, a=y[:n], b=y_b)
 
 
+def _rk4_states(L0: lax.LaxMatrix, sample_ts, dt: float):
+    """Yield L0 at sample_ts[0], then the state after ``solve_rk4`` across
+    each interval between consecutive sample times.  An Overflow carries the
+    time elapsed since the last sample time."""
+    state = L0
+    yield state
+    for prev, t in zip(sample_ts[:-1], sample_ts[1:]):
+        state = solve_rk4(state, t - prev, dt)
+        yield state
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -368,17 +401,14 @@ def trajectory(
     """Sample the run that passes through L0 at time t0 on [t0, t1].
 
     The state at sample time t is the solution advanced by t - t0 from L0.
-    Sampling stops, with ``blowup`` set to the failing sample time, when the
-    selected solver reports a blowup or overflow.  The tau method raises
-    RangeExceeded, with the sample time, when a state entry leaves double
-    range, and the symes method when the eigenvectors of L0 (at t0) or a
-    state entry do; that is not a blowup.
-
-    For b > 0 the symes method is one call of the QR kernel over every
-    sample (one spectrum check, one ``eigh``, one stacked QR; Symes 1982,
-    Cox & Higham 1998), its rows equal ``solve_symes`` bit for bit, and it
-    never reports a blowup.  For sign-mixed b it calls ``solve_symes`` per
-    sample and stops at the first Blowup or StructureLost.
+    Each method is one kernel over all sample times: tau and symes decompose
+    L0 once (symes: one ``eigh`` and one stacked QR for b > 0, one ``eig``
+    for sign-mixed b), so their rows equal ``solve_tau`` and ``solve_symes``
+    bit for bit; rk4 runs ``solve_rk4`` between consecutive sample times.
+    Sampling stops, with ``blowup`` set to the failing sample time (for rk4
+    the overflowing step's time), at the first Blowup, StructureLost or
+    Overflow.  RangeExceeded is raised again with the failing sample time:
+    a value that leaves double range is not a blowup.
     """
     if not t0 < t1:
         raise ValueError("need t0 < t1")
@@ -388,54 +418,22 @@ def trajectory(
         raise ValueError(f"unknown method {method!r}")
 
     sample_ts = _sample_times(t0, t1, dt_out)
-    times = []
+    if method == "rk4":
+        kernel = _rk4_states(L0, sample_ts, rk4_dt)
+    else:
+        kernel = (_tau_states if method == "tau" else _symes_states)(L0, sample_ts - t0)
     states = []
     blowup = None
-
-    if method == "tau":
-        spec = lax.spectrum(L0)
-        F0 = jacobi.abel_jacobi(L0, spec=spec)
-        try:
-            for state in jacobi.reconstruct_along(spec, F0, sample_ts - t0):
-                states.append(state)
-        except NonGeneralDivisor:
-            blowup = float(sample_ts[len(states)])
-        except RangeExceeded as exc:
-            raise RangeExceeded(float(sample_ts[len(states)])) from exc
-        times = sample_ts[: len(states)]
-    elif method == "symes" and np.all(L0.b > 0):
-        try:
-            for state in _symes_qr(L0, sample_ts - t0):
-                states.append(state)
-        except RangeExceeded as exc:
-            raise RangeExceeded(float(sample_ts[len(states)]), str(exc)) from exc
-        times = sample_ts[: len(states)]
-    elif method == "symes":
-        for t in sample_ts:
-            try:
-                state = solve_symes(L0, t - t0)
-            except (Blowup, StructureLost):
-                blowup = float(t)
-                break
-            except RangeExceeded as exc:
-                raise RangeExceeded(float(t), str(exc)) from exc
-            times.append(t)
+    try:
+        for state in kernel:
             states.append(state)
-    else:
-        current = L0
-        prev_t = t0
-        for t in sample_ts:
-            try:
-                if t > prev_t:
-                    current = solve_rk4(current, t - prev_t, rk4_dt)
-            except Overflow as exc:
-                blowup = float(prev_t + exc.time)
-                break
-            prev_t = t
-            times.append(t)
-            states.append(current)
-
-    return Trajectory(times=np.array(times), states=tuple(states), method=method, blowup=blowup)
+    except (NonGeneralDivisor, Blowup, StructureLost):
+        blowup = float(sample_ts[len(states)])
+    except Overflow as exc:
+        blowup = float(sample_ts[len(states) - 1] + exc.time)
+    except RangeExceeded as exc:
+        raise RangeExceeded(float(sample_ts[len(states)])) from exc
+    return Trajectory(sample_ts[: len(states)], tuple(states), method, blowup)
 
 
 # ---------------------------------------------------------------------------

@@ -479,12 +479,15 @@ def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAUL
     """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
 
     One TauKernel evaluation covers every time and no evolved point is
-    formed.  Iteration stops at the first failing time by raising
-    NonGeneralDivisor, or RangeExceeded with that time when an entry leaves
-    double range (a subdiagonal entry below the smallest normal double, say).
+    formed; the states are read-only row views of the stacked bands.
+    Iteration stops at the first failing time by raising NonGeneralDivisor,
+    or RangeExceeded with that time when an entry leaves double range (a
+    subdiagonal entry below the smallest normal double, say).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times), general_tol)
+    rows.a.setflags(write=False)
+    rows.b.setflags(write=False)
     n = rows.a.shape[1]
     for i, t in enumerate(times.tolist()):
         if rows.nongeneral[i].any():

@@ -37,6 +37,13 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` itself when it is a read-only float array, else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        return values
+    return _readonly(values)
+
+
 @dataclass(frozen=True, eq=False)
 class LaxMatrix:
     """Tridiagonal phase-space matrix with unit superdiagonal.
@@ -69,11 +76,14 @@ class LaxMatrix:
     @classmethod
     def _trusted(cls, n: int, a, b) -> "LaxMatrix":
         """Bands the caller has just built and knows to be valid: finite,
-        of lengths n and n-1, with a nonzero subdiagonal.  No checks."""
+        of lengths n and n-1, with a nonzero subdiagonal.  No checks.
+
+        A read-only float array is kept as it is (a row view of a stack the
+        caller froze, say); anything writable is copied."""
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
-        object.__setattr__(out, "a", _readonly(a))
-        object.__setattr__(out, "b", _readonly(b))
+        object.__setattr__(out, "a", _frozen(a))
+        object.__setattr__(out, "b", _frozen(b))
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -63,6 +63,17 @@ class TestSimulate:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("method", ["tau", "symes"])
+    def test_range_exceeded_names_the_sample_time(self, tmp_path, capsys, method):
+        # b falls below the smallest normal double 90 time units after t0
+        path = write_json(tmp_path / "wide.json", {"n": 2, "a": [1, 9], "b": [0.5]})
+        rc = main(
+            ["simulate", "--matrix", path, "--t0", "10", "--t1", "120", "--dt", "10",
+             "--method", method, "--out", str(tmp_path / "traj.csv")]
+        )
+        assert rc == 4
+        assert "t=100.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["tau", "symes", "rk4"])
     @pytest.mark.parametrize(
         "matrix, failing",

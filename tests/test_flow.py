@@ -622,6 +622,110 @@ class TestSymesQR:
         flow.trajectory(L, -1.0, 1.0, 0.1, "symes")
 
 
+def sign_mixed_matrices(rng, sizes):
+    """Matrices with a sign-mixed subdiagonal over spectra in (-3, 3), gaps
+    >= 0.1, from Jacobi points with random sign patterns."""
+    out = []
+    for n in sizes:
+        while True:
+            spec = verify.sample_spectrum(rng, n, -3.0, 3.0, min_gap=0.1)
+            f = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2.0, 2.0, n))
+            L = jacobi.reconstruct(spec, jacobi.JacobiPoint.from_raw(f))
+            if not np.all(L.b > 0):
+                out.append(L)
+                break
+    return out
+
+
+def blowup_matrix(rng, n, T):
+    """Sign-mixed matrix whose tau[1] vanishes at time T: its point at T,
+    f, has sum_i (-1)**i V_i f_i = 0 with V_i the Vandermonde product of the
+    spectrum without lambda_i."""
+    while True:
+        spec = verify.sample_spectrum(rng, n, -3.0, 3.0, min_gap=0.1)
+        lams = spec.lambdas
+        pairs = [(j, k) for k in range(n) for j in range(k)]
+        w = np.array(
+            [(-1.0) ** i * math.prod(lams[k] - lams[j] for j, k in pairs if i not in (j, k))
+             for i in range(n)]
+        )
+        f = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-1.0, 1.0, n))
+        f[0] = -(w[1:] @ f[1:]) / w[0]
+        if f[0] != 0.0:
+            return jacobi.reconstruct(spec, jacobi.JacobiPoint.from_raw(f * np.exp(-T * lams)))
+
+
+def per_sample_symes(L, sample_ts, t0):
+    """Reference loop: one solve_symes call per sample time, stopping at the
+    first Blowup or StructureLost.  Returns (states, blowup time)."""
+    states = []
+    for t in sample_ts:
+        try:
+            states.append(flow.solve_symes(L, float(t) - t0))
+        except (Blowup, StructureLost):
+            return states, float(t)
+    return states, None
+
+
+class TestSymesLU:
+    """The sign-mixed route of trajectory("symes"): one kernel per run."""
+
+    def test_trajectory_rows_equal_single_time_calls(self):
+        rng = np.random.default_rng(16180)
+        runs = [(L, float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.5, 4.0)) / 20)
+                for L in sign_mixed_matrices(rng, [2 + i % 7 for i in range(21)])]
+        # a tau value vanishes at the sample t0 + T, exactly representable
+        runs += [(blowup_matrix(rng, n, T), -0.25 * (n % 3), 0.25)
+                 for n in range(2, 9) for T in (0.5, 1.5)]
+        blowups = 0
+        for L, t0, dt in runs:
+            t1 = t0 + 20 * dt
+            traj = flow.trajectory(L, t0, t1, dt, "symes")
+            ref_states, ref_blowup = per_sample_symes(L, flow._sample_times(t0, t1, dt), t0)
+            assert traj.blowup == ref_blowup
+            assert len(traj.states) == len(ref_states)
+            blowups += traj.blowup is not None
+            for state, one in zip(traj.states, ref_states):
+                assert np.array_equal(one.a, state.a) and np.array_equal(one.b, state.b)
+        assert blowups >= 12  # the constructed runs reach the blowup path
+
+    def test_one_spectrum_and_one_eig_per_run(self, monkeypatch):
+        calls = {"spectrum": 0, "eig": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lax, "spectrum", counting("spectrum", lax.spectrum))
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        for L in sign_mixed_matrices(np.random.default_rng(2718), [4, 8]):
+            calls.update(spectrum=0, eig=0)
+            traj = flow.trajectory(L, 0.0, 2.0, 0.1, "symes")
+            assert traj.blowup is None and len(traj.states) == 21
+            assert calls == {"spectrum": 1, "eig": 1}
+
+
+class TestReadOnlyStates:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda L: flow.trajectory(L, 0.0, 1.0, 0.25, "symes").states[2],
+            lambda L: flow.trajectory(L, 0.0, 1.0, 0.25, "tau").states[2],
+            lambda L: flow.solve_symes(L, 0.5),
+            lambda L: flow.solve_tau(L, 0.5),
+        ],
+    )
+    def test_bands_cannot_be_made_writable(self, make):
+        state = make(random_tnn(np.random.default_rng(4), 5)[0])
+        for band in (state.a, state.b):
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band.setflags(write=True)
+
+
 # ---------------------------------------------------------------------------
 # blowup localization
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ class TestLaxMatrix:
         with pytest.raises(ValueError):
             L.a[0] = 5.0
 
+    def test_trusted_keeps_read_only_bands_and_copies_writable_ones(self):
+        stack = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        stack.setflags(write=False)
+        kept = lax.LaxMatrix._trusted(n=3, a=stack[1], b=stack[0, :2])
+        assert np.shares_memory(kept.a, stack) and np.shares_memory(kept.b, stack)
+        buf = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        copied = lax.LaxMatrix._trusted(n=3, a=buf[:3], b=buf[3:])
+        assert not np.shares_memory(copied.a, buf) and not np.shares_memory(copied.b, buf)
+        assert not copied.a.flags.writeable and not copied.b.flags.writeable
+
 
 class TestSpectrum:
     def test_requires_increasing(self):
