@@ -148,7 +148,7 @@ def cmd_linearize(args) -> int:
         "spectrum": [float(x) for x in spec.lambdas],
         "tau": [float(x) for x in ts.tau],
         "tau_prime": [float(x) for x in ts.tau_prime],
-        "is_general": jacobi.is_general_point(spec, point),
+        "is_general": ts.is_general(),
     }
     _dump(payload, args.out)
     return EXIT_OK

@@ -353,6 +353,11 @@ class TauSequence:
     def n(self) -> int:
         return int(self.tau.size - 1)
 
+    def is_general(self, tol: float = DEFAULT_GENERAL_TOL) -> bool:
+        """True when every tau value is nonzero at scale (generality above
+        ``tol``), i.e. the reconstruction formulas are nonsingular here."""
+        return bool(np.all(self.generality > tol))
+
 
 def tau_sequence(spec: lax.Spectrum, F) -> TauSequence:
     """Tau determinants of a point against a simple spectrum.
@@ -431,8 +436,7 @@ def abel_jacobi(
 def is_general_point(spec: lax.Spectrum, F, tol: float = DEFAULT_GENERAL_TOL) -> bool:
     """True when every tau determinant is nonzero at scale, i.e. the
     reconstruction formulas are nonsingular at this point."""
-    ts = tau_sequence(spec, F)
-    return bool(np.all(ts.generality > tol))
+    return tau_sequence(spec, F).is_general(tol)
 
 
 def reconstruct(

@@ -7,9 +7,8 @@ constructions to a random time, half by rejection sampling) and require the
 linearization to land in the alternating cone.
 
 Every sample draws from its own RNG stream keyed by (seed, direction,
-index), so reports are byte-identical however the loop is scheduled; the
-TODA_WORKERS environment variable (0 or unset = sequential) fans the chunks
-of indices out to a process pool.
+index), so reports are byte-identical however the indices are chunked.
+Everything runs in order in the calling process.
 
 Each direction runs on stacks of samples: the forward cone points are
 reconstructed by one stacked tau-kernel pass, and the converse matrices are
@@ -25,8 +24,6 @@ its report entry.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +91,7 @@ def sample_tnn_rejection(
 
 
 # ---------------------------------------------------------------------------
-# per-sample checks (top level so a process pool can pickle them)
+# per-sample checks
 # ---------------------------------------------------------------------------
 
 
@@ -196,19 +193,18 @@ def _cone_images(a, b):
     return simple & general & ((tail > 0.0) == cone).all(axis=1)
 
 
-def _settle(case_fn, passed, n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range) -> list:
-    """Results of indices lo..hi-1: rows that passed the stack are done; the
-    others are decided, with their report entry, by ``case_fn``."""
+def _settle(case_fn, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range) -> list:
+    """Results of indices lo, lo+1, ...: rows that passed the stack are done;
+    the others are decided, with their report entry, by ``case_fn``."""
     return [
         (index, True, None, None)
         if ok
         else case_fn((n, seed, index, tol, spec_lo, spec_hi, coord_range))
-        for index, ok in zip(range(lo, hi), passed.tolist())
+        for index, ok in enumerate(passed.tolist(), lo)
     ]
 
 
-def _forward_chunk(args):
-    n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range = args
+def _forward_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
     pairs = _draws(_forward_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
     passed = np.zeros(hi - lo, dtype=bool)
     if pairs:
@@ -216,11 +212,10 @@ def _forward_chunk(args):
         for r in np.flatnonzero(stands).tolist():
             L = lax.LaxMatrix._trusted(n=n, a=a[r], b=b[r])
             passed[r] = tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn
-    return _settle(_forward_case, passed, *args)
+    return _settle(_forward_case, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range)
 
 
-def _converse_chunk(args):
-    n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range = args
+def _converse_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
     draws = _draws(_converse_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
     a, b = np.empty((len(draws), n)), np.empty((len(draws), n - 1))
     stands = np.ones(len(draws), dtype=bool)
@@ -235,11 +230,11 @@ def _converse_chunk(args):
     rows = np.flatnonzero(stands)
     if rows.size:
         passed[rows] = _cone_images(a[rows], b[rows])
-    return _settle(_converse_case, passed, *args)
+    return _settle(_converse_case, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range)
 
 
-def _pattern_case(args):
-    n, seed, index, tol, spec_lo, spec_hi, coord_range, signs = args
+def _pattern_case(n, seed, index, tol, spec_lo, spec_hi, coord_range, signs):
+    """None when the draw reconstructs to a non-TNN matrix, else why not."""
     rng = np.random.default_rng([seed, _PATTERN, index])
     # resample within the stream until the draw is general
     for _ in range(256):
@@ -249,16 +244,10 @@ def _pattern_case(args):
             L = jacobi.reconstruct(spec, point)
         except NonGeneralDivisor:
             continue
-        report = tnn.is_tnn_tridiagonal(L, tol=tol)
-        case = {
-            "spectrum": spec.to_json_dict(),
-            "point": point.to_json_dict(),
-            "matrix": L.to_json_dict(),
-        }
-        if report.is_tnn:
-            return index, False, "non-cone reconstruction is TNN", case
-        return index, True, None, case
-    return index, False, "no general draw found for the pattern", {}
+        if tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn:
+            return "non-cone reconstruction is TNN"
+        return None
+    return "no general draw found for the pattern"
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +275,6 @@ class VerificationReport:
         }
 
 
-def workers_from_env() -> int:
-    raw = os.environ.get("TODA_WORKERS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _run_cases(fn, arglist, workers: int) -> list:
-    """fn over arglist, in order, on a process pool when workers > 0."""
-    if workers > 0 and len(arglist) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, arglist, chunksize=max(1, len(arglist) // (4 * workers))))
-    return [fn(a) for a in arglist]
-
-
-def _chunks(n: int, samples: int, workers: int) -> list:
-    """(lo, hi) index ranges: stacks of at most _BLOCK_TERMS tau terms, and
-    at least one per worker."""
-    height = max(1, jacobi._BLOCK_TERMS >> (n + 1))
-    if workers > 0:
-        height = min(height, max(1, -(-samples // workers)))
-    return [(lo, min(lo + height, samples)) for lo in range(0, samples, height)]
-
-
 def run_verification(
     n: int,
     samples: int,
@@ -321,7 +283,6 @@ def run_verification(
     tol: float = DEFAULT_TOL,
     spec_range=DEFAULT_SPEC_RANGE,
     coord_log_range: float = DEFAULT_COORD_LOG_RANGE,
-    workers: int | None = None,
     keep_cases_up_to: int = 10,
 ) -> VerificationReport:
     """Run the sampled checks and aggregate a replayable report.
@@ -336,8 +297,6 @@ def run_verification(
         raise ValueError("samples must be nonnegative")
     if direction not in ("forward", "converse", "both"):
         raise ValueError(f"unknown direction {direction!r}")
-    if workers is None:
-        workers = workers_from_env()
     spec_lo, spec_hi = float(spec_range[0]), float(spec_range[1])
     if not 0.0 < spec_lo < spec_hi:
         raise ValueError("spectrum range must be positive and increasing")
@@ -348,15 +307,16 @@ def run_verification(
     if direction in ("converse", "both"):
         runs.append(("converse", _converse_chunk))
 
+    # a stack holds at most _BLOCK_TERMS tau terms
+    height = max(1, jacobi._BLOCK_TERMS >> (n + 1))
     total = 0
     failure_cases = []
-    for tag, fn in runs:
-        args = [
-            (n, seed, lo, hi, tol, spec_lo, spec_hi, coord_log_range)
-            for lo, hi in _chunks(n, samples, workers)
-        ]
-        chunks = _run_cases(fn, args, workers)
-        for index, ok, diagnostic, case in itertools.chain.from_iterable(chunks):
+    for tag, chunk in runs:
+        results = itertools.chain.from_iterable(
+            chunk(n, seed, lo, min(lo + height, samples), tol, spec_lo, spec_hi, coord_log_range)
+            for lo in range(0, samples, height)
+        )
+        for index, ok, diagnostic, case in results:
             total += 1
             if not ok:
                 failure_cases.append(
@@ -395,7 +355,6 @@ def verify_sign_patterns(
     tol: float = DEFAULT_TOL,
     spec_range=DEFAULT_SPEC_RANGE,
     coord_log_range: float = DEFAULT_COORD_LOG_RANGE,
-    workers: int | None = None,
 ) -> dict:
     """For every non-alternating sign pattern, count non-TNN reconstructions.
 
@@ -403,8 +362,6 @@ def verify_sign_patterns(
     where failures lists the replayable indices of any TNN hit (there should
     be none).
     """
-    if workers is None:
-        workers = workers_from_env()
     cone = jacobi.alternating_signs(n)
     results = {}
     offset = 0
@@ -412,15 +369,14 @@ def verify_sign_patterns(
         if bits == cone:
             continue
         key = str(jacobi.SignComponent(signs=bits))
-        args = [
-            (n, seed, offset + i, tol, spec_range[0], spec_range[1], coord_log_range, bits)
-            for i in range(samples_per_pattern)
-        ]
-        offset += samples_per_pattern
         bad = []
-        for index, ok, diagnostic, _ in _run_cases(_pattern_case, args, workers):
-            if not ok:
+        for index in range(offset, offset + samples_per_pattern):
+            diagnostic = _pattern_case(
+                n, seed, index, tol, spec_range[0], spec_range[1], coord_log_range, bits
+            )
+            if diagnostic is not None:
                 bad.append({"index": index, "diagnostic": diagnostic})
+        offset += samples_per_pattern
         results[key] = {
             "samples": samples_per_pattern,
             "non_tnn": samples_per_pattern - len(bad),

@@ -66,20 +66,6 @@ class TestRunVerification:
         b = verify.run_verification(n=3, samples=30, seed=42).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.delenv("TODA_WORKERS", raising=False)
-        seq = verify.run_verification(n=3, samples=16, seed=9, workers=0).to_json_dict()
-        par = verify.run_verification(n=3, samples=16, seed=9, workers=2).to_json_dict()
-        assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
-
-    def test_workers_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("TODA_WORKERS", "3")
-        assert verify.workers_from_env() == 3
-        monkeypatch.setenv("TODA_WORKERS", "")
-        assert verify.workers_from_env() == 0
-        monkeypatch.setenv("TODA_WORKERS", "junk")
-        assert verify.workers_from_env() == 0
-
     def test_report_invariant(self):
         with pytest.raises(ValueError):
             verify.VerificationReport(samples=1, failures=1, failure_cases=[])
@@ -200,18 +186,16 @@ class TestStackedRoute:
             for seed in range(3):
                 for extra in configs:
                     kwargs = dict(n=n, samples=20, seed=seed, **extra)
-                    got = verify.run_verification(workers=0, **kwargs).to_json_dict()
+                    got = verify.run_verification(**kwargs).to_json_dict()
                     want = per_sample_report(**kwargs)
                     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), kwargs
                     failures += got["failures"]
         assert failures > 150
 
-    def test_pool_matches_sequential_run_with_failures(self):
+    def test_run_with_kept_failure_cases_matches_per_sample_loop(self):
         kwargs = dict(n=4, samples=40, seed=3, tol=-0.2, keep_cases_up_to=1000)
-        seq = verify.run_verification(workers=0, **kwargs).to_json_dict()
-        par = verify.run_verification(workers=2, **kwargs).to_json_dict()
+        seq = verify.run_verification(**kwargs).to_json_dict()
         assert seq["failures"] > 10
-        assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
         assert seq == per_sample_report(**kwargs)
 
 
