@@ -63,6 +63,9 @@ from .errors import (
 
 RK4_OVERFLOW_THRESHOLD = 1e12
 STRUCTURE_TOL = 1e-9
+# detect_blowup: refined bracket width; generality that reads as a GridMiss
+REFINE_TOL = 1e-9
+TANGENCY_TOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
@@ -152,23 +155,22 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     Symes's QR form of the flow (module docstring): S(t) = Q^T diag(lambda) Q
     with Q the Q factor of diag(exp(t(lambda - max)/2)) V^T, rows sorted by
     decreasing exponent; a = diag S and b = subdiag(S)**2, so the signs of
-    R's diagonal drop out.  One ``eigh`` serves every time and one stacked
-    QR covers them all.  S is summed elementwise, not by BLAS products, so a
-    row equals its single-time call bit for bit.  The states are read-only
-    row views of the stacked bands.
+    R's diagonal drop out.  The one ``eigh`` of ``lax.spectrum`` serves
+    every time and one stacked QR covers them all.  S is summed elementwise,
+    not by BLAS products, so a row equals its single-time call bit for bit.
+    The states are read-only row views of the stacked bands.
 
     Raises RangeExceeded with the first time when the similarity
     cumprod(sqrt(b)) leaves double range, and with a sample's time when its
     state does (b below the smallest normal double, as in the tau route).
     """
-    lax.spectrum(L0)
+    spec = lax.spectrum(L0)
     times = np.asarray(times, dtype=float)
-    root_b = np.sqrt(L0.b)
     with np.errstate(over="ignore", under="ignore"):
-        similarity = np.cumprod(root_b)
+        similarity = np.cumprod(np.sqrt(L0.b))
     if not (np.isfinite(similarity).all() and similarity.all()):
         raise RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
-    lams, V = np.linalg.eigh(lax._symmetric_tridiagonal(L0.a, root_b))
+    lams, V = spec.lambdas, spec._vectors
     rates = times[:, None] * lams
     order = np.argsort(-rates, axis=1, kind="stable")
     rates = np.take_along_axis(rates, order, axis=1)
@@ -447,8 +449,6 @@ def detect_blowup(
     t0: float,
     t1: float,
     grid: int = 1000,
-    refine_tol: float = 1e-9,
-    tangency_tol: float = 1e-9,
 ) -> Optional[float]:
     """Earliest zero of any tau value along the evolved point on [t0, t1].
 
@@ -472,7 +472,7 @@ def detect_blowup(
         return float(ts[exact[0]])
 
     if not flips.size:
-        if float(np.min(gens)) < tangency_tol:
+        if float(np.min(gens)) < TANGENCY_TOL:
             warnings.warn(
                 GridMiss(
                     "a tau value approaches zero on the grid without a sign change; "
@@ -485,7 +485,7 @@ def detect_blowup(
     lo, hi = float(ts[i]), float(ts[i + 1])
     s_lo = signs[i]
     live = s_lo * signs[i + 1] < 0.0  # classes that change sign in [lo, hi]
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
         s_mid = kernel.evaluate(mid).sign_tau[0]
         left = live & (s_mid * s_lo < 0.0)

@@ -414,12 +414,16 @@ def abel_jacobi(
 ) -> JacobiPoint:
     """Linearization map: (1,1)-cofactor values at the eigenvalues, normalized.
 
-    Raises ZeroCofactorValue when a value vanishes relative to the largest
-    one (non-general position).
+    For b > 0 they are Weyl residues from the eigenvectors that L's spectrum
+    ``spec`` carries; one without them costs an ``eigh`` here.  Raises
+    ZeroCofactorValue when a value vanishes relative to the largest one.
     """
     if spec is None:
         spec = lax.spectrum(L)
-    vals = lax._weyl_cofactor_values(L.a, L.b, spec.lambdas) if np.all(L.b > 0) else None
+    vecs = spec._vectors
+    if vecs is None and np.all(L.b > 0):
+        vecs = np.linalg.eigh(lax._symmetric_tridiagonal(L.a, np.sqrt(L.b)))[1]
+    vals = None if vecs is None else lax._weyl_cofactor_values(vecs, spec.lambdas)
     if vals is None or not np.isfinite(vals).all():
         # sign-mixed b, or eigenvalue differences beyond double range
         vals = lax.chop_values(L, spec.lambdas)
@@ -439,9 +443,7 @@ def is_general_point(spec: lax.Spectrum, F, tol: float = DEFAULT_GENERAL_TOL) ->
     return tau_sequence(spec, F).is_general(tol)
 
 
-def reconstruct(
-    spec: lax.Spectrum, F, general_tol: float = DEFAULT_GENERAL_TOL
-) -> lax.LaxMatrix:
+def reconstruct(spec: lax.Spectrum, F) -> lax.LaxMatrix:
     """Inverse of the linearization map on general points.
 
     Quotients are evaluated in log space so strongly evolved points (raw tau
@@ -449,7 +451,7 @@ def reconstruct(
     NonGeneralDivisor when a tau value vanishes and RangeExceeded (t = 0)
     when an entry of the matrix itself leaves double range.
     """
-    return next(reconstruct_along(spec, F, 0.0, general_tol))
+    return next(reconstruct_along(spec, F, 0.0))
 
 
 class _Rows(NamedTuple):
@@ -462,10 +464,10 @@ class _Rows(NamedTuple):
     finite: np.ndarray  # (R,) every diagonal entry is finite
 
 
-def _reconstruct_rows(grid: TauGrid, general_tol: float) -> _Rows:
+def _reconstruct_rows(grid: TauGrid) -> _Rows:
     """The reconstruction quotients on every row of a tau grid at once."""
     sign, log_t = grid.sign_tau, grid.log_abs_tau
-    nongeneral = (sign == 0.0) | (grid.generality <= general_tol)
+    nongeneral = (sign == 0.0) | (grid.generality <= DEFAULT_GENERAL_TOL)
     with np.errstate(invalid="ignore", over="ignore"):
         # b_k = tau[k-1] * tau[k+1] / tau[k]**2; a_k = diff of tau'[k] / tau[k]
         log_b = log_t[:, :-2] + log_t[:, 2:] - 2.0 * log_t[:, 1:-1]
@@ -479,7 +481,7 @@ def _reconstruct_rows(grid: TauGrid, general_tol: float) -> _Rows:
     return _Rows(a, b, nongeneral, out_of_range, np.isfinite(a).all(axis=1))
 
 
-def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAULT_GENERAL_TOL):
+def reconstruct_along(spec: lax.Spectrum, F0, times):
     """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
 
     One TauKernel evaluation covers every time and no evolved point is
@@ -489,7 +491,7 @@ def reconstruct_along(spec: lax.Spectrum, F0, times, general_tol: float = DEFAUL
     subdiagonal entry below the smallest normal double, say).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times), general_tol)
+    rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times))
     rows.a.setflags(write=False)
     rows.b.setflags(write=False)
     n = rows.a.shape[1]

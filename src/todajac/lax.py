@@ -114,11 +114,13 @@ class Spectrum:
 
     ``separation`` is the minimal admissible gap between consecutive values;
     the ``positive`` property records whether the smallest eigenvalue is
-    strictly positive.
+    strictly positive.  ``_vectors``, not a field, holds the read-only ``eigh``
+    eigenvectors when ``spectrum`` computed it for b > 0, else None.
     """
 
     lambdas: np.ndarray
     separation: float = DEFAULT_SEPARATION
+    _vectors = None
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -138,12 +140,13 @@ class Spectrum:
         object.__setattr__(self, "lambdas", _readonly(lams))
 
     @classmethod
-    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION) -> "Spectrum":
+    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION, vectors=None) -> "Spectrum":
         """Eigenvalues the caller knows to be finite with every gap above
-        ``separation`` and above 0.  No checks."""
+        ``separation`` and above 0, and their eigenvectors if any.  No checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "lambdas", _readonly(lambdas))
         object.__setattr__(out, "separation", separation)
+        object.__setattr__(out, "_vectors", vectors)
         return out
 
     @property
@@ -249,6 +252,7 @@ def symmetric_tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     matrix with diagonal ``diag`` and off-diagonals ``off``.  Leading axes
     are a stack of matrices (``diag`` (..., n), ``off`` (..., n-1)), solved
     in one call; each row equals its single-matrix call bit for bit.
+    ``spectrum`` no longer calls it; its ``eigh`` may differ in the last bits.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -272,18 +276,17 @@ def _symmetric_tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _weyl_cofactor_values(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _weyl_cofactor_values(vecs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """chop_values at the eigenvalues, for a positive subdiagonal, from the
     residues of the Weyl function: (-1)**(n-1) * v_i[0]**2 * p'(lam_i).
 
-    v_i is the unit eigenvector of the symmetrized matrix (off-diagonals
-    sqrt(b)) and p'(lam_i) = prod over j != i of (lam_i - lam_j).  Unlike the
-    recurrence evaluated at a rounded eigenvalue, this keeps its relative
-    accuracy where lam_i nearly meets an eigenvalue of the trailing corner.
-    Leading axes are a stack, as in symmetric_tridiagonal_eigenvalues.
+    ``lams, vecs`` is the ``eigh`` of the symmetrized matrix (off-diagonals
+    sqrt(b)), v_i = vecs[:, i], and p'(lam_i) = prod over j != i of
+    (lam_i - lam_j).  Unlike the recurrence at a rounded eigenvalue, this
+    keeps its relative accuracy where lam_i nearly meets an eigenvalue of the
+    trailing corner.  Leading axes are a stack, as in ``numpy.linalg.eigh``.
     """
-    n = a.shape[-1]
-    vecs = np.linalg.eigh(_symmetric_tridiagonal(a, np.sqrt(b)))[1]
+    n = lams.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = lams[..., :, None] - lams[..., None, :]
         i = np.arange(n)
@@ -310,7 +313,7 @@ def _charpoly_value_and_derivative(L: LaxMatrix, x: np.ndarray):
     return p, dp
 
 
-def charpoly_root_eigenvalues(L: LaxMatrix, imag_tol: float = DEFAULT_IMAG_TOL) -> np.ndarray:
+def charpoly_root_eigenvalues(L: LaxMatrix) -> np.ndarray:
     """Eigenvalues as roots of the characteristic polynomial, for any real L.
 
     Fallback route for matrices with sign-mixed subdiagonals: LAPACK's
@@ -323,7 +326,7 @@ def charpoly_root_eigenvalues(L: LaxMatrix, imag_tol: float = DEFAULT_IMAG_TOL) 
     """
     roots = np.linalg.eigvals(L.to_dense())
     scale = max(1.0, float(np.max(np.abs(roots))))
-    if np.any(np.abs(roots.imag) > imag_tol * scale):
+    if np.any(np.abs(roots.imag) > DEFAULT_IMAG_TOL * scale):
         worst = roots[np.argmax(np.abs(roots.imag))]
         raise NonRealSpectrum(f"root {worst} has nonnegligible imaginary part")
     lams = roots.real.copy()
@@ -338,22 +341,19 @@ def charpoly_root_eigenvalues(L: LaxMatrix, imag_tol: float = DEFAULT_IMAG_TOL) 
     return np.sort(lams)
 
 
-def spectrum(
-    L: LaxMatrix,
-    separation: float = DEFAULT_SEPARATION,
-    imag_tol: float = DEFAULT_IMAG_TOL,
-) -> Spectrum:
+def spectrum(L: LaxMatrix, separation: float = DEFAULT_SEPARATION) -> Spectrum:
     """All eigenvalues of L, sorted ascending.
 
     With a positive subdiagonal, L is diagonally similar to the symmetric
-    tridiagonal matrix with off-diagonals sqrt(b), whose (all real)
-    eigenvalues come from LAPACK.  Otherwise falls back to
-    ``charpoly_root_eigenvalues`` (LAPACK's general eigensolver, polished).
+    tridiagonal matrix with off-diagonals sqrt(b); one LAPACK ``eigh`` of it
+    gives the (real) eigenvalues and the eigenvectors the result keeps.
+    Otherwise falls back to ``charpoly_root_eigenvalues`` (polished ``eigvals``).
     """
     if np.all(L.b > 0):
-        lams = symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))
+        lams, vectors = np.linalg.eigh(_symmetric_tridiagonal(L.a, np.sqrt(L.b)))
+        vectors.setflags(write=False)
     else:
-        lams = charpoly_root_eigenvalues(L, imag_tol=imag_tol)
+        lams, vectors = charpoly_root_eigenvalues(L), None
     gaps = np.diff(lams)
     if lams.size > 1 and np.min(gaps) <= separation:
         i = int(np.argmin(gaps))
@@ -362,7 +362,7 @@ def spectrum(
             f"{separation:.1e}"
         )
     if separation >= 0.0 and np.isfinite(lams).all():
-        return Spectrum._trusted(lams, separation)
+        return Spectrum._trusted(lams, separation, vectors)
     return Spectrum(lambdas=lams, separation=separation)
 
 
@@ -456,22 +456,20 @@ class ComponentDivisor:
     off_real_axis: bool
 
 
-def _component_roots(coeffs: np.ndarray, imag_tol: float):
+def _component_roots(coeffs: np.ndarray):
     if np.all(coeffs == 0.0):
         raise DegenerateComponent("component polynomial is identically zero")
     if coeffs.size == 1:
         return np.array([]), False
     roots = npoly.polyroots(coeffs)
     roots = roots[np.argsort(roots.real, kind="stable")]
-    flagged = bool(np.any(np.abs(roots.imag) > imag_tol * (1.0 + np.abs(roots.real))))
+    flagged = bool(np.any(np.abs(roots.imag) > DEFAULT_IMAG_TOL * (1.0 + np.abs(roots.real))))
     if not flagged:
         roots = roots.real
     return roots, flagged
 
 
-def divisor_of_component(
-    L: LaxMatrix, k: int, imag_tol: float = DEFAULT_IMAG_TOL
-) -> ComponentDivisor:
+def divisor_of_component(L: LaxMatrix, k: int) -> ComponentDivisor:
     """Roots of the k-th cofactor-vector component (math index 1 <= k <= n).
 
     The descending-chart entry contributes k-1 roots, the ascending-chart
@@ -480,8 +478,8 @@ def divisor_of_component(
     if not 1 <= k <= L.n:
         raise BadIndex(f"component index {k} out of range 1..{L.n}")
     v_minus, v_plus = cofactor_vectors(L)
-    rm, flag_m = _component_roots(v_minus[k - 1], imag_tol)
-    rp, flag_p = _component_roots(v_plus[k - 1], imag_tol)
+    rm, flag_m = _component_roots(v_minus[k - 1])
+    rp, flag_p = _component_roots(v_plus[k - 1])
     return ComponentDivisor(
         roots_minus=rm, roots_plus=rp, off_real_axis=flag_m or flag_p
     )

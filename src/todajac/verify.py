@@ -12,7 +12,7 @@ Everything runs in order in the calling process.
 
 Each direction runs on stacks of samples: the forward cone points are
 reconstructed by one stacked tau-kernel pass, and the converse matrices are
-linearized by one stacked eigvalsh call and one stacked Weyl-residue
+linearized by one stacked ``eigh`` call and one stacked Weyl-residue
 evaluation.  A stack holds at most the tau kernel's block of 2^14 terms
 (32 samples at n = 8).  Every stacked row equals its single-object call bit
 for bit, so a row that does not pass the stack (non-general, out of range,
@@ -170,20 +170,20 @@ def _stacked_reconstruct(pairs):
     lams = np.array([spec.lambdas for spec, _ in pairs])
     f = np.array([point.f for _, point in pairs])
     grid = jacobi.TauKernel(lams, f).evaluate(0.0)
-    rows = jacobi._reconstruct_rows(grid, jacobi.DEFAULT_GENERAL_TOL)
+    rows = jacobi._reconstruct_rows(grid)
     return rows.a, rows.b, rows.finite & ~rows.out_of_range & ~rows.nongeneral.any(axis=1)
 
 
 def _cone_images(a, b):
     """Whether abel_jacobi of each matrix (bands a, b > 0) lands in the cone.
 
-    One stacked eigvalsh call for the spectra and one stacked Weyl-residue
-    evaluation for the cofactor values, as in abel_jacobi; a row reads True
+    One stacked ``eigh`` (spectra and eigenvectors, as in lax.spectrum) and
+    one stacked Weyl-residue evaluation, as in abel_jacobi; a row reads True
     only where abel_jacobi returns a cone point without error.
     """
     n = a.shape[1]
-    lams = lax.symmetric_tridiagonal_eigenvalues(a, np.sqrt(b))
-    vals = lax._weyl_cofactor_values(a, b, lams)
+    lams, vecs = np.linalg.eigh(lax._symmetric_tridiagonal(a, np.sqrt(b)))
+    vals = lax._weyl_cofactor_values(vecs, lams)
     simple = np.min(np.diff(lams, axis=1), axis=1) > lax.DEFAULT_SEPARATION
     scale = np.max(np.abs(vals), axis=1, keepdims=True)
     general = (np.abs(vals) > jacobi.DEFAULT_ZERO_COFACTOR_TOL * scale).all(axis=1)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from todajac import jacobi, lax
+from todajac import flow, jacobi, lax, verify
 from todajac.cli import main
 
 MAT_CONE = {"n": 2, "a": [2.0, 2.0], "b": [1.0]}
@@ -224,6 +224,31 @@ class TestLinearize:
             assert main(["linearize", "--matrix", path]) == 0
             assert json.loads(capsys.readouterr().out)["is_general"] is True
             assert len(built) == 1
+
+
+@pytest.mark.parametrize("run", ["tau", "symes", "linearize", "converse"])
+def test_cone_run_takes_one_eigh(tmp_path, capsys, monkeypatch, run):
+    # b > 0: the spectrum's eigh also serves the Weyl residues and Symes's QR
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counting(matrix, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(matrix)))
+            return _call(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    data = {"n": 5, "a": [0.5, 1.0, 2.0, 3.0, 4.5], "b": [0.3, 1.2, 0.7, 2.0]}
+    if run == "converse":
+        report = verify.run_verification(5, 20, seed=3, direction="converse")
+        assert report.failures == 0
+        assert calls == [("eigh", (20, 5, 5))]
+        return
+    if run == "linearize":
+        assert main(["linearize", "--matrix", write_json(tmp_path / "m.json", data)]) == 0
+    else:
+        L = lax.LaxMatrix.from_json_dict(data)
+        assert len(flow.trajectory(L, 0.0, 1.0, 0.25, run).states) == 5
+    assert calls == [("eigh", (5, 5))]
 
 
 @pytest.mark.parametrize(

@@ -227,6 +227,21 @@ class TestAbelJacobi:
         with pytest.raises(ZeroCofactorValue):
             jacobi.abel_jacobi(make([1.0, 2.0], [1e-13]))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_spectrum_without_vectors_takes_its_own_eigh(self, n):
+        # a validated Spectrum carries no eigenvectors; abel_jacobi then
+        # decomposes L itself and must land on the same bits
+        rng = np.random.default_rng(5150 + n)
+        for _ in range(25):
+            L = make(rng.uniform(-2.0, 3.0, n), np.exp(rng.uniform(-3.0, 1.0, n - 1)))
+            spec = lax.spectrum(L)
+            assert spec._vectors is not None and not spec._vectors.flags.writeable
+            bare = lax.Spectrum(spec.lambdas)
+            assert bare._vectors is None
+            np.testing.assert_array_equal(
+                jacobi.abel_jacobi(L, spec=bare).f, jacobi.abel_jacobi(L).f
+            )
+
     def test_image_interlaces_spectrum_for_tnn(self):
         # cofactor roots strictly interlace the eigenvalues on TNN matrices
         for _ in range(20):
