@@ -170,7 +170,7 @@ def _symes_qr(L0: lax.LaxMatrix, times):
         similarity = np.cumprod(np.sqrt(L0.b))
     if not (np.isfinite(similarity).all() and similarity.all()):
         raise RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
-    lams, V = spec.lambdas, spec._vectors
+    lams, V = spec.lambdas, spec._vectors_of(L0)
     rates = times[:, None] * lams
     order = np.argsort(-rates, axis=1, kind="stable")
     rates = np.take_along_axis(rates, order, axis=1)

@@ -414,13 +414,13 @@ def abel_jacobi(
 ) -> JacobiPoint:
     """Linearization map: (1,1)-cofactor values at the eigenvalues, normalized.
 
-    For b > 0 they are Weyl residues from the eigenvectors that L's spectrum
-    ``spec`` carries; one without them costs an ``eigh`` here.  Raises
-    ZeroCofactorValue when a value vanishes relative to the largest one.
+    For b > 0 they are Weyl residues from the eigenvectors ``spectrum(L)``
+    keeps; another ``spec`` costs an ``eigh`` of L.  Raises ZeroCofactorValue
+    when a value vanishes relative to the largest one.
     """
     if spec is None:
         spec = lax.spectrum(L)
-    vecs = spec._vectors
+    vecs = spec._vectors_of(L)
     if vecs is None and np.all(L.b > 0):
         vecs = np.linalg.eigh(lax._symmetric_tridiagonal(L.a, np.sqrt(L.b)))[1]
     vals = None if vecs is None else lax._weyl_cofactor_values(vecs, spec.lambdas)

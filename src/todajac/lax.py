@@ -114,13 +114,13 @@ class Spectrum:
 
     ``separation`` is the minimal admissible gap between consecutive values;
     the ``positive`` property records whether the smallest eigenvalue is
-    strictly positive.  ``_vectors``, not a field, holds the read-only ``eigh``
-    eigenvectors when ``spectrum`` computed it for b > 0, else None.
+    strictly positive.  ``_eigh``, not a field, is (L, read-only eigenvectors)
+    when ``spectrum(L)`` took one ``eigh`` of a b > 0 matrix L.
     """
 
     lambdas: np.ndarray
     separation: float = DEFAULT_SEPARATION
-    _vectors = None
+    _eigh = (None, None)
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -140,14 +140,18 @@ class Spectrum:
         object.__setattr__(self, "lambdas", _readonly(lams))
 
     @classmethod
-    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION, vectors=None) -> "Spectrum":
+    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION, eigh=(None, None)):
         """Eigenvalues the caller knows to be finite with every gap above
-        ``separation`` and above 0, and their eigenvectors if any.  No checks."""
+        ``separation`` and above 0, and ``_eigh``.  No checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "lambdas", _readonly(lambdas))
         object.__setattr__(out, "separation", separation)
-        object.__setattr__(out, "_vectors", vectors)
+        object.__setattr__(out, "_eigh", eigh)
         return out
+
+    def _vectors_of(self, L: LaxMatrix):
+        """The eigenvectors if ``spectrum`` decomposed this very L, else None."""
+        return self._eigh[1] if self._eigh[0] is L else None
 
     @property
     def n(self) -> int:
@@ -252,7 +256,7 @@ def symmetric_tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     matrix with diagonal ``diag`` and off-diagonals ``off``.  Leading axes
     are a stack of matrices (``diag`` (..., n), ``off`` (..., n-1)), solved
     in one call; each row equals its single-matrix call bit for bit.
-    ``spectrum`` no longer calls it; its ``eigh`` may differ in the last bits.
+    ``spectrum`` takes ``eigh`` instead, whose values may differ in the last bits.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -362,7 +366,7 @@ def spectrum(L: LaxMatrix, separation: float = DEFAULT_SEPARATION) -> Spectrum:
             f"{separation:.1e}"
         )
     if separation >= 0.0 and np.isfinite(lams).all():
-        return Spectrum._trusted(lams, separation, vectors)
+        return Spectrum._trusted(lams, separation, (L, vectors))
     return Spectrum(lambdas=lams, separation=separation)
 
 

@@ -235,12 +235,36 @@ class TestAbelJacobi:
         for _ in range(25):
             L = make(rng.uniform(-2.0, 3.0, n), np.exp(rng.uniform(-3.0, 1.0, n - 1)))
             spec = lax.spectrum(L)
-            assert spec._vectors is not None and not spec._vectors.flags.writeable
+            assert not spec._vectors_of(L).flags.writeable
             bare = lax.Spectrum(spec.lambdas)
-            assert bare._vectors is None
+            assert bare._vectors_of(L) is None
             np.testing.assert_array_equal(
                 jacobi.abel_jacobi(L, spec=bare).f, jacobi.abel_jacobi(L).f
             )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_spectrum_of_another_class_member(self, n):
+        # a Spectrum stands for its whole isospectral class, but the
+        # eigenvectors spectrum(L0) keeps belong to L0 alone: the flowed
+        # matrix and a matrix rebuilt from another point (any signs) must map
+        # to their own coordinates, not to those of L0
+        rng = np.random.default_rng(6160 + n)
+        for _ in range(10):
+            L0 = jacobi.reconstruct(random_spectrum(rng, n), random_cone_point(rng, n, 1.5))
+            spec = lax.spectrum(L0)
+            F0 = jacobi.abel_jacobi(L0, spec=spec)
+            for t in (-0.4, 0.5):
+                Ft = jacobi.abel_jacobi(flow.solve_tau(L0, t), spec=spec)
+                expected = jacobi.evolve_point(F0, spec, t)
+                assert np.max(np.abs(Ft.f - expected.f) / np.abs(expected.f)) < 1e-8
+            f1 = np.concatenate(([1.0], rng.choice([-1.0, 1.0], n - 1)))
+            F1 = jacobi.JacobiPoint.from_raw(f1 * np.exp(rng.uniform(-1.0, 1.0, n)))
+            if not jacobi.is_general_point(spec, F1, tol=1e-8):
+                continue
+            back = jacobi.abel_jacobi(jacobi.reconstruct(spec, F1), spec=spec)
+            # sign-mixed round trips lose up to ~2e-8 at n = 8; wrong
+            # eigenvectors would be off by O(1)
+            assert np.max(np.abs(back.f - F1.f) / np.abs(F1.f)) < 1e-6
 
     def test_image_interlaces_spectrum_for_tnn(self):
         # cofactor roots strictly interlace the eigenvalues on TNN matrices

@@ -26,6 +26,27 @@ def make(a, b):
     return lax.LaxMatrix(n=a.size, a=a, b=np.asarray(b, dtype=float))
 
 
+def check_against_charpoly_oracle(n, eigenvalues):
+    """``eigenvalues(L)`` on cone matrices with b down to exp(-8), checked with
+    no LAPACK on the checking side: sign changes of det(L - x E) from the
+    value recurrence, the trace, and the companion-root route."""
+    rng = np.random.default_rng(9000 + n)
+    for _ in range(40):
+        a = rng.uniform(-2, 2, n)
+        b = np.exp(rng.uniform(-8.0, 1.0, n - 1))
+        L = make(a, b)
+        lams = eigenvalues(L)
+        assert lams.shape == (n,) and np.all(np.diff(lams) > 0)
+        scale = float(np.max(np.abs(lams)))
+        pad = 1e-12 * max(scale, 1.0)
+        probes = np.concatenate([[lams[0] - pad], 0.5 * (lams[:-1] + lams[1:]), [lams[-1] + pad]])
+        values, _ = lax._charpoly_value_and_derivative(L, probes)
+        np.testing.assert_array_equal(np.sign(values), (-1.0) ** np.arange(n + 1))
+        assert abs(lams.sum() - a.sum()) <= 1e-13 * max(float(np.sum(np.abs(lams))), 1.0)
+        roots = lax.charpoly_root_eigenvalues(L)
+        assert np.max(np.abs(lams - roots)) <= 1e-12 * scale
+
+
 def charpoly_oracle(L):
     """Fit (-1)^n det(L - x E) from dense determinants at n+1 nodes."""
     n = L.n
@@ -223,25 +244,14 @@ class TestSpectrumOp:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_symmetric_route_matches_charpoly_oracle(self, n):
-        # no LAPACK on the checking side: sign changes of det(L - x E) from
-        # the value recurrence, the trace, and the companion-root route
-        rng = np.random.default_rng(9000 + n)
-        for _ in range(40):
-            a = rng.uniform(-2, 2, n)
-            b = np.exp(rng.uniform(-8.0, 1.0, n - 1))
-            L = make(a, b)
-            lams = lax.symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))
-            assert lams.shape == (n,) and np.all(np.diff(lams) > 0)
-            scale = float(np.max(np.abs(lams)))
-            pad = 1e-12 * max(scale, 1.0)
-            probes = np.concatenate(
-                [[lams[0] - pad], 0.5 * (lams[:-1] + lams[1:]), [lams[-1] + pad]]
-            )
-            values, _ = lax._charpoly_value_and_derivative(L, probes)
-            np.testing.assert_array_equal(np.sign(values), (-1.0) ** np.arange(n + 1))
-            assert abs(lams.sum() - a.sum()) <= 1e-13 * max(float(np.sum(np.abs(lams))), 1.0)
-            roots = lax.charpoly_root_eigenvalues(L)
-            assert np.max(np.abs(lams - roots)) <= 1e-12 * scale
+        check_against_charpoly_oracle(
+            n, lambda L: lax.symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))
+        )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_spectrum_matches_charpoly_oracle(self, n):
+        # the eigh route that spectrum takes for b > 0, on the same matrices
+        check_against_charpoly_oracle(n, lambda L: lax.spectrum(L).lambdas)
 
     def test_sign_mixed_fallback_matches_companion_oracle(self):
         # non-cone points over spectra in (0.5, 2.5) with gaps >= 0.05 and
