@@ -185,6 +185,8 @@ def cmd_verify_theorem(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
+    except RangeExceeded as exc:
+        return _fail(f"sampling ranges too wide: {exc}", EXIT_INPUT)
     _dump(report.to_json_dict(), args.out)
     return EXIT_OK if report.failures == 0 else EXIT_NEGATIVE
 

@@ -275,9 +275,11 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     """Classical fixed-step RK4 on the tridiagonal coordinates.
 
     Integrates ceil(|t|/dt) steps with a final partial step; raises Overflow
-    (with the step time) when a subdiagonal magnitude passes 1e12.  Every
-    entry rounds as in the two-array form of the method: each rate is one
-    difference, and the update keeps the order (((k1 + 2 k2) + 2 k3) + k4).
+    (with the step time) when a subdiagonal magnitude passes 1e12, and, as
+    the closed forms do, RangeExceeded (time t) when one ends below the
+    smallest normal double.  Every entry rounds as in the two-array form of
+    the method: each rate is one difference, and the update keeps the order
+    (((k1 + 2 k2) + 2 k3) + k4).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -314,10 +316,9 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
         remaining -= h
         if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
             raise Overflow(elapsed)
-    # finite after every step; a vanished subdiagonal entry gets the
-    # validating constructor's error
-    make = lax.LaxMatrix._trusted if y_b.all() else lax.LaxMatrix
-    return make(n=n, a=y[:n], b=y_b)
+    if not (np.abs(y_b) >= _TINY).all():
+        raise RangeExceeded(float(t))
+    return lax.LaxMatrix._trusted(n=n, a=y[:n], b=y_b)
 
 
 def _rk4_states(L0: lax.LaxMatrix, sample_ts, dt: float):

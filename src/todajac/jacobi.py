@@ -257,9 +257,11 @@ class TauKernel:
     point rows, shape (S, n) each.  Every term sum is built by elementwise
     adds in a fixed order (``_subset_sums``), which depends on neither memory
     layout nor stack height, so each row equals the kernel of that row alone
-    bit for bit.
+    bit for bit.  Gaps or sums of eigenvalues beyond double range give inf
+    or NaN logs, quietly; reconstruction reports them as out of range.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, spec, F):
         lams = spec.lambdas if isinstance(spec, lax.Spectrum) else np.asarray(spec, dtype=float)
         f = F.f if isinstance(F, JacobiPoint) else np.asarray(F, dtype=float)
@@ -297,6 +299,7 @@ class TauKernel:
         self.starts, self.classes = sub.term_starts, sub.term_classes
         self.n = n
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(self, times) -> TauGrid:
         """Tau data of the point evolved by each of ``times``.
 
@@ -322,9 +325,8 @@ class TauKernel:
             scaled = np.exp(logs - m[:, self.classes])
             total = np.add.reduceat(scaled * self.signs[at], self.starts, axis=1)
             bound = np.add.reduceat(scaled, self.starts, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_abs[part] = m + np.log(np.abs(total))
-                generality[part] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
+            log_abs[part] = m + np.log(np.abs(total))
+            generality[part] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
             sign[part] = np.sign(total)
         k = self.n + 1
         return TauGrid(sign[:, :k], log_abs[:, :k], sign[:, k:], log_abs[:, k:], generality[:, :k])
@@ -460,8 +462,7 @@ class _Rows(NamedTuple):
     a: np.ndarray  # (R, n)
     b: np.ndarray  # (R, n-1)
     nongeneral: np.ndarray  # (R, n+1) a tau value vanishes at scale
-    out_of_range: np.ndarray  # (R,) an entry leaves double range
-    finite: np.ndarray  # (R,) every diagonal entry is finite
+    out_of_range: np.ndarray  # (R,) an entry leaves double range or is NaN
 
 
 def _reconstruct_rows(grid: TauGrid) -> _Rows:
@@ -472,13 +473,12 @@ def _reconstruct_rows(grid: TauGrid) -> _Rows:
         # b_k = tau[k-1] * tau[k+1] / tau[k]**2; a_k = diff of tau'[k] / tau[k]
         log_b = log_t[:, :-2] + log_t[:, 2:] - 2.0 * log_t[:, 1:-1]
         log_r = grid.log_abs_tau_prime[:, 1:] - log_t[:, 1:]
-        out_of_range = ((log_b < _LOG_TINY) | (log_b > _LOG_HUGE)).any(axis=1) | (
-            log_r > _LOG_HUGE
-        ).any(axis=1)
         b = sign[:, :-2] * sign[:, 2:] * np.exp(log_b)
         ratios = grid.sign_tau_prime[:, 1:] * sign[:, 1:] * np.exp(log_r)
         a = np.diff(ratios, axis=1, prepend=0.0)
-    return _Rows(a, b, nongeneral, out_of_range, np.isfinite(a).all(axis=1))
+    # b normal and a finite; a NaN fails both tests
+    normal_b = ((log_b >= _LOG_TINY) & (log_b <= _LOG_HUGE)).all(axis=1)
+    return _Rows(a, b, nongeneral, ~(normal_b & np.isfinite(a).all(axis=1)))
 
 
 def reconstruct_along(spec: lax.Spectrum, F0, times):
@@ -488,7 +488,7 @@ def reconstruct_along(spec: lax.Spectrum, F0, times):
     formed; the states are read-only row views of the stacked bands.
     Iteration stops at the first failing time by raising NonGeneralDivisor,
     or RangeExceeded with that time when an entry leaves double range (a
-    subdiagonal entry below the smallest normal double, say).
+    subdiagonal entry below the smallest normal double, say) or is NaN.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times))
@@ -500,10 +500,7 @@ def reconstruct_along(spec: lax.Spectrum, F0, times):
             raise NonGeneralDivisor(int(np.argmax(rows.nongeneral[i])))
         if rows.out_of_range[i]:
             raise RangeExceeded(t, f"reconstructed entries leave double range at t={t!r}")
-        # b is in normal range here; a non-finite diagonal gets the
-        # validating constructor's error
-        make = lax.LaxMatrix._trusted if rows.finite[i] else lax.LaxMatrix
-        yield make(n=n, a=rows.a[i], b=rows.b[i])
+        yield lax.LaxMatrix._trusted(n=n, a=rows.a[i], b=rows.b[i])
 
 
 def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:

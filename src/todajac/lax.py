@@ -112,14 +112,13 @@ class LaxMatrix:
 class Spectrum:
     """Strictly increasing list of simple real eigenvalues.
 
-    ``separation`` is the minimal admissible gap between consecutive values;
-    the ``positive`` property records whether the smallest eigenvalue is
-    strictly positive.  ``_eigh``, not a field, is (L, read-only eigenvectors)
-    when ``spectrum(L)`` took one ``eigh`` of a b > 0 matrix L.
+    Every gap exceeds ``DEFAULT_SEPARATION``, the package's one simple-spectrum
+    rule; ``positive`` records whether the smallest eigenvalue is positive.
+    ``_eigh``, not a field, is (L, read-only eigenvectors) when
+    ``spectrum(L)`` took one ``eigh`` of a b > 0 matrix L.
     """
 
     lambdas: np.ndarray
-    separation: float = DEFAULT_SEPARATION
     _eigh = (None, None)
 
     def __post_init__(self):
@@ -132,20 +131,19 @@ class Spectrum:
             gap = np.min(np.diff(lams))
             if gap <= 0:
                 raise ValueError("spectrum must be strictly increasing")
-            if gap <= self.separation:
+            if gap <= DEFAULT_SEPARATION:
                 raise NonSimpleSpectrum(
                     f"eigenvalue gap {gap:.3e} at or below separation "
-                    f"tolerance {self.separation:.3e}"
+                    f"tolerance {DEFAULT_SEPARATION:.3e}"
                 )
         object.__setattr__(self, "lambdas", _readonly(lams))
 
     @classmethod
-    def _trusted(cls, lambdas, separation: float = DEFAULT_SEPARATION, eigh=(None, None)):
+    def _trusted(cls, lambdas, eigh=(None, None)):
         """Eigenvalues the caller knows to be finite with every gap above
-        ``separation`` and above 0, and ``_eigh``.  No checks."""
+        ``DEFAULT_SEPARATION``, and ``_eigh``.  No checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "lambdas", _readonly(lambdas))
-        object.__setattr__(out, "separation", separation)
         object.__setattr__(out, "_eigh", eigh)
         return out
 
@@ -165,12 +163,12 @@ class Spectrum:
         return {"lambdas": [float(x) for x in self.lambdas]}
 
     @classmethod
-    def from_json_dict(cls, data: dict, separation: float = DEFAULT_SEPARATION) -> "Spectrum":
+    def from_json_dict(cls, data: dict) -> "Spectrum":
         try:
             lams = [float(x) for x in data["lambdas"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed spectrum object: {exc}") from exc
-        return cls(lambdas=np.array(lams), separation=separation)
+        return cls(lambdas=np.array(lams))
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,13 +343,14 @@ def charpoly_root_eigenvalues(L: LaxMatrix) -> np.ndarray:
     return np.sort(lams)
 
 
-def spectrum(L: LaxMatrix, separation: float = DEFAULT_SEPARATION) -> Spectrum:
+def spectrum(L: LaxMatrix) -> Spectrum:
     """All eigenvalues of L, sorted ascending.
 
     With a positive subdiagonal, L is diagonally similar to the symmetric
     tridiagonal matrix with off-diagonals sqrt(b); one LAPACK ``eigh`` of it
     gives the (real) eigenvalues and the eigenvectors the result keeps.
-    Otherwise falls back to ``charpoly_root_eigenvalues`` (polished ``eigvals``).
+    Otherwise falls back to ``charpoly_root_eigenvalues`` (polished ``eigvals``),
+    which never returns a non-finite value.
     """
     if np.all(L.b > 0):
         lams, vectors = np.linalg.eigh(_symmetric_tridiagonal(L.a, np.sqrt(L.b)))
@@ -359,15 +358,13 @@ def spectrum(L: LaxMatrix, separation: float = DEFAULT_SEPARATION) -> Spectrum:
     else:
         lams, vectors = charpoly_root_eigenvalues(L), None
     gaps = np.diff(lams)
-    if lams.size > 1 and np.min(gaps) <= separation:
+    if lams.size > 1 and np.min(gaps) <= DEFAULT_SEPARATION:
         i = int(np.argmin(gaps))
         raise NonSimpleSpectrum(
             f"eigenvalues {float(lams[i])!r} and {float(lams[i + 1])!r} closer than "
-            f"{separation:.1e}"
+            f"{DEFAULT_SEPARATION:.1e}"
         )
-    if separation >= 0.0 and np.isfinite(lams).all():
-        return Spectrum._trusted(lams, separation, (L, vectors))
-    return Spectrum(lambdas=lams, separation=separation)
+    return Spectrum._trusted(lams, (L, vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def is_totally_positive(M) -> bool:
     return True
 
 
-def is_irreducible_tnn(M, k_max: Optional[int] = None, tol: float = 0.0):
+def is_irreducible_tnn(M, k_max: Optional[int] = None):
     """Smallest power of a TNN tridiagonal matrix that is totally positive.
 
     A TNN tridiagonal matrix is oscillatory iff det M > 0 and every
@@ -242,12 +242,11 @@ def is_irreducible_tnn(M, k_max: Optional[int] = None, tol: float = 0.0):
     TNN matrix has no totally positive power.  So this returns ``(True,
     max(n-1, 1))`` when M is oscillatory and that exponent is at most
     ``k_max`` (unbounded by default), and ``(False, None)`` otherwise, which
-    for a TNN input is a proof.  det M is the last window of the
-    tridiagonal criterion; ``tol`` loosens only that TNN check, and the
-    closed form assumes the input passes it exactly.
+    for a TNN input is a proof.  det M is the last window of the exact
+    (zero-tolerance) tridiagonal criterion, which raises NotTnn on failure.
     """
     diag, sup, sub = _bands(M)
-    report, det = _tridiagonal_criterion(diag, sup, sub, tol)
+    report, det = _tridiagonal_criterion(diag, sup, sub, 0.0)
     if not report.is_tnn:
         raise NotTnn(f"input is not TNN (witness minor {report.witness.value!r})")
     if k_max is not None and k_max < 1:
@@ -271,18 +270,18 @@ class InterlacingData:
             raise ValueError("corner spectra must have length n-1")
 
 
-def _principal_corner_spectrum(a: np.ndarray, b: np.ndarray, separation: float) -> lax.Spectrum:
+def _principal_corner_spectrum(a: np.ndarray, b: np.ndarray) -> lax.Spectrum:
+    # bands of a valid matrix: finite, with a nonzero subdiagonal
     if a.size == 1:
-        return lax.Spectrum(lambdas=np.array([float(a[0])]), separation=separation)
-    sub = lax.LaxMatrix._trusted(n=a.size, a=a, b=b)  # bands of a valid matrix
-    return lax.spectrum(sub, separation=separation)
+        return lax.Spectrum._trusted(a)
+    return lax.spectrum(lax.LaxMatrix._trusted(n=a.size, a=a, b=b))
 
 
-def interlacing_spectra(L: lax.LaxMatrix, separation: float = lax.DEFAULT_SEPARATION) -> InterlacingData:
+def interlacing_spectra(L: lax.LaxMatrix) -> InterlacingData:
     """Spectra of L, of its trailing corner Q and of its leading corner Q'."""
-    lams = lax.spectrum(L, separation=separation)
-    mus = _principal_corner_spectrum(L.a[1:], L.b[1:], separation)
-    mus_prime = _principal_corner_spectrum(L.a[:-1], L.b[:-1], separation)
+    lams = lax.spectrum(L)
+    mus = _principal_corner_spectrum(L.a[1:], L.b[1:])
+    mus_prime = _principal_corner_spectrum(L.a[:-1], L.b[:-1])
     return InterlacingData(lambdas=lams, mus=mus, mus_prime=mus_prime)
 
 

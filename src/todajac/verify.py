@@ -24,6 +24,7 @@ its report entry.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,17 +47,14 @@ _PATTERN = 2
 
 
 def sample_spectrum(rng, n, lo=DEFAULT_SPEC_RANGE[0], hi=DEFAULT_SPEC_RANGE[1], min_gap=None):
-    """Sorted positive eigenvalues, resampled until gaps clear min_gap."""
-    if min_gap is None:
-        min_gap = 1e-6 * (hi - lo)
+    """Sorted eigenvalues in [lo, hi), resampled until every gap clears
+    min_gap (default 1e-6 * (hi - lo)) and ``lax.DEFAULT_SEPARATION``."""
+    min_gap = max(1e-6 * (hi - lo) if min_gap is None else min_gap, lax.DEFAULT_SEPARATION)
     while True:
         lams = np.sort(rng.uniform(lo, hi, n))
-        gap = np.min(np.diff(lams)) if n > 1 else np.inf
-        if n == 1 or gap > min_gap:
-            # rng.uniform draws are finite, so gaps above the default
-            # separation leave nothing to check
-            trusted = gap > lax.DEFAULT_SEPARATION
-            return (lax.Spectrum._trusted if trusted else lax.Spectrum)(lams)
+        if n == 1 or np.min(np.diff(lams)) > min_gap:
+            # rng.uniform draws are finite
+            return lax.Spectrum._trusted(lams)
 
 
 def sample_point(rng, n, signs, log_range=DEFAULT_COORD_LOG_RANGE):
@@ -159,19 +157,19 @@ def _draws(draw, n, seed, indices, spec_lo, spec_hi, coord_range) -> list:
     for index in indices:
         try:
             out.append(draw(n, seed, index, spec_lo, spec_hi, coord_range))
-        except (TodaError, ValueError, OverflowError):
+        except (TodaError, ValueError):
             break
     return out
 
 
 def _stacked_reconstruct(pairs):
     """Bands of reconstruct(spec, point) for (spec, point) pairs, one tau
-    kernel pass, and which rows stand (general, in range, finite)."""
+    kernel pass, and which rows stand (general and in range)."""
     lams = np.array([spec.lambdas for spec, _ in pairs])
     f = np.array([point.f for _, point in pairs])
     grid = jacobi.TauKernel(lams, f).evaluate(0.0)
     rows = jacobi._reconstruct_rows(grid)
-    return rows.a, rows.b, rows.finite & ~rows.out_of_range & ~rows.nongeneral.any(axis=1)
+    return rows.a, rows.b, ~rows.out_of_range & ~rows.nongeneral.any(axis=1)
 
 
 def _cone_images(a, b):
@@ -289,7 +287,8 @@ def run_verification(
 
     Failures always carry the (seed, direction, index) replay key; full
     sampled objects are embedded only while the failure count stays at or
-    below ``keep_cases_up_to``.
+    below ``keep_cases_up_to``.  RangeExceeded from a converse draw means
+    the spectrum range is too wide for evolution times up to 1.5.
     """
     if not 2 <= n <= 8:
         raise ValueError("n must be between 2 and 8")
@@ -298,8 +297,12 @@ def run_verification(
     if direction not in ("forward", "converse", "both"):
         raise ValueError(f"unknown direction {direction!r}")
     spec_lo, spec_hi = float(spec_range[0]), float(spec_range[1])
-    if not 0.0 < spec_lo < spec_hi:
-        raise ValueError("spectrum range must be positive and increasing")
+    # n uniform draws clear the separation with probability at least 1/4
+    if not (0.0 < spec_lo and n * n * lax.DEFAULT_SEPARATION <= spec_hi - spec_lo < math.inf):
+        raise ValueError("spectrum range must be positive, finite and n^2 separations wide")
+    # coordinates are exp(uniform(-range, range)), which must be finite
+    if not abs(coord_log_range) <= jacobi._LOG_HUGE:
+        raise ValueError(f"|coordinate log range| must be at most {jacobi._LOG_HUGE:.2f}")
 
     runs = []
     if direction in ("forward", "both"):

@@ -75,6 +75,18 @@ class TestSimulate:
         assert "t=100.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["tau", "symes", "rk4"])
+    def test_subnormal_subdiagonal_exit_four(self, tmp_path, capsys, method):
+        # b decays like exp(-200 t); RK4 stalls at a subnormal value, and
+        # trajectory names the sample time for every method
+        path = write_json(tmp_path / "m.json", {"n": 2, "a": [100, -100], "b": [1]})
+        rc = main(
+            ["simulate", "--matrix", path, "--t0", "0", "--t1", "5", "--dt", "5",
+             "--method", method]
+        )
+        assert rc == 4
+        assert capsys.readouterr().err == "error: value leaves double range at t=5.0\n"
+
+    @pytest.mark.parametrize("method", ["tau", "symes", "rk4"])
     @pytest.mark.parametrize(
         "matrix, failing",
         [
@@ -299,6 +311,13 @@ class TestReconstruct:
         ppath = write_json(tmp_path / "p.json", {"f": [1.0, -1.0]})
         assert main(["reconstruct", "--spectrum", spath, "--point", ppath]) == 1
 
+    def test_nan_bands_exit_four(self, tmp_path, capsys):
+        # eigenvalue gaps beyond double range make the bands NaN
+        spath = write_json(tmp_path / "s.json", {"lambdas": [-1e308, 0.0, 1e308]})
+        ppath = write_json(tmp_path / "p.json", {"f": [1.0, -1.0, 1.0]})
+        assert main(["reconstruct", "--spectrum", spath, "--point", ppath]) == 4
+        assert capsys.readouterr().err.startswith("error: reconstructed entries leave double")
+
 
 class TestVerifyTheorem:
     def test_small_forward_run(self, capsys):
@@ -324,3 +343,27 @@ class TestVerifyTheorem:
         report = json.loads(out.read_text())
         assert report["failures"] == 0
         assert report["config"]["seed"] == 2
+
+    def test_narrow_spectrum_range(self, capsys):
+        # the default min_gap 1e-6 * (hi - lo) lies below the separation here
+        rc = main(["verify-theorem", "--n", "8", "--samples", "100", "--spec-min", "1",
+                   "--spec-max", "1.0000001", "--direction", "forward"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["samples"] == 100
+        assert rc == (0 if report["failures"] == 0 else 2)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--coord-range", "1e308"],
+            ["--coord-range", "inf"],
+            ["--coord-range", "nan"],
+            ["--spec-max", "inf"],
+            # converse draws evolve to |t| <= 1.5 and leave double range
+            ["--spec-min", "1", "--spec-max", "1e308"],
+        ],
+    )
+    def test_unsamplable_configuration_exit_one(self, capsys, options):
+        assert main(["verify-theorem", "--n", "4", "--samples", "10"] + options) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -396,6 +396,14 @@ class TestSolvers:
             rhs = jacobi.evolve_point(jacobi.abel_jacobi(L, spec=spec), spec, t).f
             assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-8
 
+    def test_rk4_subnormal_subdiagonal_is_range_exceeded(self):
+        # b decays like exp(-200 t) and RK4 stalls at a subnormal value; the
+        # simulate test of this matrix checks that trajectory names t = 5.0
+        L = lax.LaxMatrix(n=2, a=np.array([100.0, -100.0]), b=np.array([1.0]))
+        with pytest.raises(RangeExceeded) as info:
+            flow.solve_rk4(L, 5.0, 1e-3)
+        assert info.value.time == 5.0
+
 
 # ---------------------------------------------------------------------------
 # trajectories

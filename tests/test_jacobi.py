@@ -7,6 +7,7 @@ evaluation) or against invariants that admit direct verification.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -481,7 +482,7 @@ def assert_same_as_validated(value):
         assert again.n == value.n
     elif isinstance(value, lax.Spectrum):
         fields = ("lambdas",)
-        again = lax.Spectrum(lambdas=value.lambdas, separation=value.separation)
+        again = lax.Spectrum(lambdas=value.lambdas)
     else:
         fields, again = ("f",), jacobi.JacobiPoint.from_raw(value.f)
     for name in fields:
@@ -524,3 +525,12 @@ class TestLibraryBuiltValues:
             ZeroCofactorValue, match="^cofactor value 0.0 at eigenvalue -1e"
         ):
             jacobi.abel_jacobi(make([1e308, -1e308], [1e308]))
+
+    def test_eigenvalue_gaps_beyond_double_range_are_range_exceeded(self):
+        # the gaps overflow and the bands come out NaN; no warning on the way
+        spec = lax.Spectrum(np.array([-1e308, 0.0, 1e308]))
+        point = jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeExceeded, match="at t=0.0$"):
+                jacobi.reconstruct(spec, point)

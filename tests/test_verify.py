@@ -18,6 +18,13 @@ class TestSamplers:
             assert np.all(np.diff(s.lambdas) > 0)
             assert np.all((s.lambdas > 0.1) & (s.lambdas < 10.0))
 
+    def test_narrow_spectrum_sampler_clears_separation(self):
+        # 1e-6 * (hi - lo) is below the separation: the separation is the floor
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = verify.sample_spectrum(rng, 8, lo=1.0, hi=1.0000001)
+            assert np.min(np.diff(s.lambdas)) > lax.DEFAULT_SEPARATION
+
     def test_cone_point_sampler(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -131,7 +138,7 @@ class TestStackedRoute:
                 times = rng.uniform(-horizon, horizon, rows)
                 grid = jacobi.TauKernel(lams, f).evaluate(times)
                 stack = jacobi._reconstruct_rows(grid)
-                standing = stack.finite & ~stack.out_of_range & ~stack.nongeneral.any(axis=1)
+                standing = ~stack.out_of_range & ~stack.nongeneral.any(axis=1)
                 for r in range(rows):
                     spec = lax.Spectrum(lams[r])
                     point = jacobi.JacobiPoint.from_raw(f[r])
