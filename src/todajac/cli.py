@@ -9,11 +9,14 @@ Commands:
 * ``verify-theorem``: randomized check that cone points reconstruct to TNN
   matrices and that TNN matrices linearize into the cone.
 
-Exit codes: 0 success; 1 input/config error; 2 negative finding (not TNN,
-non-general point, spectrum failure: eigenvalues that are non-real,
-non-simple or whose polish leaves double range); 3 blowup (simulate only,
-partial output is still written); 4 range exceeded: a state entry leaves
-double range (simulate and reconstruct, nothing is written).
+Exit codes: 0 success; 1 input/config error (usage, non-finite numbers,
+files that cannot be read or written, sampling ranges too wide); 2 negative
+finding (not TNN, non-general point, theorem failures, spectrum failure:
+eigenvalues that are non-real, non-simple or whose polish leaves double
+range); 3 blowup (simulate only, partial output is still written); 4 range
+exceeded: a state entry leaves double range (simulate and reconstruct,
+nothing is written).  Commands return their verdict (0, 2 or 3) and raise
+every other failure; ``main`` alone maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,11 +33,9 @@ from .errors import (
     NonGeneralDivisor,
     NonRealSpectrum,
     NonSimpleSpectrum,
-    NotTridiagonal,
     RangeExceeded,
     SpectrumOverflow,
     TodaError,
-    TooLarge,
     ZeroCofactorValue,
 )
 
@@ -47,18 +49,13 @@ EXIT_RANGE = 4
 SPECTRUM_FAILURES = (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow)
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
-
-
-def _load_matrix(path: str) -> lax.LaxMatrix:
-    return lax.LaxMatrix.from_json_dict(_load_json(path))
+def _load(path: str, build, what: str = "matrix"):
+    """build(the JSON object in path); any failure is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return build(json.load(fp))
+    except (OSError, ValueError, NonSimpleSpectrum) as exc:
+        raise ValueError(f"cannot load {what}: {exc}") from exc
 
 
 def _dump(data: dict, out: str | None) -> None:
@@ -75,21 +72,8 @@ def _dump(data: dict, out: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        L0 = _load_matrix(args.matrix)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load matrix: {exc}", EXIT_INPUT)
-    try:
-        traj = flow.trajectory(
-            L0, args.t0, args.t1, args.dt, args.method, rk4_dt=args.rk4_dt
-        )
-    except RangeExceeded as exc:
-        return _fail(str(exc), EXIT_RANGE)
-    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
-        return _fail(str(exc), EXIT_NEGATIVE)
-    except (ValueError, TodaError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-
+    L0 = _load(args.matrix, lax.LaxMatrix.from_json_dict)
+    traj = flow.trajectory(L0, args.t0, args.t1, args.dt, args.method, rk4_dt=args.rk4_dt)
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out and args.out.endswith(".json") else "csv"
@@ -105,38 +89,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_tnn(args) -> int:
-    try:
-        L = _load_matrix(args.matrix)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load matrix: {exc}", EXIT_INPUT)
-    try:
-        if args.mode == "exhaustive":
-            report = tnn.is_tnn_exhaustive(L, tol=args.tol)
-        elif args.mode == "tridiagonal":
-            report = tnn.is_tnn_tridiagonal(L, tol=args.tol)
-        else:
-            try:
-                ok = tnn.check_interlacing(tnn.interlacing_spectra(L))
-            except SPECTRUM_FAILURES as exc:
-                print(f"note: spectrum test failed ({exc})", file=sys.stderr)
-                ok = False
-            report = tnn.TnnReport(is_tnn=ok, witness=None, method="interlacing")
-    except (TooLarge, NotTridiagonal) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    L = _load(args.matrix, lax.LaxMatrix.from_json_dict)
+    if args.mode == "exhaustive":
+        report = tnn.is_tnn_exhaustive(L, tol=args.tol)
+    elif args.mode == "tridiagonal":
+        report = tnn.is_tnn_tridiagonal(L, tol=args.tol)
+    else:
+        try:
+            ok = tnn.check_interlacing(tnn.interlacing_spectra(L))
+        except SPECTRUM_FAILURES as exc:
+            print(f"note: spectrum test failed ({exc})", file=sys.stderr)
+            ok = False
+        report = tnn.TnnReport(is_tnn=ok, witness=None, method="interlacing")
     _dump(report.to_json_dict(), args.out)
     return EXIT_OK if report.is_tnn else EXIT_NEGATIVE
 
 
 def cmd_linearize(args) -> int:
-    try:
-        L = _load_matrix(args.matrix)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load matrix: {exc}", EXIT_INPUT)
-    try:
-        spec = lax.spectrum(L)
-        point = jacobi.abel_jacobi(L, spec=spec)
-    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
-        return _fail(str(exc), EXIT_NEGATIVE)
+    L = _load(args.matrix, lax.LaxMatrix.from_json_dict)
+    spec = lax.spectrum(L)
+    point = jacobi.abel_jacobi(L, spec=spec)
     ts = jacobi.tau_sequence(spec, point)
     component, alternating = jacobi.sign_component(point)
     payload = {
@@ -155,38 +127,24 @@ def cmd_linearize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        spec = lax.Spectrum.from_json_dict(_load_json(args.spectrum))
-        point = jacobi.JacobiPoint.from_json_dict(_load_json(args.point))
-    except (OSError, ValueError, json.JSONDecodeError, NonSimpleSpectrum) as exc:
-        return _fail(f"cannot load inputs: {exc}", EXIT_INPUT)
+    spec = _load(args.spectrum, lax.Spectrum.from_json_dict, "inputs")
+    point = _load(args.point, jacobi.JacobiPoint.from_json_dict, "inputs")
     if point.n != spec.lambdas.size:
-        return _fail("spectrum and point sizes differ", EXIT_INPUT)
-    try:
-        L = jacobi.reconstruct(spec, point)
-    except NonGeneralDivisor as exc:
-        return _fail(f"non-general point: tau index {exc.index} vanishes", EXIT_NEGATIVE)
-    except RangeExceeded as exc:
-        return _fail(str(exc), EXIT_RANGE)
-    _dump(L.to_json_dict(), args.out)
+        raise ValueError("spectrum and point sizes differ")
+    _dump(jacobi.reconstruct(spec, point).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_verify_theorem(args) -> int:
-    try:
-        report = verify.run_verification(
-            n=args.n,
-            samples=args.samples,
-            seed=args.seed,
-            direction=args.direction,
-            tol=args.tol,
-            spec_range=(args.spec_min, args.spec_max),
-            coord_log_range=args.coord_range,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except RangeExceeded as exc:
-        return _fail(f"sampling ranges too wide: {exc}", EXIT_INPUT)
+    report = verify.run_verification(
+        n=args.n,
+        samples=args.samples,
+        seed=args.seed,
+        direction=args.direction,
+        tol=args.tol,
+        spec_range=(args.spec_min, args.spec_max),
+        coord_log_range=args.coord_range,
+    )
     _dump(report.to_json_dict(), args.out)
     return EXIT_OK if report.failures == 0 else EXIT_NEGATIVE
 
@@ -196,10 +154,25 @@ def cmd_verify_theorem(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error, raised into ``main``'s exit-code table."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def finite(text: str) -> float:
+    """A float option's value; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The ``toda`` parser, built once; each parse_args fills a fresh Namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toda",
         description="Finite Toda lattice: simulation, linearization and TNN checks.",
     )
@@ -207,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample one trajectory")
     sim.add_argument("--matrix", required=True, help="matrix JSON file {n, a, b}")
-    sim.add_argument("--t0", type=float, required=True)
-    sim.add_argument("--t1", type=float, required=True)
-    sim.add_argument("--dt", type=float, required=True, help="output sampling step")
+    sim.add_argument("--t0", type=finite, required=True)
+    sim.add_argument("--t1", type=finite, required=True)
+    sim.add_argument("--dt", type=finite, required=True, help="output sampling step")
     sim.add_argument("--method", choices=("tau", "symes", "rk4"), default="tau")
-    sim.add_argument("--rk4-dt", type=float, default=1e-3, dest="rk4_dt")
+    sim.add_argument("--rk4-dt", type=finite, default=1e-3, dest="rk4_dt")
     sim.add_argument("--out", default=None, help="output file (stdout if omitted)")
     sim.add_argument("--format", choices=("csv", "json"), default=None)
     sim.set_defaults(func=cmd_simulate)
@@ -221,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--mode", choices=("exhaustive", "tridiagonal", "interlacing"), default="tridiagonal"
     )
-    chk.add_argument("--tol", type=float, default=0.0, help="minor tolerance (default exact)")
+    chk.add_argument("--tol", type=finite, default=0.0, help="minor tolerance (default exact)")
     chk.add_argument("--out", default=None)
     chk.set_defaults(func=cmd_check_tnn)
 
@@ -241,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, required=True)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--direction", choices=("forward", "converse", "both"), default="both")
-    ver.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    ver.add_argument("--spec-min", type=float, default=verify.DEFAULT_SPEC_RANGE[0])
-    ver.add_argument("--spec-max", type=float, default=verify.DEFAULT_SPEC_RANGE[1])
+    ver.add_argument("--tol", type=finite, default=verify.DEFAULT_TOL)
+    ver.add_argument("--spec-min", type=finite, default=verify.DEFAULT_SPEC_RANGE[0])
+    ver.add_argument("--spec-max", type=finite, default=verify.DEFAULT_SPEC_RANGE[1])
     ver.add_argument(
-        "--coord-range", type=float, default=verify.DEFAULT_COORD_LOG_RANGE,
+        "--coord-range", type=finite, default=verify.DEFAULT_COORD_LOG_RANGE,
         help="half-width of the log-uniform coordinate distribution",
     )
     ver.add_argument("--out", default=None)
@@ -255,8 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except RangeExceeded as exc:
+        message, code = str(exc), EXIT_RANGE
+    except NonGeneralDivisor as exc:
+        message, code = f"non-general point: tau index {exc.index} vanishes", EXIT_NEGATIVE
+    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
+        message, code = str(exc), EXIT_NEGATIVE
+    except (OSError, ValueError, TodaError) as exc:
+        message, code = str(exc), EXIT_INPUT
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

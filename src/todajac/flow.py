@@ -66,7 +66,6 @@ STRUCTURE_TOL = 1e-9
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
-_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,7 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     b = sub * sub
     a.setflags(write=False)
     b.setflags(write=False)
-    # a finite, b finite and normal: what the trusted constructor needs
-    in_range = np.isfinite(a).all(axis=1) & ((b >= _TINY) & (b < np.inf)).all(axis=1)
+    in_range = lax._in_range(a, b)
     for i, t in enumerate(times.tolist()):
         if not in_range[i]:
             raise RangeExceeded(t, "the state's entries leave double range")
@@ -277,11 +275,14 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     Integrates ceil(|t|/dt) steps with a final partial step; raises Overflow
     (with the step time) when a subdiagonal magnitude passes 1e12, and, as
     the closed forms do, RangeExceeded (time t) when one ends below the
-    smallest normal double.  Every entry rounds as in the two-array form of
-    the method: each rate is one difference, and the update keeps the order
-    (((k1 + 2 k2) + 2 k3) + k4).
+    smallest normal double.  A non-finite t or a step that is not positive
+    (NaN included) is a ValueError.  Every entry rounds as in the two-array
+    form of the method: each rate is one difference, and the update keeps the
+    order (((k1 + 2 k2) + 2 k3) + k4).
     """
-    if dt <= 0.0:
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     n = L0.n
     M = _rate_matrix(n)
@@ -316,7 +317,7 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
         remaining -= h
         if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
             raise Overflow(elapsed)
-    if not (np.abs(y_b) >= _TINY).all():
+    if not lax._in_range(y[:n], y_b):
         raise RangeExceeded(float(t))
     return lax.LaxMatrix._trusted(n=n, a=y[:n], b=y_b)
 
@@ -411,11 +412,14 @@ def trajectory(
     Sampling stops, with ``blowup`` set to the failing sample time (for rk4
     the overflowing step's time), at the first Blowup, StructureLost or
     Overflow.  RangeExceeded is raised again with the failing sample time:
-    a value that leaves double range is not a blowup.
+    a value that leaves double range is not a blowup.  A non-finite time or
+    a step that is not positive (NaN included) is a ValueError.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    if dt_out <= 0.0:
+    if not dt_out > 0.0:
         raise ValueError("dt_out must be positive")
     if method not in ("tau", "symes", "rk4"):
         raise ValueError(f"unknown method {method!r}")

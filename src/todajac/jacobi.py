@@ -46,8 +46,7 @@ DEFAULT_ZERO_COFACTOR_TOL = 1e-12
 # terms per kernel block: the (times, 2^(n+1)) work arrays stay at 128 KiB
 # each, and each numpy call stays short
 _BLOCK_TERMS = 1 << 14
-# logs of the smallest normal and the largest finite double
-_LOG_TINY = math.log(np.finfo(float).tiny)
+# log of the largest finite double
 _LOG_HUGE = math.log(np.finfo(float).max)
 
 
@@ -101,7 +100,7 @@ class JacobiPoint:
     def from_json_dict(cls, data: dict) -> "JacobiPoint":
         try:
             vals = [float(x) for x in data["f"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed point object: {exc}") from exc
         return cls.from_raw(np.array(vals))
 
@@ -476,9 +475,7 @@ def _reconstruct_rows(grid: TauGrid) -> _Rows:
         b = sign[:, :-2] * sign[:, 2:] * np.exp(log_b)
         ratios = grid.sign_tau_prime[:, 1:] * sign[:, 1:] * np.exp(log_r)
         a = np.diff(ratios, axis=1, prepend=0.0)
-    # b normal and a finite; a NaN fails both tests
-    normal_b = ((log_b >= _LOG_TINY) & (log_b <= _LOG_HUGE)).all(axis=1)
-    return _Rows(a, b, nongeneral, ~(normal_b & np.isfinite(a).all(axis=1)))
+    return _Rows(a, b, nongeneral, ~lax._in_range(a, b))
 
 
 def reconstruct_along(spec: lax.Spectrum, F0, times):
@@ -489,12 +486,15 @@ def reconstruct_along(spec: lax.Spectrum, F0, times):
     Iteration stops at the first failing time by raising NonGeneralDivisor,
     or RangeExceeded with that time when an entry leaves double range (a
     subdiagonal entry below the smallest normal double, say) or is NaN.
+    A one-point spectrum raises ValueError: a Lax matrix needs n >= 2.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times))
     rows.a.setflags(write=False)
     rows.b.setflags(write=False)
     n = rows.a.shape[1]
+    if n < 2:
+        raise ValueError("LaxMatrix needs n >= 2")
     for i, t in enumerate(times.tolist()):
         if rows.nongeneral[i].any():
             raise NonGeneralDivisor(int(np.argmax(rows.nongeneral[i])))

@@ -29,6 +29,13 @@ from .errors import (
 
 DEFAULT_SEPARATION = 1e-10
 DEFAULT_IMAG_TOL = 1e-8
+_TINY = np.finfo(float).tiny
+
+
+def _in_range(a, b):
+    """Whether bands a (..., n) and b (..., n-1) are in double range: every a
+    finite and every |b| a normal double, as ``LaxMatrix._trusted`` needs."""
+    return np.isfinite(a).all(axis=-1) & (np.isfinite(b) & (np.abs(b) >= _TINY)).all(axis=-1)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -103,7 +110,7 @@ class LaxMatrix:
             n = int(data["n"])
             a = [float(x) for x in data["a"]]
             b = [float(x) for x in data["b"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed matrix object: {exc}") from exc
         return cls(n=n, a=np.array(a), b=np.array(b))
 
@@ -166,7 +173,7 @@ class Spectrum:
     def from_json_dict(cls, data: dict) -> "Spectrum":
         try:
             lams = [float(x) for x in data["lambdas"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed spectrum object: {exc}") from exc
         return cls(lambdas=np.array(lams))
 

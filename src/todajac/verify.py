@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi, lax, tnn
-from .errors import NonGeneralDivisor, TodaError
+from .errors import NonGeneralDivisor, RangeExceeded, TodaError
 
 DEFAULT_SPEC_RANGE = (0.1, 10.0)
 DEFAULT_COORD_LOG_RANGE = 3.0
@@ -117,7 +117,7 @@ def _forward_case(args):
     case = {"spectrum": spec.to_json_dict(), "point": point.to_json_dict()}
     try:
         L = jacobi.reconstruct(spec, point)
-    except TodaError as exc:
+    except NonGeneralDivisor as exc:
         return index, False, f"reconstruction failed: {exc}", case
     report = tnn.is_tnn_tridiagonal(L, tol=tol)
     if not report.is_tnn:
@@ -193,13 +193,17 @@ def _cone_images(a, b):
 
 def _settle(case_fn, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range) -> list:
     """Results of indices lo, lo+1, ...: rows that passed the stack are done;
-    the others are decided, with their report entry, by ``case_fn``."""
-    return [
-        (index, True, None, None)
-        if ok
-        else case_fn((n, seed, index, tol, spec_lo, spec_hi, coord_range))
-        for index, ok in enumerate(passed.tolist(), lo)
-    ]
+    the others are decided, with their report entry, by ``case_fn``.  A
+    sample out of double range is a configuration error, not a failure."""
+    try:
+        return [
+            (index, True, None, None)
+            if ok
+            else case_fn((n, seed, index, tol, spec_lo, spec_hi, coord_range))
+            for index, ok in enumerate(passed.tolist(), lo)
+        ]
+    except RangeExceeded as exc:
+        raise ValueError(f"sampling ranges too wide: {exc}") from exc
 
 
 def _forward_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
@@ -287,8 +291,8 @@ def run_verification(
 
     Failures always carry the (seed, direction, index) replay key; full
     sampled objects are embedded only while the failure count stays at or
-    below ``keep_cases_up_to``.  RangeExceeded from a converse draw means
-    the spectrum range is too wide for evolution times up to 1.5.
+    below ``keep_cases_up_to``.  A sample that leaves double range is no
+    theorem failure: ValueError("sampling ranges too wide: ...") is raised.
     """
     if not 2 <= n <= 8:
         raise ValueError("n must be between 2 and 8")

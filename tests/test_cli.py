@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from todajac import flow, jacobi, lax, verify
 from todajac.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MAT_CONE = {"n": 2, "a": [2.0, 2.0], "b": [1.0]}
 MAT_SWAP = {"n": 2, "a": [0.0, 0.0], "b": [1.0]}
@@ -311,6 +317,13 @@ class TestReconstruct:
         ppath = write_json(tmp_path / "p.json", {"f": [1.0, -1.0]})
         assert main(["reconstruct", "--spectrum", spath, "--point", ppath]) == 1
 
+    def test_one_point_spectrum_exit_one(self, tmp_path, capsys):
+        # a Lax matrix needs n >= 2, so nothing is written
+        spath = write_json(tmp_path / "s.json", {"lambdas": [1.0]})
+        ppath = write_json(tmp_path / "p.json", {"f": [1.0]})
+        assert main(["reconstruct", "--spectrum", spath, "--point", ppath]) == 1
+        assert capsys.readouterr() == ("", "error: LaxMatrix needs n >= 2\n")
+
     def test_nan_bands_exit_four(self, tmp_path, capsys):
         # eigenvalue gaps beyond double range make the bands NaN
         spath = write_json(tmp_path / "s.json", {"lambdas": [-1e308, 0.0, 1e308]})
@@ -361,9 +374,82 @@ class TestVerifyTheorem:
             ["--spec-max", "inf"],
             # converse draws evolve to |t| <= 1.5 and leave double range
             ["--spec-min", "1", "--spec-max", "1e308"],
+            # forward reconstructions leave double range
+            ["--spec-min", "1", "--spec-max", "1e200", "--direction", "forward"],
         ],
     )
     def test_unsamplable_configuration_exit_one(self, capsys, options):
         assert main(["verify-theorem", "--n", "4", "--samples", "10"] + options) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# errors every command shares
+# ---------------------------------------------------------------------------
+
+
+def one_error_line(capsys) -> str:
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--matrix", "m.json", "--t0", "0", "--t1", "1", "--dt", "0.5"],
+        ["check-tnn", "--matrix", "m.json"],
+        ["linearize", "--matrix", "m.json"],
+        ["reconstruct", "--spectrum", "s.json", "--point", "p.json"],
+        ["verify-theorem", "--n", "2", "--samples", "2"],
+    ],
+)
+def test_out_in_missing_directory_exit_one(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "m.json", MAT_CONE)
+    write_json(tmp_path / "s.json", {"lambdas": [1.0, 3.0]})
+    write_json(tmp_path / "p.json", {"f": [1.0, -1.0]})
+    assert main(command + ["--out", str(tmp_path / "absent" / "out.json")]) == 1
+    assert "No such file or directory" in one_error_line(capsys)
+
+
+def test_missing_required_argument_exit_one(capsys):
+    assert main(["linearize"]) == 1
+    assert "the following arguments are required: --matrix" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--t0", "0", "--t1", "1", "--dt", "nan"],
+        ["simulate", "--t0", "0", "--t1", "1", "--dt", "0.5", "--method", "rk4",
+         "--rk4-dt", "nan"],
+        ["simulate", "--t0", "0", "--t1", "inf", "--dt", "0.5"],
+        ["simulate", "--t0", "0", "--t1", "inf", "--dt", "0.5", "--method", "symes"],
+        ["simulate", "--t0", "0", "--t1", "inf", "--dt", "0.5", "--method", "rk4"],
+        ["check-tnn", "--tol", "nan"],
+    ],
+)
+def test_non_finite_number_exit_one(cone_file, capsys, command):
+    assert main(command + ["--matrix", cone_file]) == 1
+    assert "invalid finite value" in one_error_line(capsys)
+
+
+def test_shell_sees_the_exit_code_without_traceback(cone_file, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "todajac.cli", "linearize", "--matrix", cone_file,
+         "--out", str(tmp_path / "absent" / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_number_beyond_float_range_in_file_exit_one(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1e400, "a": [1, 2], "b": [1]}', encoding="utf-8")
+    assert main(["check-tnn", "--matrix", str(path)]) == 1
+    assert "cannot load matrix: malformed matrix object" in one_error_line(capsys)

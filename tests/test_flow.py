@@ -528,6 +528,21 @@ class TestTrajectory:
             flow.trajectory(L, 10.0, 120.0, 10.0, "tau")
         assert info.value.time == 100.0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # t = inf kept solve_rk4 stepping forever
+            lambda: flow.solve_rk4(L2, math.inf, 1e-3),
+            lambda: flow.trajectory(L2, 0.0, math.inf, 0.5, "rk4"),
+            # a NaN step passed the dt <= 0 test
+            lambda: flow.solve_rk4(L2, 1.0, math.nan),
+            lambda: flow.trajectory(L2, 0.0, 1.0, math.nan, "tau"),
+        ],
+    )
+    def test_non_finite_time_or_step_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_csv_format(self):
         traj = flow.trajectory(L2, 0.0, 1.0, 0.1, "tau")
         buf = io.StringIO()

@@ -300,6 +300,12 @@ class TestReconstruct:
             jacobi.reconstruct(SPEC13, jacobi.JacobiPoint.from_raw([1.0, 1.0]))
         assert err.value.index == 1
 
+    def test_one_point_spectrum_raises(self):
+        # a Lax matrix needs n >= 2
+        spec = lax.Spectrum(np.array([1.0]))
+        with pytest.raises(ValueError, match="n >= 2"):
+            jacobi.reconstruct(spec, jacobi.JacobiPoint.from_raw([1.0]))
+
     def test_round_trip_from_points(self):
         # linearize(reconstruct(F)) = F for general points of any sign pattern
         for _ in range(60):
