@@ -180,8 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample one trajectory")
     sim.add_argument("--matrix", required=True, help="matrix JSON file {n, a, b}")
-    sim.add_argument("--t0", type=finite, required=True)
-    sim.add_argument("--t1", type=finite, required=True)
+    sim.add_argument(
+        "--t0", type=finite, required=True,
+        help="start time; give a negative exponent-form value with '=': --t0=-1e-3",
+    )
+    sim.add_argument(
+        "--t1", type=finite, required=True,
+        help="end time; give a negative exponent-form value with '=': --t1=-1e-3",
+    )
     sim.add_argument("--dt", type=finite, required=True, help="output sampling step")
     sim.add_argument("--method", choices=("tau", "symes", "rk4"), default="tau")
     sim.add_argument("--rk4-dt", type=finite, default=1e-3, dest="rk4_dt")

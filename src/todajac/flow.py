@@ -66,6 +66,9 @@ STRUCTURE_TOL = 1e-9
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
+# trajectory: most output steps, (t1 - t0) / dt_out, one run may ask for; at
+# n = 8 a run at the limit takes up to about 220 MB and 4 s with CSV output
+MAX_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +388,20 @@ class Trajectory:
 
 
 def _sample_times(t0: float, t1: float, dt_out: float) -> np.ndarray:
-    times = [t0]
-    k = 1
-    while t0 + k * dt_out < t1 - 1e-12 * max(1.0, abs(t1)):
-        times.append(t0 + k * dt_out)
-        k += 1
-    times.append(t1)
-    return np.array(times)
+    """t0, then t0 + k * dt_out for k = 1, 2, ... while below t1 by more than
+    1e-12 relative, then t1.  ValueError past MAX_SAMPLES steps."""
+    stop = t1 - 1e-12 * max(1.0, abs(t1))
+    # Halves keep the span finite.  Rounding, and halving a subnormal, can
+    # put up to two more k below stop than the estimate; the mask keeps the
+    # exact ones, a prefix, since t0 + k * dt_out never decreases with k.
+    steps = (stop / 2 - t0 / 2) / dt_out * 2
+    if steps > MAX_SAMPLES:
+        raise ValueError(
+            f"dt_out {dt_out!r} asks for more than MAX_SAMPLES = {MAX_SAMPLES}"
+            f" sample steps on [{t0!r}, {t1!r}]"
+        )
+    inner = t0 + np.arange(1, math.floor(max(steps, 0.0)) + 3) * dt_out
+    return np.concatenate(([t0], inner[inner < stop], [t1]))
 
 
 def trajectory(
@@ -412,8 +422,9 @@ def trajectory(
     Sampling stops, with ``blowup`` set to the failing sample time (for rk4
     the overflowing step's time), at the first Blowup, StructureLost or
     Overflow.  RangeExceeded is raised again with the failing sample time:
-    a value that leaves double range is not a blowup.  A non-finite time or
-    a step that is not positive (NaN included) is a ValueError.
+    a value that leaves double range is not a blowup.  A non-finite time, a
+    step that is not positive (NaN included) or more than MAX_SAMPLES steps,
+    (t1 - t0) / dt_out, is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t0 and t1 must be finite")

@@ -408,16 +408,12 @@ def theta(k: int, Z, spec: lax.Spectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def abel_jacobi(
-    L: lax.LaxMatrix,
-    spec: lax.Spectrum | None = None,
-    zero_tol: float = DEFAULT_ZERO_COFACTOR_TOL,
-) -> JacobiPoint:
+def abel_jacobi(L: lax.LaxMatrix, spec: lax.Spectrum | None = None) -> JacobiPoint:
     """Linearization map: (1,1)-cofactor values at the eigenvalues, normalized.
 
     For b > 0 they are Weyl residues from the eigenvectors ``spectrum(L)``
     keeps; another ``spec`` costs an ``eigh`` of L.  Raises ZeroCofactorValue
-    when a value vanishes relative to the largest one.
+    when a value is at most DEFAULT_ZERO_COFACTOR_TOL times the largest one.
     """
     if spec is None:
         spec = lax.spectrum(L)
@@ -429,7 +425,7 @@ def abel_jacobi(
         # sign-mixed b, or eigenvalue differences beyond double range
         vals = lax.chop_values(L, spec.lambdas)
     scale = float(np.max(np.abs(vals)))
-    if scale == 0.0 or np.any(np.abs(vals) <= zero_tol * scale):
+    if scale == 0.0 or np.any(np.abs(vals) <= DEFAULT_ZERO_COFACTOR_TOL * scale):
         i = int(np.argmin(np.abs(vals)))
         raise ZeroCofactorValue(
             f"cofactor value {float(vals[i])!r} at eigenvalue {float(spec.lambdas[i])!r} "

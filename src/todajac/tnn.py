@@ -1,19 +1,16 @@
 """Total nonnegativity, total positivity and eigenvalue interlacing tests.
 
 A matrix is totally nonnegative (TNN) when every minor is nonnegative and
-totally positive (TP) when every minor is strictly positive.  For tridiagonal
-matrices TNN is equivalent to nonnegative off-diagonal entries plus
-nonnegative contiguous principal minors, and, when the off-diagonal entries
-are positive, to strict eigenvalue interlacing with a positive bottom
-eigenvalue.  All three routes are implemented and cross-checked in the test
-suite.  A square matrix is TP iff its n^2 initial minors (contiguous minors
-touching the first row or the first column) are positive (Gasca & Peña,
-"Total positivity and Neville elimination", Linear Algebra Appl. 165, 1992),
-which is how total positivity is decided here.  Irreducibility of a TNN
-tridiagonal matrix (some power totally positive) is a closed form: it holds
-iff det M > 0 and every off-diagonal entry is positive, and then M**(n-1) is
-the smallest such power (Gantmacher & Krein, Oscillation Matrices and
-Kernels, Ch. II), so no power is ever multiplied out.
+totally positive (TP) when every minor is strictly positive.  The exhaustive
+oracle takes every minor of a dense matrix, each size from the size below by
+first-row expansion, so a minor with no nonzero transversal is exactly 0.
+For tridiagonal matrices TNN is equivalent to nonnegative off-diagonal
+entries plus nonnegative contiguous principal minors, and, when the
+off-diagonal entries are positive, to strict eigenvalue interlacing with a
+positive bottom eigenvalue; the tests cross-check all three routes.  TP is
+decided from the n^2 initial minors (Gasca & Peña) and the irreducibility of
+a TNN tridiagonal matrix in closed form (Gantmacher & Krein): see
+``is_totally_positive`` and ``is_irreducible_tnn``.
 """
 
 from __future__ import annotations
@@ -67,13 +64,6 @@ def _as_dense(M) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> tuple:
-    """The k-subsets of range(n), lexicographic, as tuples and as a read-only array."""
-    combos = tuple(itertools.combinations(range(n), k))
-    return combos, lax._readonly(combos, dtype=np.intp)
-
-
-@functools.lru_cache(maxsize=None)
 def _initial_minor_blocks(n: int) -> tuple:
     """Flat indices of the initial-minor blocks of an n x n matrix, per size.
 
@@ -91,12 +81,24 @@ def _initial_minor_blocks(n: int) -> tuple:
     return tuple(blocks)
 
 
-def _all_minors_by_size(M: np.ndarray, k: int):
-    """All k x k minors in lexicographic (rows, cols) order, batched."""
-    combos, idx = _subsets(M.shape[0], k)
-    sub = M[idx[:, None, :, None], idx[None, :, None, :]]
-    dets = np.linalg.det(sub.reshape(-1, k, k))
-    return combos, dets
+@functools.lru_cache(maxsize=None)
+def _expansion_tables(n: int) -> tuple:
+    """Index tables of minor(R, C) = sum_j (-1)**j M[R[0], C[j]] minor(R - R[0], C - C[j]).
+
+    Entry k-1: the k-subsets of range(n), lexicographic, and read-only flat
+    indices per (R, C, j) of the first factor in [M, -M] and of the second
+    in the minor table of size k-1.
+    """
+    tables, position = [], {(): 0}
+    for k in range(1, n + 1):
+        subsets = tuple(itertools.combinations(range(n), k))
+        S = np.array(subsets)
+        drops = np.array([[position[s[:j] + s[j + 1:]] for j in range(k)] for s in subsets])
+        signed = S[:, :1, None] * n + S + np.arange(k) % 2 * (n * n)
+        below = drops[:, :1, None] * len(position) + drops
+        tables.append((subsets, lax._readonly(signed, np.intp), lax._readonly(below, np.intp)))
+        position = {s: i for i, s in enumerate(subsets)}
+    return tuple(tables)
 
 
 def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
@@ -104,20 +106,22 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
 
     ``is_tnn`` is true iff every minor is at least ``-tol``; on failure the
     witness is the first offending minor in (size, lexicographic) order.
+    Minors are fixed-order sums over the first-row expansion of the size
+    below: one with no nonzero transversal is exactly 0, while one far below
+    its terms (as in high powers of a tridiagonal) can lose its sign.
     """
     M = _as_dense(M)
     n = M.shape[0]
     if n > EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive minor check limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    for k in range(1, n + 1):
-        combos, dets = _all_minors_by_size(M, k)
-        bad = np.nonzero(~(dets >= -tol))[0]
+    plus_minus = np.concatenate((M.ravel(), -M.ravel()))
+    minors = np.ones((1, 1))
+    for subsets, signed, below in _expansion_tables(n):
+        minors = (np.take(plus_minus, signed) * np.take(minors, below)).sum(axis=2)
+        bad = np.flatnonzero(~(minors >= -tol))
         if bad.size:
-            first = int(bad[0])
-            m = len(combos)
-            witness = MinorWitness(
-                rows=combos[first // m], cols=combos[first % m], value=float(dets[first])
-            )
+            r, c = divmod(int(bad[0]), len(subsets))
+            witness = MinorWitness(rows=subsets[r], cols=subsets[c], value=float(minors[r, c]))
             return TnnReport(is_tnn=False, witness=witness, method="exhaustive")
     return TnnReport(is_tnn=True, witness=None, method="exhaustive")
 
@@ -126,13 +130,6 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
 def _outside_bands(n: int) -> np.ndarray:
     """Boolean mask of the entries off the three bands of an n x n matrix."""
     return lax._readonly(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2, dtype=bool)
-
-
-def _check_tridiagonal_structure(M: np.ndarray, structure_tol: float = 0.0) -> None:
-    outside = _outside_bands(M.shape[0]) & (np.abs(M) > structure_tol)
-    if outside.any():
-        i, j = (int(v) for v in np.argwhere(outside)[0])
-        raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +153,10 @@ def _bands(M) -> tuple:
     if isinstance(M, lax.LaxMatrix):
         return M.a, np.ones(M.n - 1), M.b
     M = _as_dense(M)
-    _check_tridiagonal_structure(M)
+    outside = _outside_bands(M.shape[0]) & (np.abs(M) > 0.0)
+    if outside.any():
+        i, j = (int(v) for v in np.argwhere(outside)[0])
+        raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
     return np.diag(M), np.diag(M, 1), np.diag(M, -1)
 
 

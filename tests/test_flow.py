@@ -410,6 +410,16 @@ class TestSolvers:
 # ---------------------------------------------------------------------------
 
 
+def loop_sample_times(t0, t1, dt_out):
+    """t0, t0 + k * dt_out while below t1 by 1e-12 relative, then t1; a loop."""
+    times = [t0]
+    k = 1
+    while t0 + k * dt_out < t1 - 1e-12 * max(1.0, abs(t1)):
+        times.append(t0 + k * dt_out)
+        k += 1
+    return np.array(times + [t1])
+
+
 class TestTrajectory:
     def test_three_samples(self):
         traj = flow.trajectory(L2, 0.0, 1.0, 0.5, "tau")
@@ -542,6 +552,48 @@ class TestTrajectory:
     def test_non_finite_time_or_step_raises(self, call):
         with pytest.raises(ValueError):
             call()
+
+    def test_sample_count_limit(self):
+        # the sample list grew until the process was killed
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            flow.trajectory(L2, 0.0, 1.0, 1e-300, "tau")
+        assert flow._sample_times(0.0, 1.0, 1.0 / flow.MAX_SAMPLES).size == flow.MAX_SAMPLES + 1
+
+    def test_sample_times_match_loop_reference(self):
+        rng = np.random.default_rng(2718)
+        windows = [(-0.3712, 0.6288, 0.1), (-0.0, 1.0, 0.25)]
+        for i in range(3000):
+            kind = i % 5
+            if kind == 0:  # steps within rounding of a divisor of the window
+                t0 = rng.uniform(-5.0, 5.0)
+                t1 = t0 + rng.uniform(1e-6, 5.0)
+                dt = (t1 - t0) / rng.integers(1, 300) * rng.choice([1.0, 1 + 1e-15, 1 - 1e-15])
+            elif kind == 1:  # decimal windows and steps
+                t0 = round(rng.uniform(-2.0, 2.0), int(rng.integers(0, 4)))
+                t1 = t0 + round(rng.uniform(0.01, 3.0), int(rng.integers(0, 4)))
+                dt = float(rng.choice([0.1, 0.05, 0.2, 1e-3, 0.3, 1 / 3]))
+            elif kind == 2:  # far from 1 in magnitude
+                t0 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300)
+                t1 = t0 + abs(t0) * 10.0 ** rng.uniform(-11, 1)
+                dt = (t1 - t0) / rng.integers(1, 2000)
+            elif kind == 3:  # steps near the spacing of t0: the sums round
+                t0 = 1e6 + rng.uniform(0.0, 1.0)
+                t1 = t0 + float(rng.choice([1e-6, 1.001e-6, 1.01e-6, 2e-6]))
+                dt = 10.0 ** rng.uniform(-10.5, -9)
+            else:  # subnormal start and step; the last sample time is 0
+                t0 = -float(rng.choice([5e-324, 1.5e-323, 1e-322, 1e-320]))
+                t1 = 1e-12
+                dt = float(rng.choice([5e-324, 1e-323, 1.5e-323, 1e-322]))
+            windows.append((t0, t1, dt))
+        compared = 0
+        for t0, t1, dt in windows:
+            if not t0 < t1:
+                continue
+            want = loop_sample_times(t0, t1, dt)
+            got = flow._sample_times(t0, t1, dt)
+            assert got.tobytes() == want.tobytes(), (t0, t1, dt)
+            compared += 1
+        assert compared > 2900
 
     def test_csv_format(self):
         traj = flow.trajectory(L2, 0.0, 1.0, 0.1, "tau")

@@ -80,6 +80,19 @@ def fraction_det(A):
     return det
 
 
+def first_negative_minor(M):
+    """(rows, cols, exact value) of the first negative minor in (size,
+    lexicographic) order, or None; a plain loop over exact determinants."""
+    n = M.shape[0]
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                value = exact_det(M[np.ix_(rows, cols)])
+                if value < 0:
+                    return rows, cols, value
+    return None
+
+
 def initial_minor_blocks(M):
     """The n^2 contiguous blocks of M whose lower-right corner is (i, j) and
     that touch the first row or the first column."""
@@ -178,6 +191,37 @@ class TestExhaustive:
         M = np.array([[1.0, -0.5], [2.0, -3.0]])
         rep = tnn.is_tnn_exhaustive(M)
         assert rep.witness.rows == (0,) and rep.witness.cols == (1,)
+
+    def test_tnn_draws_at_n8_are_accepted(self):
+        # LU of each submatrix read minors with no nonzero transversal as
+        # rounding noise of either sign and rejected 15 of these draws
+        rng = np.random.default_rng(11)
+        draws = [verify.sample_tnn_rejection(rng, 8) for _ in range(1000)]
+        for L in draws:
+            assert tnn.is_tnn_exhaustive(L).is_tnn and tnn.is_tnn_tridiagonal(L).is_tnn
+        # the first of them: rows 0-3 would need four columns out of {1, 2, 3}
+        rows, cols = (0, 1, 2, 3, 4, 6), (1, 2, 3, 5, 6, 7)
+        assert exact_det(draws[38].to_dense()[np.ix_(rows, cols)]) == 0
+
+    def test_witness_matches_plain_loop_reference(self):
+        rng = np.random.default_rng(8128)
+        rejected = 0
+        for trial in range(240):
+            n = 3 + trial % 6
+            kind = trial // 6 % 3
+            M = rng.uniform(-0.1 if kind == 0 else 0.0, 1.0, (n, n))
+            if kind == 2:
+                # sparse: many minors have no nonzero transversal
+                M[rng.random((n, n)) < 0.6] = 0.0
+            want = first_negative_minor(M)
+            report = tnn.is_tnn_exhaustive(M)
+            assert report.is_tnn == (want is None), f"M={M!r}"
+            if want is not None:
+                witness = report.witness
+                assert (witness.rows, witness.cols) == want[:2], f"M={M!r}"
+                assert witness.value == pytest.approx(float(want[2]), rel=1e-9)
+                rejected += 1
+        assert 120 < rejected < 240
 
     def test_report_json_shape(self):
         d = tnn.is_tnn_exhaustive([[0, 1], [1, 0]]).to_json_dict()
