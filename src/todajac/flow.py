@@ -66,9 +66,9 @@ STRUCTURE_TOL = 1e-9
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
-# trajectory: most output steps, (t1 - t0) / dt_out, one run may ask for; at
-# n = 8 a run at the limit takes up to about 220 MB and 4 s with CSV output
-MAX_SAMPLES = 100_000
+# trajectory: most output steps, (t1 - t0) / dt_out, one run may ask for; a
+# run has one sample more than its steps (t1 closes it)
+MAX_SAMPLE_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +389,15 @@ class Trajectory:
 
 def _sample_times(t0: float, t1: float, dt_out: float) -> np.ndarray:
     """t0, then t0 + k * dt_out for k = 1, 2, ... while below t1 by more than
-    1e-12 relative, then t1.  ValueError past MAX_SAMPLES steps."""
+    1e-12 relative, then t1.  ValueError past MAX_SAMPLE_STEPS steps."""
     stop = t1 - 1e-12 * max(1.0, abs(t1))
     # Halves keep the span finite.  Rounding, and halving a subnormal, can
     # put up to two more k below stop than the estimate; the mask keeps the
     # exact ones, a prefix, since t0 + k * dt_out never decreases with k.
     steps = (stop / 2 - t0 / 2) / dt_out * 2
-    if steps > MAX_SAMPLES:
+    if steps > MAX_SAMPLE_STEPS:
         raise ValueError(
-            f"dt_out {dt_out!r} asks for more than MAX_SAMPLES = {MAX_SAMPLES}"
+            f"dt_out {dt_out!r} asks for more than MAX_SAMPLE_STEPS = {MAX_SAMPLE_STEPS}"
             f" sample steps on [{t0!r}, {t1!r}]"
         )
     inner = t0 + np.arange(1, math.floor(max(steps, 0.0)) + 3) * dt_out
@@ -423,7 +423,7 @@ def trajectory(
     the overflowing step's time), at the first Blowup, StructureLost or
     Overflow.  RangeExceeded is raised again with the failing sample time:
     a value that leaves double range is not a blowup.  A non-finite time, a
-    step that is not positive (NaN included) or more than MAX_SAMPLES steps,
+    step that is not positive (NaN included) or more than MAX_SAMPLE_STEPS steps,
     (t1 - t0) / dt_out, is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):

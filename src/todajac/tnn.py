@@ -3,7 +3,8 @@
 A matrix is totally nonnegative (TNN) when every minor is nonnegative and
 totally positive (TP) when every minor is strictly positive.  The exhaustive
 oracle takes every minor of a dense matrix, each size from the size below by
-first-row expansion, so a minor with no nonzero transversal is exactly 0.
+first-row expansion, so a minor with no nonzero transversal is exactly 0, and
+reruns the expansion in exact integers when rounding could decide a sign.
 For tridiagonal matrices TNN is equivalent to nonnegative off-diagonal
 entries plus nonnegative contiguous principal minors, and, when the
 off-diagonal entries are positive, to strict eigenvalue interlacing with a
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -26,6 +29,7 @@ from . import lax
 from .errors import NotTnn, NotTridiagonal, TooLarge
 
 EXHAUSTIVE_MAX_N = 8
+_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +111,57 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
     ``is_tnn`` is true iff every minor is at least ``-tol``; on failure the
     witness is the first offending minor in (size, lexicographic) order.
     Minors are fixed-order sums over the first-row expansion of the size
-    below: one with no nonzero transversal is exactly 0, while one far below
-    its terms (as in high powers of a tridiagonal) can lose its sign.
+    below, so one with no nonzero transversal is exactly 0.  Each of the k!
+    products in a size-k minor passes at most k(k+1)/2 roundings, so, barring
+    underflow, the sum is within that many units of roundoff times the
+    permanent of the absolute submatrix, which the same expansion gives.  If
+    a minor's sum is not that far clear of ``-tol`` (one far below its terms,
+    as in high powers of a tridiagonal), the expansion is rerun in exact
+    integers on the entries scaled by a power of two, and the witness value
+    is the exact minor rounded.  With a non-finite entry or ``tol`` the float
+    signs decide.
     """
     M = _as_dense(M)
     n = M.shape[0]
     if n > EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive minor check limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    plus_minus = np.concatenate((M.ravel(), -M.ravel()))
-    minors = np.ones((1, 1))
-    for subsets, signed, below in _expansion_tables(n):
-        minors = (np.take(plus_minus, signed) * np.take(minors, below)).sum(axis=2)
-        bad = np.flatnonzero(~(minors >= -tol))
+    finite = bool(np.isfinite(M).all() and np.isfinite(tol))
+    report = _first_negative_minor(M, tol, np.finfo(float).eps if finite else 0.0)
+    return report if report is not None else _first_negative_minor(M, tol, None)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _first_negative_minor(M, tol: float, roundoff: Optional[float]) -> Optional[TnnReport]:
+    """is_tnn_exhaustive's report from float minors, or None at the first
+    minor within ``roundoff`` (0.0: float signs decide) of ``-tol``; from
+    exact ones if ``roundoff`` is None."""
+    values = M.ravel()
+    if roundoff is None:
+        ratios = [x.as_integer_ratio() for x in values.tolist()]
+        scale = max(d for _, d in ratios)
+        values = np.array([p * (scale // d) for p, d in ratios], dtype=object)
+    plus_minus = np.concatenate((values, -values))
+    minors = permanents = np.ones((1, 1), dtype=values.dtype)
+    for k, (subsets, signed, below) in enumerate(_expansion_tables(M.shape[0]), 1):
+        first = np.take(plus_minus, signed)
+        minors = (first * np.take(minors, below)).sum(axis=2)
+        if roundoff is None:
+            bad = np.flatnonzero(minors < Fraction(-tol) * scale**k)
+        else:
+            # eps = 2u and a factor 2 over k(k+1)/2 cover the bound's own roundings
+            permanents = (np.abs(first) * np.take(permanents, below)).sum(axis=2)
+            slack = permanents * (k * (k + 1) * roundoff) if roundoff else np.zeros_like(minors)
+            bad = np.flatnonzero(~(minors - slack >= -tol))
         if bad.size:
             r, c = divmod(int(bad[0]), len(subsets))
-            witness = MinorWitness(rows=subsets[r], cols=subsets[c], value=float(minors[r, c]))
+            if roundoff is None:
+                value = Fraction(minors[r, c], scale**k)
+                value = float(value) if abs(value) <= _MAX else math.inf if value > 0 else -math.inf
+            elif not roundoff or minors[r, c] + slack[r, c] < -tol:
+                value = float(minors[r, c])
+            else:
+                return None
+            witness = MinorWitness(rows=subsets[r], cols=subsets[c], value=value)
             return TnnReport(is_tnn=False, witness=witness, method="exhaustive")
     return TnnReport(is_tnn=True, witness=None, method="exhaustive")
 

@@ -439,14 +439,12 @@ def test_non_finite_number_exit_one(cone_file, capsys, command):
 def test_too_many_samples_exit_one(cone_file, capsys):
     command = ["simulate", "--matrix", cone_file, "--t0", "0", "--t1", "1", "--dt", "1e-300"]
     assert main(command) == 1
-    assert "MAX_SAMPLES" in one_error_line(capsys)
+    assert "MAX_SAMPLE_STEPS" in one_error_line(capsys)
 
 
 def test_negative_exponent_time_with_equals_sign(cone_file, capsys):
-    # argparse reads a bare "-1e-3" as an option; the '=' form is documented
+    # the documented form for a negative time in exponent notation
     command = ["simulate", "--matrix", cone_file, "--t1", "1e-3", "--dt", "1e-3"]
-    assert main(command + ["--t0", "-1e-3"]) == 1
-    assert "expected one argument" in one_error_line(capsys)
     assert main(command + ["--t0=-1e-3"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("-0.001,")
 

@@ -555,9 +555,9 @@ class TestTrajectory:
 
     def test_sample_count_limit(self):
         # the sample list grew until the process was killed
-        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+        with pytest.raises(ValueError, match="MAX_SAMPLE_STEPS"):
             flow.trajectory(L2, 0.0, 1.0, 1e-300, "tau")
-        assert flow._sample_times(0.0, 1.0, 1.0 / flow.MAX_SAMPLES).size == flow.MAX_SAMPLES + 1
+        assert flow._sample_times(0.0, 1.0, 1.0 / flow.MAX_SAMPLE_STEPS).size == flow.MAX_SAMPLE_STEPS + 1
 
     def test_sample_times_match_loop_reference(self):
         rng = np.random.default_rng(2718)

@@ -1,6 +1,7 @@
 """Tests for total-nonnegativity, total-positivity and interlacing checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,30 @@ def first_negative_minor(M):
                 value = exact_det(M[np.ix_(rows, cols)])
                 if value < 0:
                     return rows, cols, value
+    return None
+
+
+def integer_first_negative_minor(M):
+    """(rows, cols) of the first negative minor in (size, lexicographic)
+    order, or None: Laplace expansion along the first row in Python
+    integers, the entries times one power of two."""
+    n = M.shape[0]
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in M]
+    scale = max(d for row in ratios for _, d in row)
+    A = [[p * (scale // d) for p, d in row] for row in ratios]
+    below = {((), ()): 1}
+    for k in range(1, n + 1):
+        minors = {}
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                value = sum(
+                    (-1) ** j * A[rows[0]][c] * below[rows[1:], cols[:j] + cols[j + 1:]]
+                    for j, c in enumerate(cols)
+                )
+                if value < 0:
+                    return rows, cols
+                minors[rows, cols] = value
+        below = minors
     return None
 
 
@@ -222,6 +247,38 @@ class TestExhaustive:
                 assert witness.value == pytest.approx(float(want[2]), rel=1e-9)
                 rejected += 1
         assert 120 < rejected < 240
+
+    def test_corpus_verdicts_match_exact_reference(self):
+        # The float expansion loses the sign of minors far below their terms
+        # (powers of tridiagonals, exp kernels); LU of each submatrix erred
+        # both ways on the same corpus.
+        corpus = total_positivity_corpus(np.random.default_rng(5150))
+        rejected = 0
+        for M in corpus:
+            report = tnn.is_tnn_exhaustive(M)
+            if M.shape[0] <= 7:
+                want = integer_first_negative_minor(M)
+                assert report.is_tnn == (want is None), f"M={M!r}"
+                if want is not None:
+                    assert (report.witness.rows, report.witness.cols) == want, f"M={M!r}"
+            if not report.is_tnn:
+                rows, cols = report.witness.rows, report.witness.cols
+                assert exact_det(M[np.ix_(rows, cols)]) < 0 and report.witness.value < 0, f"M={M!r}"
+                rejected += 1
+        assert 300 < rejected < len(corpus) - 300
+
+    def test_undecided_minor_is_settled_exactly(self):
+        # the float sum -2**-52 is within its rounding bound of 0
+        M = np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-52]])
+        report = tnn.is_tnn_exhaustive(M)
+        assert report.witness.rows == (0, 1) and report.witness.value == -(2.0**-52)
+        assert tnn.is_tnn_exhaustive(M, tol=2.0**-52).is_tnn
+        assert not tnn.is_tnn_exhaustive(M, tol=2.0**-53).is_tnn
+        assert tnn.is_tnn_exhaustive(np.ones((8, 8))).is_tnn
+        # the float products overflow; the exact minor -2**1348 rounds to -inf
+        assert tnn.is_tnn_exhaustive(M * 2.0**700).witness.value == -math.inf
+        # a non-finite entry leaves the verdict to the float signs
+        assert tnn.is_tnn_exhaustive([[1.0, np.inf], [1.0, 1.0]]).witness.rows == (0, 1)
 
     def test_report_json_shape(self):
         d = tnn.is_tnn_exhaustive([[0, 1], [1, 0]]).to_json_dict()
