@@ -22,6 +22,7 @@ every other failure; ``main`` alone maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -77,11 +78,10 @@ def cmd_simulate(args) -> int:
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out and args.out.endswith(".json") else "csv"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            traj.to_json(fp) if fmt == "json" else traj.to_csv(fp)
-    else:
-        traj.to_json(sys.stdout) if fmt == "json" else traj.to_csv(sys.stdout)
+    write = traj.to_json if fmt == "json" else traj.to_csv
+    sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as fp:
+        write(fp)
     if traj.blowup is not None:
         print(f"blowup at t={traj.blowup!r}; output truncated", file=sys.stderr)
         return EXIT_BLOWUP

@@ -1,8 +1,11 @@
 """Time evolution of the lattice by three independent methods.
 
-Each method is one private generator over an array of times
-(``_tau_states``, ``_symes_states``, ``_rk4_states``) and ``trajectory`` runs
-it over the samples; ``solve_tau`` and ``solve_symes`` are the one-time case.
+Each method is one private kernel over an array of times (``_tau_stacks``,
+``_symes_stacks``, ``_rk4_stacks``).  A kernel returns the stacked bands of
+its states, a (T, n) and b (T, n-1), cut off before the first sample that
+fails, with the error that stopped them (None when every sample stands);
+``trajectory`` keeps the stacks, and ``solve_tau`` and ``solve_symes`` read
+row 0 of a one-time run.
 
 * ``solve_tau``: closed form through the linearized coordinates: linearize,
   multiply by exponentials, reconstruct.
@@ -144,15 +147,15 @@ def lu_unit_lower(M, scale=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _tau_states(L0: lax.LaxMatrix, times):
-    """Yield the closed-form state at each of ``times``: one spectrum, one
+def _tau_stacks(L0: lax.LaxMatrix, times) -> tuple:
+    """Closed-form states at ``times`` as (a, b, error): one spectrum, one
     linearization and one tau kernel pass (``jacobi.reconstruct_along``)."""
     spec = lax.spectrum(L0)
-    yield from jacobi.reconstruct_along(spec, jacobi.abel_jacobi(L0, spec=spec), times)
+    return jacobi.reconstruct_along(spec, jacobi.abel_jacobi(L0, spec=spec), times)
 
 
-def _symes_qr(L0: lax.LaxMatrix, times):
-    """Yield the state at each of ``times`` for a positive subdiagonal.
+def _symes_qr(L0: lax.LaxMatrix, times) -> tuple:
+    """States at ``times`` for a positive subdiagonal, as (a, b, error).
 
     Symes's QR form of the flow (module docstring): S(t) = Q^T diag(lambda) Q
     with Q the Q factor of diag(exp(t(lambda - max)/2)) V^T, rows sorted by
@@ -160,18 +163,19 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     R's diagonal drop out.  The one ``eigh`` of ``lax.spectrum`` serves
     every time and one stacked QR covers them all.  S is summed elementwise,
     not by BLAS products, so a row equals its single-time call bit for bit.
-    The states are read-only row views of the stacked bands.
 
-    Raises RangeExceeded with the first time when the similarity
-    cumprod(sqrt(b)) leaves double range, and with a sample's time when its
-    state does (b below the smallest normal double, as in the tau route).
+    The error is RangeExceeded, with the first time and no rows, when the
+    similarity cumprod(sqrt(b)) leaves double range, and with a sample's
+    time when its state does (b below the smallest normal double, as in the
+    tau route).
     """
     spec = lax.spectrum(L0)
     times = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         similarity = np.cumprod(np.sqrt(L0.b))
     if not (np.isfinite(similarity).all() and similarity.all()):
-        raise RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
+        error = RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
+        return np.empty((0, L0.n)), np.empty((0, L0.n - 1)), error
     lams, V = spec.lambdas, spec._vectors_of(L0)
     rates = times[:, None] * lams
     order = np.argsort(-rates, axis=1, kind="stable")
@@ -184,38 +188,58 @@ def _symes_qr(L0: lax.LaxMatrix, times):
     b = sub * sub
     a.setflags(write=False)
     b.setflags(write=False)
-    in_range = lax._in_range(a, b)
-    for i, t in enumerate(times.tolist()):
-        if not in_range[i]:
-            raise RangeExceeded(t, "the state's entries leave double range")
-        yield lax.LaxMatrix._trusted(n=L0.n, a=a[i], b=b[i])
+    out_of_range = ~lax._in_range(a, b)
+    if not out_of_range.any():
+        return a, b, None
+    stop = int(np.argmax(out_of_range))
+    error = RangeExceeded(float(times[stop]), "the state's entries leave double range")
+    return a[:stop], b[:stop], error
 
 
-def _symes_lu(L0: lax.LaxMatrix, times):
-    """Yield the state at each of ``times`` for a sign-mixed subdiagonal: one
-    spectrum check and one eigendecomposition of L0 serve every time."""
+def _symes_lu(L0: lax.LaxMatrix, times) -> tuple:
+    """States at ``times`` for a sign-mixed subdiagonal, as (a, b, error):
+    one spectrum check and one eigendecomposition of L0 serve every time,
+    and each conjugated state is written into preallocated stacks.
+
+    The error is Blowup at a vanishing pivot, StructureLost at a failed
+    conjugation, or RangeExceeded (first time, no rows) when the
+    eigenvectors leave double range.  A state whose entries are not finite,
+    or whose b has a zero, raises ValueError as the LaxMatrix constructor
+    does.
+    """
     lax.spectrum(L0)
     times = np.asarray(times, dtype=float).tolist()
-    eig = _eigendecomposition(L0, times[0])
+    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
     dense = L0.to_dense()
-    for t in times:
-        scaled, _, mass = _scaled_exp(eig, t)
-        try:
-            N, _ = lu_unit_lower(scaled, scale=mass)
-        except SingularLeadingMinor as exc:
-            raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
-        try:
-            conj = np.linalg.solve(N, dense) @ N
-        except np.linalg.LinAlgError as exc:
-            raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
-        deviation = np.max(np.abs(np.diagonal(conj, offset=1) - 1.0))
-        if deviation > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(conj)))):
-            raise StructureLost(f"superdiagonal deviates from 1 by {deviation:.3e}")
-        yield lax.LaxMatrix(n=L0.n, a=np.diagonal(conj), b=np.diagonal(conj, offset=-1))
+    stop = 0
+    try:
+        eig = _eigendecomposition(L0, times[0])
+        for t in times:
+            scaled, _, mass = _scaled_exp(eig, t)
+            try:
+                N, _ = lu_unit_lower(scaled, scale=mass)
+            except SingularLeadingMinor as exc:
+                raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
+            try:
+                conj = np.linalg.solve(N, dense) @ N
+            except np.linalg.LinAlgError as exc:
+                raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
+            deviation = np.max(np.abs(np.diagonal(conj, offset=1) - 1.0))
+            if deviation > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(conj)))):
+                raise StructureLost(f"superdiagonal deviates from 1 by {deviation:.3e}")
+            a[stop], b[stop] = np.diagonal(conj), np.diagonal(conj, offset=-1)
+            lax._check_bands(a[stop], b[stop])
+            stop += 1
+        error = None
+    except (Blowup, StructureLost, RangeExceeded) as exc:
+        error = exc
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a[:stop], b[:stop], error
 
 
-def _symes_states(L0: lax.LaxMatrix, times):
-    """Symes states at each of ``times``; the sign of b picks the route."""
+def _symes_stacks(L0: lax.LaxMatrix, times) -> tuple:
+    """Symes states at ``times`` as (a, b, error); the sign of b picks the route."""
     return (_symes_qr if np.all(L0.b > 0) else _symes_lu)(L0, times)
 
 
@@ -229,7 +253,10 @@ def solve_symes(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     entry much smaller than the norm of L0 (a huge b beside a small a, say)
     may keep few correct digits.
     """
-    return next(_symes_states(L0, [t]))
+    a, b, error = _symes_stacks(L0, [t])
+    if error is not None:
+        raise error
+    return lax.LaxMatrix._trusted(n=L0.n, a=a[0], b=b[0])
 
 
 def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
@@ -238,10 +265,12 @@ def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     Raises Blowup when a tau value vanishes at t and RangeExceeded when an
     entry of the state leaves double range.
     """
-    try:
-        return next(_tau_states(L0, [t]))
-    except NonGeneralDivisor as exc:
-        raise Blowup(t, tau_index=exc.index) from exc
+    a, b, error = _tau_stacks(L0, [t])
+    if isinstance(error, NonGeneralDivisor):
+        raise Blowup(t, tau_index=error.index) from error
+    if error is not None:
+        raise error
+    return lax.LaxMatrix._trusted(n=L0.n, a=a[0], b=b[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,41 +328,54 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     remaining = float(t)
     direction = math.copysign(1.0, t) if t != 0.0 else 1.0
 
-    while abs(remaining) > 0.0:
-        h = direction * min(dt, abs(remaining))
-        np.dot(M, y, out=k1)
-        k1_b *= y_b
-        for k_in, frac, k_out, k_out_b in stages:
-            np.multiply(k_in, frac * h, out=s)
-            s += y
-            np.dot(M, s, out=k_out)
-            k_out_b *= s_b
-        # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6.0
-        y += k2
-        elapsed += h
-        remaining -= h
-        if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
-            raise Overflow(elapsed)
+    # the check after each step decides an overflow, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while abs(remaining) > 0.0:
+            h = direction * min(dt, abs(remaining))
+            np.dot(M, y, out=k1)
+            k1_b *= y_b
+            for k_in, frac, k_out, k_out_b in stages:
+                np.multiply(k_in, frac * h, out=s)
+                s += y
+                np.dot(M, s, out=k_out)
+                k_out_b *= s_b
+            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= h / 6.0
+            y += k2
+            elapsed += h
+            remaining -= h
+            if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
+                raise Overflow(elapsed)
     if not lax._in_range(y[:n], y_b):
         raise RangeExceeded(float(t))
     return lax.LaxMatrix._trusted(n=n, a=y[:n], b=y_b)
 
 
-def _rk4_states(L0: lax.LaxMatrix, sample_ts, dt: float):
-    """Yield L0 at sample_ts[0], then the state after ``solve_rk4`` across
-    each interval between consecutive sample times.  An Overflow carries the
-    time elapsed since the last sample time."""
+def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
+    """L0 at sample_ts[0], then the state after ``solve_rk4`` across each
+    interval between consecutive sample times, as (a, b, error).  The error
+    is the Overflow (with the time elapsed since the last sample time) or
+    the RangeExceeded that ended an interval."""
+    a, b = np.empty((len(sample_ts), L0.n)), np.empty((len(sample_ts), L0.n - 1))
+    a[0], b[0] = L0.a, L0.b
     state = L0
-    yield state
-    for prev, t in zip(sample_ts[:-1], sample_ts[1:]):
-        state = solve_rk4(state, t - prev, dt)
-        yield state
+    stop = 1
+    error = None
+    try:
+        for prev, t in zip(sample_ts[:-1].tolist(), sample_ts[1:].tolist()):
+            state = solve_rk4(state, t - prev, dt)
+            a[stop], b[stop] = state.a, state.b
+            stop += 1
+    except (Overflow, RangeExceeded) as exc:
+        error = exc
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a[:stop], b[:stop], error
 
 
 # ---------------------------------------------------------------------------
@@ -343,41 +385,52 @@ def _rk4_states(L0: lax.LaxMatrix, sample_ts, dt: float):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled states of one run; ``blowup`` is the first failing sample time."""
+    """Sampled states of one run, as stacked bands.
+
+    ``times`` (T,) are the sample times, ``a`` (T, n) and ``b`` (T, n-1) the
+    diagonal and subdiagonal of the state at each; all three are read-only
+    and cannot be made writable.  ``blowup`` is the first failing sample
+    time (None when the run reached t1), and a run that fails at t0 has no
+    rows.  ``states`` is derived: one read-only LaxMatrix row view per sample.
+    """
 
     times: np.ndarray
-    states: tuple
+    a: np.ndarray
+    b: np.ndarray
     method: str
     blowup: Optional[float] = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.size > 1 and np.any(np.diff(times) <= 0):
+        times, a, b = (lax._sealed(x) for x in (self.times, self.a, self.b))
+        if times.ndim != 1 or (times.size > 1 and np.any(np.diff(times) <= 0)):
             raise ValueError("sample times must be strictly increasing")
-        if len(self.states) != times.size:
-            raise ValueError("one state per sample time required")
+        if a.ndim != 2 or a.shape[0] != times.size or b.shape != (times.size, a.shape[1] - 1):
+            raise ValueError("bands of shape (T, n) and (T, n-1) required, one row per sample time")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        n = self.a.shape[1]
+        return tuple(lax.LaxMatrix._trusted(n=n, a=a, b=b) for a, b in zip(self.a, self.b))
 
     def to_csv(self, fp) -> None:
-        """Header t,a1..aN,b1..b(N-1); one row per sample; blowup as a comment."""
-        if not self.states:
-            n = 0
-        else:
-            n = self.states[0].n
+        """Header t,a1..aN,b1..b(N-1); one row per sample; blowup as a comment.
+        A run without rows has the header ``t`` alone."""
+        n = self.a.shape[1] if self.times.size else 0
         header = ["t"] + [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n)]
-        fp.write(",".join(header) + "\n")
-        for t, state in zip(self.times, self.states):
-            row = [repr(float(t))] + [repr(float(x)) for x in state.a]
-            row += [repr(float(x)) for x in state.b]
-            fp.write(",".join(row) + "\n")
+        rows = np.column_stack((self.times, self.a, self.b)).tolist()
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
         if self.blowup is not None:
-            fp.write(f"# blowup t={self.blowup:.6f}\n")
+            lines.append(f"# blowup t={self.blowup:.6f}")
+        fp.write("\n".join(lines) + "\n")
 
     def to_json_dict(self) -> dict:
+        n = self.a.shape[1]
         return {
-            "times": [float(t) for t in self.times],
-            "states": [s.to_json_dict() for s in self.states],
+            "times": self.times.tolist(),
+            "states": [{"n": n, "a": a, "b": b} for a, b in zip(self.a.tolist(), self.b.tolist())],
             "method": self.method,
             "blowup": None if self.blowup is None else float(self.blowup),
         }
@@ -415,10 +468,11 @@ def trajectory(
     """Sample the run that passes through L0 at time t0 on [t0, t1].
 
     The state at sample time t is the solution advanced by t - t0 from L0.
-    Each method is one kernel over all sample times: tau and symes decompose
-    L0 once (symes: one ``eigh`` and one stacked QR for b > 0, one ``eig``
-    for sign-mixed b), so their rows equal ``solve_tau`` and ``solve_symes``
-    bit for bit; rk4 runs ``solve_rk4`` between consecutive sample times.
+    Each method is one kernel that returns the stacked bands of all sample
+    times: tau and symes decompose L0 once (symes: one ``eigh`` and one
+    stacked QR for b > 0, one ``eig`` for sign-mixed b), so their rows equal
+    ``solve_tau`` and ``solve_symes`` bit for bit; rk4 runs ``solve_rk4``
+    between consecutive sample times.
     Sampling stops, with ``blowup`` set to the failing sample time (for rk4
     the overflowing step's time), at the first Blowup, StructureLost or
     Overflow.  RangeExceeded is raised again with the failing sample time:
@@ -437,21 +491,18 @@ def trajectory(
 
     sample_ts = _sample_times(t0, t1, dt_out)
     if method == "rk4":
-        kernel = _rk4_states(L0, sample_ts, rk4_dt)
+        a, b, error = _rk4_stacks(L0, sample_ts, rk4_dt)
     else:
-        kernel = (_tau_states if method == "tau" else _symes_states)(L0, sample_ts - t0)
-    states = []
+        a, b, error = (_tau_stacks if method == "tau" else _symes_stacks)(L0, sample_ts - t0)
+    rows = a.shape[0]
     blowup = None
-    try:
-        for state in kernel:
-            states.append(state)
-    except (NonGeneralDivisor, Blowup, StructureLost):
-        blowup = float(sample_ts[len(states)])
-    except Overflow as exc:
-        blowup = float(sample_ts[len(states) - 1] + exc.time)
-    except RangeExceeded as exc:
-        raise RangeExceeded(float(sample_ts[len(states)])) from exc
-    return Trajectory(sample_ts[: len(states)], tuple(states), method, blowup)
+    if isinstance(error, RangeExceeded):
+        raise RangeExceeded(float(sample_ts[rows])) from error
+    if isinstance(error, Overflow):
+        blowup = float(sample_ts[rows - 1] + error.time)
+    elif error is not None:  # NonGeneralDivisor, Blowup or StructureLost
+        blowup = float(sample_ts[rows])
+    return Trajectory(sample_ts[:rows], a, b, method, blowup)
 
 
 # ---------------------------------------------------------------------------

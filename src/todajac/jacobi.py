@@ -448,7 +448,10 @@ def reconstruct(spec: lax.Spectrum, F) -> lax.LaxMatrix:
     NonGeneralDivisor when a tau value vanishes and RangeExceeded (t = 0)
     when an entry of the matrix itself leaves double range.
     """
-    return next(reconstruct_along(spec, F, 0.0))
+    a, b, error = reconstruct_along(spec, F, 0.0)
+    if error is not None:
+        raise error
+    return lax.LaxMatrix._trusted(n=a.shape[1], a=a[0], b=b[0])
 
 
 class _Rows(NamedTuple):
@@ -474,29 +477,34 @@ def _reconstruct_rows(grid: TauGrid) -> _Rows:
     return _Rows(a, b, nongeneral, ~lax._in_range(a, b))
 
 
-def reconstruct_along(spec: lax.Spectrum, F0, times):
-    """Yield reconstruct(spec, evolve_point(F0, spec, t)) for each of ``times``.
+def reconstruct_along(spec: lax.Spectrum, F0, times) -> tuple:
+    """Bands of reconstruct(spec, evolve_point(F0, spec, t)) for each of
+    ``times``, stacked: (a, b, error) with a (T, n) and b (T, n-1) read-only.
 
     One TauKernel evaluation covers every time and no evolved point is
-    formed; the states are read-only row views of the stacked bands.
-    Iteration stops at the first failing time by raising NonGeneralDivisor,
-    or RangeExceeded with that time when an entry leaves double range (a
-    subdiagonal entry below the smallest normal double, say) or is NaN.
-    A one-point spectrum raises ValueError: a Lax matrix needs n >= 2.
+    formed.  The stacks stop before the first failing time, and ``error`` is
+    what stops them: NonGeneralDivisor when a tau value vanishes there, or
+    RangeExceeded with that time when an entry leaves double range (a
+    subdiagonal entry below the smallest normal double, say) or is NaN; None
+    when every time stands.  A one-point spectrum raises ValueError: a Lax
+    matrix needs n >= 2.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times))
     rows.a.setflags(write=False)
     rows.b.setflags(write=False)
-    n = rows.a.shape[1]
-    if n < 2:
+    if rows.a.shape[1] < 2:
         raise ValueError("LaxMatrix needs n >= 2")
-    for i, t in enumerate(times.tolist()):
-        if rows.nongeneral[i].any():
-            raise NonGeneralDivisor(int(np.argmax(rows.nongeneral[i])))
-        if rows.out_of_range[i]:
-            raise RangeExceeded(t, f"reconstructed entries leave double range at t={t!r}")
-        yield lax.LaxMatrix._trusted(n=n, a=rows.a[i], b=rows.b[i])
+    nongeneral = rows.nongeneral.any(axis=1)
+    failing = nongeneral | rows.out_of_range
+    stop = int(np.argmax(failing)) if failing.any() else times.size
+    error = None
+    if stop < times.size and nongeneral[stop]:
+        error = NonGeneralDivisor(int(np.argmax(rows.nongeneral[stop])))
+    elif stop < times.size:
+        t = float(times[stop])
+        error = RangeExceeded(t, f"reconstructed entries leave double range at t={t!r}")
+    return rows.a[:stop], rows.b[:stop], error
 
 
 def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:

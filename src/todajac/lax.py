@@ -51,6 +51,24 @@ def _frozen(values) -> np.ndarray:
     return _readonly(values)
 
 
+def _sealed(values) -> np.ndarray:
+    """A read-only float view of a read-only array: unlike an array that owns
+    its data, it cannot be made writable again.  ``values`` itself when it is
+    one already (a row or slice of a frozen stack), else a view of a copy."""
+    out = _frozen(values)
+    if isinstance(out.base, np.ndarray) and not out.base.flags.writeable:
+        return out
+    return _readonly(out)[...]
+
+
+def _check_bands(a, b) -> None:
+    """The phase-space conditions on bands: every entry finite, every b nonzero."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("matrix entries must be finite")
+    if np.any(b == 0.0):
+        raise ValueError("all subdiagonal entries must be nonzero")
+
+
 @dataclass(frozen=True, eq=False)
 class LaxMatrix:
     """Tridiagonal phase-space matrix with unit superdiagonal.
@@ -73,10 +91,7 @@ class LaxMatrix:
             raise ValueError(f"diagonal must have length {self.n}, got {a.shape}")
         if b.shape != (self.n - 1,):
             raise ValueError(f"subdiagonal must have length {self.n - 1}, got {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("matrix entries must be finite")
-        if np.any(b == 0.0):
-            raise ValueError("all subdiagonal entries must be nonzero")
+        _check_bands(a, b)
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 

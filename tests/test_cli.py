@@ -449,16 +449,35 @@ def test_negative_exponent_time_with_equals_sign(cone_file, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("-0.001,")
 
 
-def test_shell_sees_the_exit_code_without_traceback(cone_file, tmp_path):
+def run_in_shell(*argv):
+    """``python -m todajac.cli`` with the interpreter's default warning filters."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "todajac.cli", "linearize", "--matrix", cone_file,
-         "--out", str(tmp_path / "absent" / "out.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "todajac.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_shell_sees_the_exit_code_without_traceback(cone_file, tmp_path):
+    out = tmp_path / "absent" / "out.json"
+    proc = run_in_shell("linearize", "--matrix", cone_file, "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_rk4_overflow_prints_only_the_blowup_line(tmp_path):
+    # numpy's overflow warnings, with their source lines, came first
+    huge = {"n": 3, "a": [1e300, 0.0, -1e300], "b": [1e300, 1e300]}
+    path = write_json(tmp_path / "huge.json", huge)
+    proc = run_in_shell(
+        "simulate", "--matrix", path, "--t0", "0", "--t1", "1", "--dt", "0.5", "--method", "rk4"
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "blowup at t=0.001; output truncated\n"
+    assert proc.stdout == (
+        "t,a1,a2,a3,b1,b2\n0.0,1e+300,0.0,-1e+300,1e+300,1e+300\n# blowup t=0.001000\n"
+    )
 
 
 def test_number_beyond_float_range_in_file_exit_one(tmp_path, capsys):

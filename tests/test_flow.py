@@ -1,6 +1,7 @@
 """Tests for the three solvers, trajectories and blowup localization."""
 
 import io
+import json
 import math
 import warnings
 
@@ -24,6 +25,8 @@ L2 = lax.LaxMatrix(n=2, a=np.array([2.0, 2.0]), b=np.array([1.0]))
 T_GOLDEN = math.log(2.0) / 2.0
 GOLDEN_A = np.array([7.0 / 3.0, 5.0 / 3.0])
 GOLDEN_B = np.array([8.0 / 9.0])
+# overflows in the first RK4 step
+L_HUGE = lax.LaxMatrix(n=3, a=np.array([1e300, 0.0, -1e300]), b=np.array([1e300, 1e300]))
 
 
 def random_tnn(rng, n, spec_lo=0.3, spec_hi=5.0, min_gap=0.25, log_range=2.0):
@@ -335,6 +338,17 @@ class TestSolvers:
         with pytest.raises(Overflow) as err:
             flow.solve_rk4(Lnc, 1.5, 1e-5)
         assert 0.9 < err.value.time < 1.1
+
+    def test_rk4_overflow_raises_no_numpy_warning(self):
+        # numpy's overflow warnings escaped the step loop before Overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow) as err:
+                flow.solve_rk4(L_HUGE, 1.0, 1e-3)
+            traj = flow.trajectory(L_HUGE, 0.0, 1.0, 0.5, "rk4")
+        assert err.value.time == 1e-3
+        assert traj.blowup == 1e-3 and traj.times.tolist() == [0.0]
+        np.testing.assert_array_equal(traj.a[0], L_HUGE.a)
 
     def test_rk4_matches_reference_loop_bit_for_bit(self):
         rng = np.random.default_rng(20264)
@@ -764,6 +778,20 @@ class TestSymesLU:
                 assert np.array_equal(one.a, state.a) and np.array_equal(one.b, state.b)
         assert blowups >= 12  # the constructed runs reach the blowup path
 
+    @pytest.mark.parametrize(
+        "conjugate, message",
+        [(lambda N, M: np.full_like(M, np.nan), "finite"), (lambda N, M: np.triu(M), "nonzero")],
+    )
+    def test_conjugated_rows_keep_the_constructor_checks(self, monkeypatch, conjugate, message):
+        # NaN passes the superdiagonal test; a zero b passes it exactly
+        L = sign_mixed_matrices(np.random.default_rng(3), [4])[0]
+        monkeypatch.setattr(flow, "lu_unit_lower", lambda M, scale=None: (np.eye(len(M)), None))
+        monkeypatch.setattr(np.linalg, "solve", conjugate)
+        for call in (lambda: flow.solve_symes(L, 0.5),
+                     lambda: flow.trajectory(L, 0.0, 1.0, 0.25, "symes")):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_one_spectrum_and_one_eig_per_run(self, monkeypatch):
         calls = {"spectrum": 0, "eig": 0}
 
@@ -783,7 +811,146 @@ class TestSymesLU:
             assert calls == {"spectrum": 1, "eig": 1}
 
 
+def per_sample_tau(L, sample_ts, t0):
+    """Reference loop: one solve_tau call per sample time, stopping at the
+    first Blowup.  Returns (states, blowup time)."""
+    states = []
+    for t in sample_ts:
+        try:
+            states.append(flow.solve_tau(L, float(t) - t0))
+        except Blowup:
+            return states, float(t)
+    return states, None
+
+
+class TestTauStacks:
+    """The tau route of trajectory: one stacked reconstruction per run."""
+
+    def test_trajectory_rows_equal_single_time_calls(self):
+        # the first failing row is found by one argmax over the stack
+        rng = np.random.default_rng(14142)
+        runs = [(blowup_matrix(rng, n, T), -0.25 * (n % 3), 0.25)
+                for n in range(2, 9) for T in (0.25, 0.5, 1.5, 3.0)]
+        # the last sample, t0 + 20 * dt, is the blowup time
+        runs += [(blowup_matrix(rng, n, 1.25), 0.0, 0.0625) for n in range(2, 9)]
+        runs += [(L, -1.0, 0.1) for L in sign_mixed_matrices(rng, range(2, 9))]
+        stops = set()
+        for L, t0, dt in runs:
+            t1 = t0 + 20 * dt
+            traj = flow.trajectory(L, t0, t1, dt, "tau")
+            ref_states, ref_blowup = per_sample_tau(L, flow._sample_times(t0, t1, dt), t0)
+            assert traj.blowup == ref_blowup
+            assert len(traj.states) == len(ref_states)
+            if traj.blowup is not None:
+                stops.add(len(traj.states))
+            for state, one in zip(traj.states, ref_states):
+                assert np.array_equal(one.a, state.a) and np.array_equal(one.b, state.b)
+        # blowups after the first sample, in mid-run and at the last sample
+        assert {1, 20} <= stops and len(stops) >= 4
+
+
+def writer_reference_csv(traj):
+    """The per-state CSV row loop the stacked writer replaced."""
+    states = traj.states
+    n = states[0].n if states else 0
+    header = ["t"] + [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n)]
+    text = ",".join(header) + "\n"
+    for t, state in zip(traj.times, states):
+        row = [repr(float(t))] + [repr(float(x)) for x in state.a]
+        row += [repr(float(x)) for x in state.b]
+        text += ",".join(row) + "\n"
+    if traj.blowup is not None:
+        text += f"# blowup t={traj.blowup:.6f}\n"
+    return text
+
+
+def writer_reference_json(traj):
+    """The per-state JSON form the stacked writer replaced."""
+    data = {
+        "times": [float(t) for t in traj.times],
+        "states": [s.to_json_dict() for s in traj.states],
+        "method": traj.method,
+        "blowup": None if traj.blowup is None else float(traj.blowup),
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def writer_runs():
+    """(matrix, t0, t1, dt, method) over every route, with truncated runs."""
+    rng = np.random.default_rng(5772)
+    cone = [random_tnn(rng, n)[0] for n in (2, 5, 8)]
+    mixed = sign_mixed_matrices(rng, [3, 6, 8])
+    blowing = [blowup_matrix(rng, n, 0.5) for n in (3, 7)]
+    Lnc, _ = noncone_two_by_two()
+    runs = [(L, -0.5, 0.5, 0.1, m) for L in cone for m in ("tau", "symes", "rk4")]
+    runs += [(L, -0.3712, 0.6288, 0.05, m) for L in mixed for m in ("tau", "symes")]
+    runs += [(L, 0.0, 1.0, 0.125, m) for L in blowing for m in ("tau", "symes")]
+    runs += [(Lnc, -1.0, 1.0, 0.1, m) for m in ("tau", "symes", "rk4")]
+    return runs
+
+
+def empty_trajectory():
+    """A run that fails at t0: no rows (no real input is known to give one)."""
+    return flow.Trajectory(np.empty(0), np.empty((0, 3)), np.empty((0, 2)), "tau", 0.0)
+
+
+class TestWriters:
+    """The stacked writers print what the per-state loop printed, byte for byte."""
+
+    def test_csv_and_json_match_the_per_state_loop(self):
+        truncated = 0
+        trajs = [flow.trajectory(L, t0, t1, dt, m) for L, t0, t1, dt, m in writer_runs()]
+        for traj in trajs + [empty_trajectory()]:
+            csv, js = io.StringIO(), io.StringIO()
+            traj.to_csv(csv)
+            traj.to_json(js)
+            assert csv.getvalue() == writer_reference_csv(traj)
+            assert js.getvalue() == writer_reference_json(traj)
+            truncated += traj.blowup is not None
+        assert truncated >= 8
+        assert writer_reference_csv(empty_trajectory()) == "t\n# blowup t=0.000000\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_stdout_matches_the_per_state_loop(self, tmp_path, capsys, monkeypatch, fmt):
+        from todajac import cli
+
+        reference = writer_reference_csv if fmt == "csv" else writer_reference_json
+        for i, (L, t0, t1, dt, m) in enumerate(writer_runs()):
+            path = tmp_path / f"m{i}.json"
+            path.write_text(json.dumps(L.to_json_dict()), encoding="utf-8")
+            argv = ["simulate", "--matrix", str(path), f"--t0={t0!r}", "--t1", repr(t1),
+                    "--dt", repr(dt), "--method", m, "--format", fmt]
+            code = cli.main(argv)
+            traj = flow.trajectory(lax.LaxMatrix.from_json_dict(L.to_json_dict()), t0, t1, dt, m)
+            assert code == (cli.EXIT_OK if traj.blowup is None else cli.EXIT_BLOWUP)
+            assert capsys.readouterr().out == reference(traj)
+        monkeypatch.setattr(flow, "trajectory", lambda *args, **kwargs: empty_trajectory())
+        assert cli.main(argv) == cli.EXIT_BLOWUP
+        assert capsys.readouterr().out == reference(empty_trajectory())
+
+
 class TestReadOnlyStates:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda L: flow.trajectory(L, 0.0, 1.0, 0.25, "tau"),
+            lambda L: flow.trajectory(L, 0.0, 1.0, 0.25, "symes"),
+            lambda L: flow.trajectory(L, 0.0, 1.0, 0.25, "rk4"),
+            lambda L: flow.trajectory(sign_mixed_matrices(np.random.default_rng(5), [5])[0],
+                                      0.0, 1.0, 0.25, "symes"),
+            lambda L: flow.Trajectory(np.arange(2.0), np.ones((2, 5)), np.ones((2, 4)), "tau"),
+        ],
+    )
+    def test_trajectory_arrays_cannot_be_made_writable(self, make):
+        traj = make(random_tnn(np.random.default_rng(4), 5)[0])
+        bands = [traj.times, traj.a, traj.b]
+        bands += [band for state in traj.states for band in (state.a, state.b)]
+        assert len(bands) == 3 + 2 * traj.times.size
+        for band in bands:
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band.setflags(write=True)
+
     @pytest.mark.parametrize(
         "make",
         [
