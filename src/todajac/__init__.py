@@ -31,7 +31,6 @@ from .errors import (
     RangeExceeded,
     SingularLeadingMinor,
     SpectrumOverflow,
-    StructureLost,
     TodaError,
     TooLarge,
     ZeroCofactorValue,

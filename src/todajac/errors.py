@@ -86,10 +86,6 @@ class Blowup(TodaError):
         super().__init__(message)
 
 
-class StructureLost(TodaError):
-    """A conjugated matrix is no longer tridiagonal with unit superdiagonal."""
-
-
 class Overflow(TodaError):
     """A subdiagonal entry exceeded the overflow threshold mid-integration.
 

@@ -19,16 +19,16 @@ row 0 of a one-time run.
     decreasing exponent, which keeps the QR accurate on graded rows (Cox &
     Higham, BIT 38, 1998); a = diag S, b = subdiag(S)**2.  It holds for
     every t and never reports Blowup.
-  - sign-mixed b: factorize exp(t*L0) = N*R with N unit lower triangular and
-    conjugate, L(t) = N^-1 L0 N.  One LAPACK eigendecomposition of L0
+  - sign-mixed b: factorize exp(t*L0) = N*R with N unit lower triangular;
+    L(t) = N^-1 L0 N = R L0 R^-1, whose bands are read off the subdiagonal
+    of N and the diagonal of R.  One LAPACK eigendecomposition of L0
     serves every time; each exponential is scaled by exp(-t*lambda_max)
-    before factorizing, and the scale multiplies R only, so the conjugation
-    is unaffected.  A vanishing pivot is a vanishing tau value: Blowup; a
-    failed conjugation is StructureLost.
+    before factorizing, and the scale multiplies R only, so it cancels from
+    the pivot ratios.  A vanishing pivot is a vanishing tau value: Blowup.
 
   Both routes raise RangeExceeded when the eigenvectors of L0 leave double
   range (for b > 0: the diagonal similarity cumprod(sqrt(b)) is not finite
-  or reaches 0), and the QR route also when a state entry does.
+  or reaches 0), and when a state entry does.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
   coordinates of dL/dt = [L, L_lower].  It steps one state vector
   y = [a; b] over a fixed +-1 rate matrix M: the rates are M @ y with the
@@ -61,11 +61,9 @@ from .errors import (
     Overflow,
     RangeExceeded,
     SingularLeadingMinor,
-    StructureLost,
 )
 
 RK4_OVERFLOW_THRESHOLD = 1e12
-STRUCTURE_TOL = 1e-9
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
@@ -112,11 +110,13 @@ def matrix_exp_spectral(L0: lax.LaxMatrix, t: float) -> np.ndarray:
 def lu_unit_lower(M, scale=None) -> tuple:
     """Doolittle factorization M = N*R, N unit lower and R upper triangular.
 
-    No pivoting: row exchanges would destroy the triangular structure the
-    conjugation relies on.  A pivot that vanishes relative to the magnitudes
-    accumulated into it signals a singular leading principal minor.  Those
-    magnitudes start from |M|, or from ``scale`` when M's entries are
-    themselves sums of terms whose magnitudes ``scale`` holds.
+    No pivoting: Symes's flow reads L(t) off the factors of exp(t*L0)
+    itself, so row exchanges would factor another matrix.  R[k, k] is the
+    ratio of the leading principal minors of orders k+1 and k, and a pivot
+    that vanishes relative to the magnitudes accumulated into it signals a
+    singular leading principal minor.  Those magnitudes start from |M|, or
+    from ``scale`` when M's entries are themselves sums of terms whose
+    magnitudes ``scale`` holds.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -198,40 +198,40 @@ def _symes_qr(L0: lax.LaxMatrix, times) -> tuple:
 
 def _symes_lu(L0: lax.LaxMatrix, times) -> tuple:
     """States at ``times`` for a sign-mixed subdiagonal, as (a, b, error):
-    one spectrum check and one eigendecomposition of L0 serve every time,
-    and each conjugated state is written into preallocated stacks.
+    one spectrum check and one eigendecomposition of L0 serve every time.
 
-    The error is Blowup at a vanishing pivot, StructureLost at a failed
-    conjugation, or RangeExceeded (first time, no rows) when the
-    eigenvectors leave double range.  A state whose entries are not finite,
-    or whose b has a zero, raises ValueError as the LaxMatrix constructor
-    does.
+    Each state is read off two diagonals of the factors exp(t*L0) = N*R:
+    L(t) = N^-1 L0 N = R L0 R^-1 is tridiagonal with unit superdiagonal, so
+    a_k(t) = a_k + N[k+1, k] - N[k, k-1] and
+    b_k(t) = b_k R[k+1, k+1] / R[k, k], the tau quotient of the closed form.
+
+    The error is Blowup at a vanishing pivot, or RangeExceeded: with the
+    first time and no rows when the eigenvectors leave double range, with a
+    sample's time when its state does (as in the QR and tau routes).
     """
     lax.spectrum(L0)
     times = np.asarray(times, dtype=float).tolist()
     a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
-    dense = L0.to_dense()
     stop = 0
     try:
         eig = _eigendecomposition(L0, times[0])
         for t in times:
             scaled, _, mass = _scaled_exp(eig, t)
             try:
-                N, _ = lu_unit_lower(scaled, scale=mass)
+                N, R = lu_unit_lower(scaled, scale=mass)
             except SingularLeadingMinor as exc:
                 raise Blowup(t, message=f"factorization failed at t={t!r}: {exc}") from exc
-            try:
-                conj = np.linalg.solve(N, dense) @ N
-            except np.linalg.LinAlgError as exc:
-                raise StructureLost(f"conjugation failed at t={t!r}: {exc}") from exc
-            deviation = np.max(np.abs(np.diagonal(conj, offset=1) - 1.0))
-            if deviation > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(conj)))):
-                raise StructureLost(f"superdiagonal deviates from 1 by {deviation:.3e}")
-            a[stop], b[stop] = np.diagonal(conj), np.diagonal(conj, offset=-1)
-            lax._check_bands(a[stop], b[stop])
+            flux, pivots = np.diagonal(N, -1), np.diagonal(R)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a[stop] = L0.a
+                a[stop, :-1] += flux
+                a[stop, 1:] -= flux
+                b[stop] = L0.b * pivots[1:] / pivots[:-1]
+            if not lax._in_range(a[stop], b[stop]):
+                raise RangeExceeded(t, "the state's entries leave double range")
             stop += 1
         error = None
-    except (Blowup, StructureLost, RangeExceeded) as exc:
+    except (Blowup, RangeExceeded) as exc:
         error = exc
     a.setflags(write=False)
     b.setflags(write=False)
@@ -474,10 +474,10 @@ def trajectory(
     ``solve_tau`` and ``solve_symes`` bit for bit; rk4 runs ``solve_rk4``
     between consecutive sample times.
     Sampling stops, with ``blowup`` set to the failing sample time (for rk4
-    the overflowing step's time), at the first Blowup, StructureLost or
-    Overflow.  RangeExceeded is raised again with the failing sample time:
-    a value that leaves double range is not a blowup.  A non-finite time, a
-    step that is not positive (NaN included) or more than MAX_SAMPLE_STEPS steps,
+    the overflowing step's time), at the first Blowup or Overflow.
+    RangeExceeded is raised again with the failing sample time: a value
+    that leaves double range is not a blowup.  A non-finite time, a step
+    that is not positive (NaN included) or more than MAX_SAMPLE_STEPS steps,
     (t1 - t0) / dt_out, is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -500,7 +500,7 @@ def trajectory(
         raise RangeExceeded(float(sample_ts[rows])) from error
     if isinstance(error, Overflow):
         blowup = float(sample_ts[rows - 1] + error.time)
-    elif error is not None:  # NonGeneralDivisor, Blowup or StructureLost
+    elif error is not None:  # NonGeneralDivisor or Blowup
         blowup = float(sample_ts[rows])
     return Trajectory(sample_ts[:rows], a, b, method, blowup)
 

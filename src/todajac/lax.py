@@ -61,14 +61,6 @@ def _sealed(values) -> np.ndarray:
     return _readonly(out)[...]
 
 
-def _check_bands(a, b) -> None:
-    """The phase-space conditions on bands: every entry finite, every b nonzero."""
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("matrix entries must be finite")
-    if np.any(b == 0.0):
-        raise ValueError("all subdiagonal entries must be nonzero")
-
-
 @dataclass(frozen=True, eq=False)
 class LaxMatrix:
     """Tridiagonal phase-space matrix with unit superdiagonal.
@@ -91,7 +83,10 @@ class LaxMatrix:
             raise ValueError(f"diagonal must have length {self.n}, got {a.shape}")
         if b.shape != (self.n - 1,):
             raise ValueError(f"subdiagonal must have length {self.n - 1}, got {b.shape}")
-        _check_bands(a, b)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("matrix entries must be finite")
+        if np.any(b == 0.0):
+            raise ValueError("all subdiagonal entries must be nonzero")
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 

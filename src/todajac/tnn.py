@@ -271,7 +271,7 @@ def is_totally_positive(M) -> bool:
     return True
 
 
-def is_irreducible_tnn(M, k_max: Optional[int] = None):
+def is_irreducible_tnn(M):
     """Smallest power of a TNN tridiagonal matrix that is totally positive.
 
     A TNN tridiagonal matrix is oscillatory iff det M > 0 and every
@@ -280,20 +280,16 @@ def is_irreducible_tnn(M, k_max: Optional[int] = None):
     (Gantmacher & Krein, Oscillation Matrices and Kernels, Ch. II; Fallat &
     Johnson, Totally Nonnegative Matrices, Ch. 2).  A singular or decoupled
     TNN matrix has no totally positive power.  So this returns ``(True,
-    max(n-1, 1))`` when M is oscillatory and that exponent is at most
-    ``k_max`` (unbounded by default), and ``(False, None)`` otherwise, which
-    for a TNN input is a proof.  det M is the last window of the exact
+    max(n-1, 1))`` when M is oscillatory and ``(False, None)`` otherwise,
+    which for a TNN input is a proof.  det M is the last window of the exact
     (zero-tolerance) tridiagonal criterion, which raises NotTnn on failure.
     """
     diag, sup, sub = _bands(M)
     report, det = _tridiagonal_criterion(diag, sup, sub, 0.0)
     if not report.is_tnn:
         raise NotTnn(f"input is not TNN (witness minor {report.witness.value!r})")
-    if k_max is not None and k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    k = max(diag.size - 1, 1)
-    if det > 0.0 and np.all(sup > 0.0) and np.all(sub > 0.0) and (k_max is None or k <= k_max):
-        return True, k
+    if det > 0.0 and np.all(sup > 0.0) and np.all(sub > 0.0):
+        return True, max(diag.size - 1, 1)
     return False, None
 
 

@@ -304,9 +304,10 @@ def run_verification(
     # n uniform draws clear the separation with probability at least 1/4
     if not (0.0 < spec_lo and n * n * lax.DEFAULT_SEPARATION <= spec_hi - spec_lo < math.inf):
         raise ValueError("spectrum range must be positive, finite and n^2 separations wide")
-    # coordinates are exp(uniform(-range, range)), which must be finite
-    if not abs(coord_log_range) <= jacobi._LOG_HUGE:
-        raise ValueError(f"|coordinate log range| must be at most {jacobi._LOG_HUGE:.2f}")
+    # coordinates are exp(uniform(-range, range)), and their ratios to the
+    # first one, up to exp(2 * range), must be finite
+    if not abs(coord_log_range) <= jacobi._LOG_HUGE / 2:
+        raise ValueError(f"|coordinate log range| must be at most {jacobi._LOG_HUGE / 2:.2f}")
 
     runs = []
     if direction in ("forward", "both"):

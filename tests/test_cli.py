@@ -376,6 +376,8 @@ class TestVerifyTheorem:
             ["--spec-min", "1", "--spec-max", "1e308"],
             # forward reconstructions leave double range
             ["--spec-min", "1", "--spec-max", "1e200", "--direction", "forward"],
+            # normalized coordinates reach exp(2 * range)
+            ["--coord-range", "400"],
         ],
     )
     def test_unsamplable_configuration_exit_one(self, capsys, options):

@@ -16,7 +16,6 @@ from todajac.errors import (
     Overflow,
     RangeExceeded,
     SingularLeadingMinor,
-    StructureLost,
 )
 
 RNG = np.random.default_rng(99173)
@@ -504,16 +503,6 @@ class TestTrajectory:
             flow.trajectory(L, 2.0, 3.0, 0.5, "symes")
         assert info.value.time == 2.0
 
-    def test_singular_conjugation_is_structure_lost(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        # np.linalg.solve conjugates only on the sign-mixed route
-        Lnc, _ = noncone_two_by_two()
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(StructureLost):
-            flow.solve_symes(Lnc, 0.5)
-
     def test_methods_match_along_run(self):
         L, _ = random_tnn(RNG, 3)
         tr_tau = flow.trajectory(L, -0.5, 0.5, 0.25, "tau")
@@ -746,14 +735,37 @@ def blowup_matrix(rng, n, T):
 
 def per_sample_symes(L, sample_ts, t0):
     """Reference loop: one solve_symes call per sample time, stopping at the
-    first Blowup or StructureLost.  Returns (states, blowup time)."""
+    first Blowup.  Returns (states, blowup time)."""
     states = []
     for t in sample_ts:
         try:
             states.append(flow.solve_symes(L, float(t) - t0))
-        except (Blowup, StructureLost):
+        except Blowup:
             return states, float(t)
     return states, None
+
+
+def conjugation_reference(L, sample_ts, t0):
+    """Frozen copy of the dense sign-mixed Symes loop: per sample time, the
+    conjugation N^-1 L0 N by the unit lower factor of exp((t - t0) L0),
+    stopping at the first singular pivot or superdiagonal that deviates
+    from 1 by more than 1e-9 relative.  Returns (a rows, b rows, blowup time)."""
+    dense = L.to_dense()
+    eig = flow._eigendecomposition(L, 0.0)
+    a_rows, b_rows = [], []
+    for t in sample_ts:
+        scaled, _, mass = flow._scaled_exp(eig, float(t) - t0)
+        try:
+            N, _ = flow.lu_unit_lower(scaled, scale=mass)
+        except SingularLeadingMinor:
+            return a_rows, b_rows, float(t)
+        conj = np.linalg.solve(N, dense) @ N
+        deviation = np.max(np.abs(np.diagonal(conj, offset=1) - 1.0))
+        if deviation > 1e-9 * max(1.0, float(np.max(np.abs(conj)))):
+            return a_rows, b_rows, float(t)
+        a_rows.append(np.diagonal(conj))
+        b_rows.append(np.diagonal(conj, offset=-1))
+    return a_rows, b_rows, None
 
 
 class TestSymesLU:
@@ -778,22 +790,57 @@ class TestSymesLU:
                 assert np.array_equal(one.a, state.a) and np.array_equal(one.b, state.b)
         assert blowups >= 12  # the constructed runs reach the blowup path
 
-    @pytest.mark.parametrize(
-        "conjugate, message",
-        [(lambda N, M: np.full_like(M, np.nan), "finite"), (lambda N, M: np.triu(M), "nonzero")],
-    )
-    def test_conjugated_rows_keep_the_constructor_checks(self, monkeypatch, conjugate, message):
-        # NaN passes the superdiagonal test; a zero b passes it exactly
+    def test_rows_match_the_dense_conjugation(self):
+        # N^-1 L0 N and R L0 R^-1 are the same matrix: read off the factors,
+        # the rows keep the dense conjugation's to rounding
+        rng = np.random.default_rng(27182)
+        runs = [(L, 0.0, 0.1) for L in sign_mixed_matrices(rng, [2 + i % 7 for i in range(14)])]
+        runs += [(blowup_matrix(rng, n, T), -0.25 * (n % 3), 0.25)
+                 for n in range(2, 9) for T in (0.5, 1.5)]
+        blowups = 0
+        for L, t0, dt in runs:
+            t1 = t0 + 20 * dt
+            traj = flow.trajectory(L, t0, t1, dt, "symes")
+            ref_a, ref_b, ref_blowup = conjugation_reference(
+                L, flow._sample_times(t0, t1, dt), t0)
+            assert traj.blowup == ref_blowup
+            assert traj.a.shape[0] == len(ref_a)
+            blowups += traj.blowup is not None
+            for got, ref in ((traj.a, ref_a), (traj.b, ref_b)):
+                ref = np.reshape(ref, got.shape)
+                assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+        assert blowups >= 12  # the constructed runs reach the blowup path
+
+    @pytest.mark.parametrize("corrupt", ["nan_flux", "subnormal_b"])
+    def test_rows_out_of_double_range_are_range_exceeded(self, monkeypatch, corrupt):
+        # factors whose bands leave double range from the third sample on
         L = sign_mixed_matrices(np.random.default_rng(3), [4])[0]
-        monkeypatch.setattr(flow, "lu_unit_lower", lambda M, scale=None: (np.eye(len(M)), None))
-        monkeypatch.setattr(np.linalg, "solve", conjugate)
-        for call in (lambda: flow.solve_symes(L, 0.5),
-                     lambda: flow.trajectory(L, 0.0, 1.0, 0.25, "symes")):
-            with pytest.raises(ValueError, match=message):
-                call()
+        real = flow.lu_unit_lower
+        calls = []
+
+        def corrupted(M, scale=None):
+            N, R = real(M, scale=scale)
+            calls.append(None)
+            if len(calls) >= 3:
+                if corrupt == "nan_flux":
+                    N[2, 1] = np.nan
+                else:
+                    R[1, 1] = R[0, 0] * 1e-310 / abs(L.b[0])
+            return N, R
+
+        monkeypatch.setattr(flow, "lu_unit_lower", corrupted)
+        with pytest.raises(RangeExceeded) as info:
+            flow.trajectory(L, 0.0, 1.0, 0.25, "symes")
+        assert info.value.time == 0.5
+        calls.clear()
+        flow.solve_symes(L, 0.5)
+        flow.solve_symes(L, 0.5)
+        with pytest.raises(RangeExceeded) as info:
+            flow.solve_symes(L, 0.5)
+        assert info.value.time == 0.5
 
     def test_one_spectrum_and_one_eig_per_run(self, monkeypatch):
-        calls = {"spectrum": 0, "eig": 0}
+        calls = {"spectrum": 0, "eig": 0, "solve": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -804,11 +851,12 @@ class TestSymesLU:
 
         monkeypatch.setattr(lax, "spectrum", counting("spectrum", lax.spectrum))
         monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         for L in sign_mixed_matrices(np.random.default_rng(2718), [4, 8]):
-            calls.update(spectrum=0, eig=0)
+            calls.update(spectrum=0, eig=0, solve=0)
             traj = flow.trajectory(L, 0.0, 2.0, 0.1, "symes")
             assert traj.blowup is None and len(traj.states) == 21
-            assert calls == {"spectrum": 1, "eig": 1}
+            assert calls == {"spectrum": 1, "eig": 1, "solve": 0}
 
 
 def per_sample_tau(L, sample_ts, t0):

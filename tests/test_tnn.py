@@ -466,10 +466,6 @@ class TestIrreducible:
         ok, k = tnn.is_irreducible_tnn(make([2, 2], [1]))
         assert ok and k == 1
 
-    def test_k_max_one_still_succeeds(self):
-        ok, k = tnn.is_irreducible_tnn(make([2, 2], [1]), k_max=1)
-        assert ok and k == 1
-
     def test_singular_rank_one(self):
         ok, k = tnn.is_irreducible_tnn(make([1, 1], [1]))
         assert not ok and k is None
@@ -544,7 +540,6 @@ class TestIrreducible:
             L = verify.sample_tnn_rejection(rng, n)
             assert tnn.is_irreducible_tnn(L) == (True, n - 1)
             assert tnn.is_irreducible_tnn(L.to_dense()) == (True, n - 1)
-            assert tnn.is_irreducible_tnn(L, k_max=n - 2) == (False, None)
             with pytest.raises(TooLarge):
                 tnn.is_totally_positive(L.to_dense())
 
