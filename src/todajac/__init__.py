@@ -55,6 +55,7 @@ from .tnn import (
     interlacing_spectra,
     is_irreducible_tnn,
     is_tnn_exhaustive,
+    is_tnn_interlacing,
     is_tnn_tridiagonal,
     is_totally_positive,
 )

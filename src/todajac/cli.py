@@ -3,7 +3,10 @@
 Commands:
 
 * ``simulate``: run one trajectory and write it as CSV or JSON.
-* ``check-tnn``: total-nonnegativity report for a matrix file.
+* ``check-tnn``: total-nonnegativity report for a matrix file, from the
+  exhaustive, tridiagonal or interlacing route (``--mode``).  The
+  interlacing route reads "not TNN" off a negative subdiagonal entry with no
+  spectrum; on b > 0 a spectrum failure is "not TNN" with a ``note:`` line.
 * ``linearize``: Jacobi coordinates, sign component and tau data of a matrix.
 * ``reconstruct``: matrix from a spectrum file and a point file.
 * ``verify-theorem``: randomized check that cone points reconstruct to TNN
@@ -96,11 +99,10 @@ def cmd_check_tnn(args) -> int:
         report = tnn.is_tnn_tridiagonal(L, tol=args.tol)
     else:
         try:
-            ok = tnn.check_interlacing(tnn.interlacing_spectra(L))
+            report = tnn.is_tnn_interlacing(L)
         except SPECTRUM_FAILURES as exc:
             print(f"note: spectrum test failed ({exc})", file=sys.stderr)
-            ok = False
-        report = tnn.TnnReport(is_tnn=ok, witness=None, method="interlacing")
+            report = tnn.TnnReport(is_tnn=False, witness=None, method="interlacing")
     _dump(report.to_json_dict(), args.out)
     return EXIT_OK if report.is_tnn else EXIT_NEGATIVE
 

@@ -8,10 +8,12 @@ reruns the expansion in exact integers when rounding could decide a sign.
 For tridiagonal matrices TNN is equivalent to nonnegative off-diagonal
 entries plus nonnegative contiguous principal minors, and, when the
 off-diagonal entries are positive, to strict eigenvalue interlacing with a
-positive bottom eigenvalue; the tests cross-check all three routes.  TP is
-decided from the n^2 initial minors (Gasca & Peña) and the irreducibility of
-a TNN tridiagonal matrix in closed form (Gantmacher & Krein): see
-``is_totally_positive`` and ``is_irreducible_tnn``.
+positive bottom eigenvalue.  Strict interlacing itself forces a positive
+subdiagonal, so the interlacing route rejects a negative entry, a negative
+1x1 minor, before it computes any spectrum; the tests cross-check all three
+routes.  TP is decided from the n^2 initial minors (Gasca & Peña) and the
+irreducibility of a TNN tridiagonal matrix in closed form (Gantmacher &
+Krein): see ``is_totally_positive`` and ``is_irreducible_tnn``.
 """
 
 from __future__ import annotations
@@ -326,7 +328,10 @@ def check_interlacing(data: InterlacingData) -> bool:
 
     True iff 0 < lambda_1 < mu_1 < lambda_2 < ... < mu_{n-1} < lambda_n,
     where the mu are the trailing-corner eigenvalues.  The equivalence with
-    the TNN tests is only promised for positive off-diagonal entries.
+    the TNN tests is only promised for positive off-diagonal entries: on a
+    sign-mixed matrix rounding can make a nearly decoupled spectrum
+    interlace.  ``is_tnn_interlacing`` decides such a matrix from its
+    entries instead.
     """
     lam = data.lambdas.lambdas
     mu = data.mus.lambdas
@@ -336,3 +341,18 @@ def check_interlacing(data: InterlacingData) -> bool:
         if not (lam[i] < mu[i] < lam[i + 1]):
             return False
     return True
+
+
+def is_tnn_interlacing(L: lax.LaxMatrix) -> TnnReport:
+    """The interlacing route's report on a Lax matrix, with no witness.
+
+    Strict interlacing gives the Weyl function det(z - Q)/det(z - L) positive
+    residues, and a positive measure gives a positive subdiagonal (de Boor &
+    Golub, Linear Algebra Appl. 21, 1978).  So a negative entry of ``L.b``
+    (a negative 1x1 minor; a LaxMatrix has none that is zero) is "not TNN"
+    with no spectrum computed.  For b > 0 the verdict is
+    ``check_interlacing(interlacing_spectra(L))``, whose spectrum failures
+    (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow) propagate.
+    """
+    ok = bool(np.all(L.b > 0.0)) and check_interlacing(interlacing_spectra(L))
+    return TnnReport(is_tnn=ok, witness=None, method="interlacing")

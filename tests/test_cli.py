@@ -19,6 +19,14 @@ MAT_CONE = {"n": 2, "a": [2.0, 2.0], "b": [1.0]}
 MAT_SWAP = {"n": 2, "a": [0.0, 0.0], "b": [1.0]}
 # sign-mixed, huge b: the Newton polish of the spectrum overflows
 MAT_POLISH_OVERFLOW = {"n": 8, "a": [0.1 * i for i in range(8)], "b": [-1e200] * 7}
+# b > 0 with eigenvalues +-1e-15: the spectrum is not simple
+MAT_NOT_SIMPLE = {"n": 2, "a": [0.0, 0.0], "b": [1e-30]}
+# one tiny negative entry: the rounded spectra interlace, the matrix is not TNN
+MAT_TINY_NEGATIVE = {
+    "n": 3,
+    "a": [2.9877258766458645, 3.1461341964872647, 3.291349420217848],
+    "b": [-2.053110304527219e-232, 0.4753978632097647],
+}
 
 
 def write_json(path, data):
@@ -173,6 +181,16 @@ class TestCheckTnn:
         report = json.loads(capsys.readouterr().out)
         assert report["witness"]["rows"] == [0, 1] and report["witness"]["value"] < 0.0
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "tridiagonal", "interlacing"])
+    def test_negative_entry_is_never_tnn(self, tmp_path, capsys, mode):
+        path = write_json(tmp_path / "m.json", MAT_TINY_NEGATIVE)
+        assert main(["check-tnn", "--matrix", path, "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["is_tnn"] is False and captured.err == ""
+        if mode != "interlacing":
+            assert report["witness"] == {"rows": [1], "cols": [0], "value": -2.053110304527219e-232}
+
     def test_size_gate(self, tmp_path):
         big = {"n": 9, "a": [1.0] * 9, "b": [1.0] * 8}
         path = write_json(tmp_path / "big.json", big)
@@ -282,6 +300,19 @@ def test_spectrum_overflow_is_a_spectrum_failure(tmp_path, capsys, command):
     # the suite turns the overflow RuntimeWarning into an error
     path = write_json(tmp_path / "m.json", MAT_POLISH_OVERFLOW)
     assert main(command + ["--matrix", path]) == 2
+    if command[0] == "check-tnn":
+        # a negative entry is "not TNN" before any spectrum, so the
+        # interlacing route's spectrum failures come from b > 0 inputs
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["is_tnn"] is False and captured.err == ""
+        path = write_json(tmp_path / "m.json", MAT_NOT_SIMPLE)
+        assert main(command + ["--matrix", path]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["is_tnn"] is False
+        assert captured.err == (
+            "note: spectrum test failed (eigenvalues -1e-15 and 1e-15 closer than 1.0e-10)\n"
+        )
+        return
     assert "polish of the eigenvalues leaves double range" in capsys.readouterr().err
 
 

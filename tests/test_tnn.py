@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from todajac import lax, tnn, verify
-from todajac.errors import NotTnn, NotTridiagonal, TooLarge
+from todajac.errors import NonRealSpectrum, NotTnn, NotTridiagonal, TooLarge
 
 RNG = np.random.default_rng(7151)
 
@@ -21,6 +21,31 @@ def make(a, b):
 def random_tridiagonal(rng, n, a_lo=-0.5, a_hi=2.5, b_lo=0.01, b_hi=1.5):
     """Random phase-space matrix with positive subdiagonal (unit superdiagonal)."""
     return make(rng.uniform(a_lo, a_hi, n), rng.uniform(b_lo, b_hi, n - 1))
+
+
+# a tiny negative b_1 nearly decouples the matrix, and its rounded spectra
+# interlace: the spectra alone would call it TNN
+TINY_NEGATIVE_B = make(
+    [2.9877258766458645, 3.1461341964872647, 3.291349420217848],
+    [-2.053110304527219e-232, 0.4753978632097647],
+)
+
+
+def sign_mixed_tridiagonal(rng, n, tiny):
+    """Random phase-space matrix with at least one negative subdiagonal entry.
+
+    With ``tiny`` that entry is the only negative one, of magnitude 1e-300
+    to 1e-20; otherwise every sign is random and the magnitudes are those of
+    ``random_tridiagonal``, which often gives a non-real spectrum.
+    """
+    b = rng.uniform(0.01, 1.5, n - 1)
+    k = rng.integers(n - 1)
+    if tiny:
+        b[k] = -(10.0 ** rng.uniform(-300.0, -20.0))
+    else:
+        b *= rng.choice([-1.0, 1.0], n - 1)
+        b[k] = -abs(b[k])
+    return make(rng.uniform(-0.5, 3.5, n), b)
 
 
 def plain_loop_tridiagonal_criterion(M, tol):
@@ -617,3 +642,48 @@ class TestInterlacing:
                 lambdas=data.lambdas, mus=data.mus_prime, mus_prime=data.mus
             )
             assert tnn.check_interlacing(swapped) == r3
+
+
+class TestInterlacingRoute:
+    def test_negative_entry_is_never_tnn(self):
+        report = tnn.is_tnn_interlacing(TINY_NEGATIVE_B)
+        assert report.to_json_dict() == {"is_tnn": False, "witness": None, "method": "interlacing"}
+        for route in (tnn.is_tnn_exhaustive, tnn.is_tnn_tridiagonal):
+            witness = route(TINY_NEGATIVE_B).witness
+            assert (witness.rows, witness.cols, witness.value) == ((1,), (0,), -2.053110304527219e-232)
+
+    def test_sign_mixed_routes_agree_without_spectra(self, monkeypatch):
+        rng = np.random.default_rng(2121)
+        draws = [sign_mixed_tridiagonal(rng, 2 + i % 7, tiny=i % 3 == 0) for i in range(700)]
+        nonreal = 0
+        for L in draws:
+            try:
+                lax.spectrum(L)
+            except NonRealSpectrum:
+                nonreal += 1
+        assert nonreal >= 50
+        calls = []
+        real_spectrum = lax.spectrum
+        monkeypatch.setattr(lax, "spectrum", lambda L: calls.append(L.n) or real_spectrum(L))
+        for L in draws:
+            verdicts = [
+                tnn.is_tnn_exhaustive(L).is_tnn,
+                tnn.is_tnn_tridiagonal(L).is_tnn,
+                tnn.is_tnn_interlacing(L).is_tnn,
+            ]
+            assert verdicts == [False] * 3, f"a={L.a}, b={L.b}: {verdicts}"
+        assert calls == []
+
+    def test_positive_b_takes_three_spectra(self, monkeypatch):
+        # n >= 3: an n = 2 matrix has scalar corners, so one spectrum call
+        rng = np.random.default_rng(2122)
+        calls = []
+        real_spectrum = lax.spectrum
+        monkeypatch.setattr(lax, "spectrum", lambda L: calls.append(L.n) or real_spectrum(L))
+        for i in range(120):
+            n = 3 + i % 6
+            L = random_tridiagonal(rng, n)
+            calls.clear()
+            verdict = tnn.is_tnn_interlacing(L).is_tnn
+            assert calls == [n, n - 1, n - 1]
+            assert verdict == tnn.is_tnn_tridiagonal(L).is_tnn
