@@ -519,19 +519,36 @@ def detect_blowup(
 ) -> Optional[float]:
     """Earliest zero of any tau value along the evolved point on [t0, t1].
 
-    Scans a uniform grid for sign changes and refines the earliest bracket by
-    one bisection over every class that changes sign in it: each step keeps
-    the half where some remaining class changes sign and stops at an exact
-    zero of one.  A tau that dips below the tangency threshold without
-    changing sign is reported as a GridMiss warning, not resolved.  One
-    TauKernel serves the whole grid and every bisection step.
+    A tau class whose Laplace terms all have one sign cannot vanish
+    (``TauKernel.zero_free``: Laguerre's rule of signs, Polya-Szego,
+    Problems and Theorems in Analysis II, Part V), so it is never summed;
+    when every class is such, as on every cone point, the answer is None
+    without a scan.  Otherwise a uniform grid is scanned for sign changes,
+    summing only the tau classes from the first to the last uncertified one
+    (never tau'), and the earliest bracket is refined by one bisection over
+    every class that changes sign in it: each step sums only the range of
+    classes still live, keeps the half where some of them changes sign and
+    stops at an exact zero of one.  A tau that dips below the tangency
+    threshold without changing sign is reported as a GridMiss warning, not
+    resolved.  One TauKernel serves the whole grid and every bisection step.
+
+    Raises ValueError unless t0 < t1, both and the window length t1 - t0
+    are finite, and grid >= 1.
     """
+    t0, t1 = float(t0), float(t1)
+    if not math.isfinite(t1 - t0):
+        raise ValueError("t0, t1 and t1 - t0 must be finite")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    ts = np.linspace(t0, t1, grid + 1)
+    if grid < 1:
+        raise ValueError("grid needs at least one interval")
     kernel = jacobi.TauKernel(spec, F0)
-    values = kernel.evaluate(ts)
-    signs, gens = values.sign_tau, values.generality
+    uncertified = np.flatnonzero(~kernel.zero_free(t0, t1)[0])
+    if not uncertified.size:
+        return None
+    first = int(uncertified[0])
+    ts = np.linspace(t0, t1, grid + 1)
+    signs, _, gens = kernel.sums(ts, first, int(uncertified[-1]) + 1)
 
     exact = np.flatnonzero((signs == 0.0).any(axis=1))
     flips = np.flatnonzero((signs[:-1] * signs[1:] < 0.0).any(axis=1))
@@ -553,8 +570,12 @@ def detect_blowup(
     s_lo = signs[i]
     live = s_lo * signs[i + 1] < 0.0  # classes that change sign in [lo, hi]
     while hi - lo > REFINE_TOL:
+        # narrow the summed range to the first through the last live class
+        span = np.flatnonzero(live)
+        keep = slice(span[0], span[-1] + 1)
+        first, live, s_lo = first + int(span[0]), live[keep], s_lo[keep]
         mid = 0.5 * (lo + hi)
-        s_mid = kernel.evaluate(mid).sign_tau[0]
+        s_mid = kernel.sums(mid, first, first + live.size)[0][0]
         left = live & (s_mid * s_lo < 0.0)
         if left.any():
             hi, live = mid, left

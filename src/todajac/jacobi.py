@@ -181,7 +181,9 @@ class _Subsets(NamedTuple):
     below: np.ndarray  # (n, 1, n) True at [k, 0, i] for i < k
     sizes: np.ndarray  # (2^n,) |S|, nondecreasing
     signs: np.ndarray  # (2^n,) sign of S's Laplace term before the f signs
-    term_starts: np.ndarray  # (2n+2,) first term of each size class, unprimed then primed
+    # (2n+3,) first term of each size class, unprimed then primed, then the
+    # term count
+    term_bounds: np.ndarray
     term_classes: np.ndarray  # (2^(n+1),) class of each term
 
 
@@ -202,7 +204,7 @@ def _subsets(n: int) -> _Subsets:
         below=_readonly(np.tri(n, k=-1)[:, None, :], dtype=bool),
         sizes=_readonly(sizes, dtype=int),
         signs=_readonly(np.where(parity == 0, 1.0, -1.0) * epsilon_signs(n)[sizes]),
-        term_starts=_readonly(np.concatenate([starts, starts + count]), dtype=int),
+        term_bounds=_readonly(np.concatenate([starts, starts + count, [2 * count]]), dtype=int),
         term_classes=_readonly(np.concatenate([sizes, sizes + n + 1]), dtype=int),
     )
 
@@ -252,6 +254,13 @@ class TauKernel:
     accurate at any coordinate grading, with relative error ~ eps divided by
     the generality ratio.
 
+    The terms form 2n+2 classes: tau[0..n] (unprimed), then tau'[0..n]
+    (primed).  ``sums`` evaluates any contiguous range of them, each class
+    over the same terms in the same order as ``evaluate``, so its columns
+    equal the full evaluation bit for bit.  ``zero_free`` certifies the tau
+    classes whose terms all have one sign: by Laguerre's rule of signs such
+    an exponential sum has no real zero.
+
     ``spec`` and ``F`` may also be stacks: arrays of eigenvalue rows and of
     point rows, shape (S, n) each.  Every term sum is built by elementwise
     adds in a fixed order (``_subset_sums``), which depends on neither memory
@@ -295,22 +304,49 @@ class TauKernel:
         self.signs = np.concatenate([signs, signs * np.sign(e1)], axis=1)
         rates = e1 - sub.sizes * lams[:, :1]
         self.rates = np.concatenate([rates, rates], axis=1)
-        self.starts, self.classes = sub.term_starts, sub.term_classes
+        self.bounds, self.classes = sub.term_bounds, sub.term_classes
         self.n = n
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    def evaluate(self, times) -> TauGrid:
-        """Tau data of the point evolved by each of ``times``.
+    def zero_free(self, t0: float, t1: float) -> np.ndarray:
+        """(rows, n+1) True where tau[k] cannot vanish on [t0, t1].
 
-        For a stack, row s is point s evolved by times[s] (one time for all
-        rows, or one point for all times, broadcasts).
+        tau[k](t) = sum over S of c_S exp(r_S t) has at most as many real
+        zeros as the coefficients c_S, ordered by rate, have sign changes
+        (Laguerre's rule of signs; Polya-Szego, Problems and Theorems in
+        Analysis II, Part V): none when every term has one sign.  The
+        computed sum of one-signed terms is never 0 either, and its
+        generality is exactly 1, while every term log stays finite; the logs
+        are affine in t, so finite at t0 and t1 means finite between.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        points, terms = self.logs.shape
+        k = self.n + 1
+        unprimed, starts = slice(0, self.bounds[k]), self.bounds[:k]
+        signs, logs, rates = (table[:, unprimed] for table in (self.signs, self.logs, self.rates))
+        lowest = np.minimum.reduceat(signs, starts, axis=1)
+        one_signed = lowest == np.maximum.reduceat(signs, starts, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(logs + t0 * rates) & np.isfinite(logs + t1 * rates)
+        return one_signed & np.logical_and.reduceat(finite, starts, axis=1)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def sums(self, times, first: int = 0, stop: int | None = None) -> tuple:
+        """(sign, log|value|, generality) of term classes first..stop-1 at
+        each of ``times``, each a (rows, stop - first) array.
+
+        Classes 0..n are tau[0..n] and n+1..2n+1 are tau'[0..n]; the default
+        is all of them.  For a stack, row s is point s evolved by times[s]
+        (one time for all rows, or one point for all times, broadcasts).
+        """
+        times = np.array(times, dtype=float, ndmin=1, copy=None)
+        stop = self.bounds.size - 1 if stop is None else stop
+        cols = slice(self.bounds[first], self.bounds[stop])
+        starts, classes = self.bounds[first:stop], self.classes[cols]
+        if first:
+            starts, classes = starts - starts[0], classes - first
+        points, terms = self.logs.shape[0], classes.size
         rows = max(points, times.size)
         if {points, times.size} - {1, rows}:
             raise ValueError(f"{times.size} times do not match a stack of {points} points")
-        shape = (rows, self.starts.size)
+        shape = (rows, starts.size)
         sign, log_abs, generality = np.empty(shape), np.empty(shape), np.empty(shape)
         block = max(1, _BLOCK_TERMS // terms)
         for lo in range(0, rows, block):
@@ -318,15 +354,21 @@ class TauKernel:
             # a single point or a single time serves every row
             at = slice(None) if points == 1 else part
             when = slice(None) if times.size == 1 else part
-            logs = self.logs[at] + times[when, None] * self.rates[at]
-            m = np.maximum.reduceat(logs, self.starts, axis=1)
+            logs = self.logs[at, cols] + times[when, None] * self.rates[at, cols]
+            m = np.maximum.reduceat(logs, starts, axis=1)
             m[m == -math.inf] = 0.0  # every term of the class is zero
-            scaled = np.exp(logs - m[:, self.classes])
-            total = np.add.reduceat(scaled * self.signs[at], self.starts, axis=1)
-            bound = np.add.reduceat(scaled, self.starts, axis=1)
+            scaled = np.exp(logs - m[:, classes])
+            total = np.add.reduceat(scaled * self.signs[at, cols], starts, axis=1)
+            bound = np.add.reduceat(scaled, starts, axis=1)
             log_abs[part] = m + np.log(np.abs(total))
             generality[part] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
             sign[part] = np.sign(total)
+        return sign, log_abs, generality
+
+    def evaluate(self, times) -> TauGrid:
+        """Tau data of the point evolved by each of ``times``: ``sums`` of
+        every class, split into tau and tau' (stacks as in ``sums``)."""
+        sign, log_abs, generality = self.sums(times)
         k = self.n + 1
         return TauGrid(sign[:, :k], log_abs[:, :k], sign[:, k:], log_abs[:, k:], generality[:, :k])
 

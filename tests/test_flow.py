@@ -1091,6 +1091,85 @@ class TestDetectBlowup:
         expected, _ = detect_blowup_reference(spec, point, t0, t1, grid=1)
         assert flow.detect_blowup(spec, point, t0, t1, grid=1) == expected
 
+    def test_matches_reference_on_cone_points_and_fine_grids(self):
+        # half cone points, which are certified and never scanned; GridMiss
+        # exactly where the full-kernel grid has no root and a generality
+        # below the tangency threshold
+        rng = np.random.default_rng(6030)
+        roots = misses = 0
+        for i in range(112):
+            n = 2 + i % 7
+            while True:
+                lams = np.sort(rng.uniform(-3.0, 3.0, n))
+                if np.min(np.diff(lams)) > 0.05:
+                    break
+            spec = lax.Spectrum(lams)
+            if i % 2 == 0:
+                point = verify.sample_cone_point(rng, n, 3.0)
+            else:
+                point = jacobi.JacobiPoint.from_raw(
+                    rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-3.0, 3.0, n))
+                )
+            # every fourth window ends just short of the reference root
+            t0, t1 = -10.0, 10.0
+            expected, _ = detect_blowup_reference(spec, point, t0, t1)
+            if i % 4 == 3 and expected is not None and expected > t0 + 1.0:
+                t0, t1 = expected - 1.0, expected - 1e-12
+                expected, _ = detect_blowup_reference(spec, point, t0, t1)
+            gens = jacobi.TauKernel(spec, point).evaluate(np.linspace(t0, t1, 1001)).generality
+            miss = expected is None and float(np.min(gens)) < flow.TANGENCY_TOL
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = flow.detect_blowup(spec, point, t0, t1)
+            assert got == expected
+            assert [type(w.message) for w in caught] == [GridMiss] * miss
+            assert expected is None or i % 2 == 1
+            roots += got is not None
+            misses += miss
+        assert roots > 30
+        assert misses >= 3
+
+    def test_certified_point_makes_no_grid_evaluation(self, monkeypatch):
+        ranges = []
+        sums = jacobi.TauKernel.sums
+
+        def counting_sums(kernel, times, first=0, stop=None):
+            ranges.append((first, stop))
+            return sums(kernel, times, first, stop)
+
+        monkeypatch.setattr(jacobi.TauKernel, "sums", counting_sums)
+        rng = np.random.default_rng(6031)
+        for n in range(2, 9):
+            spec = lax.Spectrum(np.arange(n) + rng.uniform(0.0, 0.5, n))
+            assert flow.detect_blowup(spec, verify.sample_cone_point(rng, n, 3.0), -10.0, 10.0) is None
+        assert ranges == []
+        # n = 2: tau[0] and tau[2] are single terms, so the scan and every
+        # bisection step sum tau[1] alone, and never a tau' class
+        kappa = 1.7
+        root = flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, kappa]), -1.0, 1.0)
+        assert root == pytest.approx(-math.log(kappa) / 2.0, abs=1e-9)
+        assert len(ranges) > 20 and set(ranges) == {(1, 2)}
+        # n = 4: the scan sums tau[1..3], each bisection step only tau[3],
+        # the one class that changes sign in the bracket
+        spec = lax.Spectrum(np.array([1.0, 2.0, 3.0, 4.0]))
+        point = jacobi.JacobiPoint.from_raw([1.0, 2.0, 0.5, 3.0])
+        expected, _ = detect_blowup_reference(spec, point, -3.0, 3.0)
+        ranges.clear()
+        assert flow.detect_blowup(spec, point, -3.0, 3.0) == expected
+        assert ranges[0] == (1, 4) and set(ranges[1:]) == {(3, 4)}
+
+    def test_grid_below_one_raises(self):
+        # tau_1 of this point vanishes at 0, inside the window
+        with pytest.raises(ValueError, match="grid"):
+            flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, 1.0]), -1.0, 1.0, grid=0)
+
+    @pytest.mark.parametrize(
+        "t0, t1", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+    )
+    def test_non_finite_window_raises(self, t0, t1):
+        with pytest.raises(ValueError, match="finite"):
+            flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, 1.0]), t0, t1)
+
     def test_grid_miss_warns(self):
         with pytest.warns(GridMiss):
             out = flow.detect_blowup(

@@ -431,6 +431,55 @@ class TestTauKernel:
                 for many, one in zip(grid, single):
                     np.testing.assert_array_equal(many[row], one[0])
 
+    def test_class_range_sums_match_full_evaluation(self):
+        rng = np.random.default_rng(5153)
+        for n in (2, 5, 8):
+            spec = random_spectrum(rng, n)
+            P = jacobi.JacobiPoint.from_raw(rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2, 2, n)))
+            kernel = jacobi.TauKernel(spec, P)
+            # one time, and a grid of several kernel blocks at n = 8
+            for times in (0.7, np.linspace(-5.0, 5.0, 301)):
+                full = kernel.sums(times)
+                grid = kernel.evaluate(times)
+                np.testing.assert_array_equal(full[0][:, : n + 1], grid.sign_tau)
+                np.testing.assert_array_equal(full[1][:, n + 1 :], grid.log_abs_tau_prime)
+                np.testing.assert_array_equal(full[2][:, : n + 1], grid.generality)
+                for first in range(2 * n + 2):
+                    for stop in range(first + 1, 2 * n + 3):
+                        for part, whole in zip(kernel.sums(times, first, stop), full):
+                            np.testing.assert_array_equal(part, whole[:, first:stop])
+        # a stack of points, one time each
+        lams = np.stack([random_spectrum(rng, 6).lambdas for _ in range(40)])
+        f = rng.choice([-1.0, 1.0], (40, 6)) * np.exp(rng.uniform(-2, 2, (40, 6)))
+        kernel, times = jacobi.TauKernel(lams, f), rng.uniform(-3.0, 3.0, 40)
+        for part, whole in zip(kernel.sums(times, 2, 5), kernel.sums(times)):
+            np.testing.assert_array_equal(part, whole[:, 2:5])
+
+    def test_zero_free_classes_never_vanish(self):
+        rng = np.random.default_rng(5154)
+        times = np.linspace(-10.0, 10.0, 401)
+        mixed = 0
+        for n in range(2, 9):
+            spec = random_spectrum(rng, n)
+            cone = jacobi.TauKernel(spec, random_cone_point(rng, n))
+            assert cone.zero_free(-10.0, 10.0).all()
+            for _ in range(5):
+                f = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-2, 2, n))
+                kernel = jacobi.TauKernel(spec, jacobi.JacobiPoint.from_raw(f))
+                free = kernel.zero_free(-10.0, 10.0)[0]
+                assert free[0] and free[n]  # single terms
+                mixed += not free.all()
+                grid = kernel.evaluate(times)
+                sign = grid.sign_tau[:, free]
+                assert (sign == sign[0]).all() and (sign != 0.0).all()
+                assert (grid.generality[:, free] == 1.0).all()
+        assert mixed > 10
+        # term logs that underflow to -inf sum to an exact 0, so a window
+        # reaching them certifies nothing there
+        kernel = jacobi.TauKernel(random_spectrum(rng, 4, min_gap=1.0), random_cone_point(rng, 4))
+        assert (kernel.evaluate(-1e308).sign_tau[0, 2:] == 0.0).all()
+        assert not kernel.zero_free(-1e308, -1e307)[0, 2:].any()
+
     def test_trajectory_matches_solve_tau(self):
         rng = np.random.default_rng(5152)
         for _ in range(5):
