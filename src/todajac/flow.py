@@ -533,7 +533,9 @@ def detect_blowup(
     resolved.  One TauKernel serves the whole grid and every bisection step.
 
     Raises ValueError unless t0 < t1, both and the window length t1 - t0
-    are finite, and grid >= 1.
+    are finite, and grid >= 1.  Raises RangeExceeded, with the window end
+    t0 or t1, when a tau class the scan would sum has a term whose log is
+    not finite there: such a sum can underflow to a false zero.
     """
     t0, t1 = float(t0), float(t1)
     if not math.isfinite(t1 - t0):
@@ -546,9 +548,12 @@ def detect_blowup(
     uncertified = np.flatnonzero(~kernel.zero_free(t0, t1)[0])
     if not uncertified.size:
         return None
-    first = int(uncertified[0])
+    first, stop = int(uncertified[0]), int(uncertified[-1]) + 1
+    for end in (t0, t1):
+        if not kernel._finite_logs(end, end)[0, first:stop].all():
+            raise RangeExceeded(end, f"tau terms leave double range at t={end!r}")
     ts = np.linspace(t0, t1, grid + 1)
-    signs, _, gens = kernel.sums(ts, first, int(uncertified[-1]) + 1)
+    signs, _, gens = kernel.sums(ts, first, stop)
 
     exact = np.flatnonzero((signs == 0.0).any(axis=1))
     flips = np.flatnonzero((signs[:-1] * signs[1:] < 0.0).any(axis=1))

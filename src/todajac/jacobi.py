@@ -315,17 +315,27 @@ class TauKernel:
         (Laguerre's rule of signs; Polya-Szego, Problems and Theorems in
         Analysis II, Part V): none when every term has one sign.  The
         computed sum of one-signed terms is never 0 either, and its
-        generality is exactly 1, while every term log stays finite; the logs
-        are affine in t, so finite at t0 and t1 means finite between.
+        generality is exactly 1, while every term log stays finite
+        (``_finite_logs``).
         """
         k = self.n + 1
-        unprimed, starts = slice(0, self.bounds[k]), self.bounds[:k]
-        signs, logs, rates = (table[:, unprimed] for table in (self.signs, self.logs, self.rates))
+        signs, starts = self.signs[:, : self.bounds[k]], self.bounds[:k]
         lowest = np.minimum.reduceat(signs, starts, axis=1)
         one_signed = lowest == np.maximum.reduceat(signs, starts, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(logs + t0 * rates) & np.isfinite(logs + t1 * rates)
-        return one_signed & np.logical_and.reduceat(finite, starts, axis=1)
+        return one_signed & self._finite_logs(t0, t1)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _finite_logs(self, t0: float, t1: float) -> np.ndarray:
+        """(rows, n+1) True where every term log of tau[k] is finite on [t0, t1].
+
+        The logs are affine in t, so finite at t0 and t1 means finite
+        between.  A term whose log is -inf reads as an exact 0 in ``sums``:
+        a class with such a term can underflow to a false zero.
+        """
+        k = self.n + 1
+        logs, rates = self.logs[:, : self.bounds[k]], self.rates[:, : self.bounds[k]]
+        finite = np.isfinite(logs + t0 * rates) & np.isfinite(logs + t1 * rates)
+        return np.logical_and.reduceat(finite, self.bounds[:k], axis=1)
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def sums(self, times, first: int = 0, stop: int | None = None) -> tuple:

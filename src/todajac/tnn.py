@@ -168,38 +168,18 @@ def _first_negative_minor(M, tol: float, roundoff: Optional[float]) -> Optional[
     return TnnReport(is_tnn=True, witness=None, method="exhaustive")
 
 
-@functools.lru_cache(maxsize=None)
-def _outside_bands(n: int) -> np.ndarray:
-    """Boolean mask of the entries off the three bands of an n x n matrix."""
-    return lax._readonly(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2, dtype=bool)
-
-
-@functools.lru_cache(maxsize=None)
-def _band_entries(n: int) -> tuple:
-    """Row-major order of the band entries stored as [diagonal, super, sub].
-
-    Returns the read-only positions into that concatenation and the row and
-    column of each entry, in the order the entries appear row by row.
-    """
-    entries = sorted(
-        [(i, i, i) for i in range(n)]
-        + [(i, i + 1, n + i) for i in range(n - 1)]
-        + [(i + 1, i, 2 * n - 1 + i) for i in range(n - 1)]
-    )
-    rows, cols, positions = zip(*entries)
-    return lax._readonly(positions, dtype=np.intp), rows, cols
-
-
 def _bands(M) -> tuple:
-    """Diagonal, superdiagonal and subdiagonal of a tridiagonal matrix."""
+    """Diagonal, superdiagonal and subdiagonal of a tridiagonal matrix, as
+    lists of Python floats."""
     if isinstance(M, lax.LaxMatrix):
-        return M.a, np.ones(M.n - 1), M.b
+        return M.a.tolist(), [1.0] * (M.n - 1), M.b.tolist()
     M = _as_dense(M)
-    outside = _outside_bands(M.shape[0]) & (np.abs(M) > 0.0)
+    index = np.arange(M.shape[0])
+    outside = (np.abs(index[:, None] - index) >= 2) & (np.abs(M) > 0.0)
     if outside.any():
         i, j = (int(v) for v in np.argwhere(outside)[0])
         raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
-    return np.diag(M), np.diag(M, 1), np.diag(M, -1)
+    return M.diagonal().tolist(), M.diagonal(1).tolist(), M.diagonal(-1).tolist()
 
 
 def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
@@ -213,28 +193,30 @@ def is_tnn_tridiagonal(M, tol: float = 0.0) -> TnnReport:
     return _tridiagonal_criterion(*_bands(M), tol)[0]
 
 
-def _tridiagonal_criterion(diag, sup, sub, tol: float):
-    """is_tnn_tridiagonal's report on the bands and, when they pass, det M:
-    the last window of the recurrence."""
-    n = diag.size
-    positions, rows, cols = _band_entries(n)
-    entries = np.concatenate((diag, sup, sub))[positions]
-    bad = np.flatnonzero(~(entries >= -tol))
-    if bad.size:
-        first = int(bad[0])
-        report = TnnReport(
-            is_tnn=False,
-            witness=MinorWitness(
-                rows=(rows[first],), cols=(cols[first],), value=float(entries[first])
-            ),
-            method="tridiagonal-criterion",
-        )
-        return report, None
+def _tridiagonal_criterion(d: list, up: list, low: list, tol: float):
+    """is_tnn_tridiagonal's report on the bands (``_bands``) and, when they
+    pass, det M: the last window of the recurrence.
+
+    Python floats throughout: at n <= 8 a numpy call costs more than the
+    whole entry scan or a whole size of windows.
+    """
+
+    def rejected(rows, cols, value):
+        witness = MinorWitness(rows=rows, cols=cols, value=value)
+        return TnnReport(is_tnn=False, witness=witness, method="tridiagonal-criterion"), None
+
+    n = len(d)
+    # row-major: (k, k), (k, k+1), (k+1, k), then row k+1 from its diagonal
+    for k, value in enumerate(d):
+        if not value >= -tol:
+            return rejected((k,), (k,), value)
+        if k < n - 1 and not up[k] >= -tol:
+            return rejected((k,), (k + 1,), up[k])
+        if k < n - 1 and not low[k] >= -tol:
+            return rejected((k + 1,), (k,), low[k])
     # det M[s..s+size-1] for every start s, advanced over size by the
-    # three-term recurrence.  Python floats: at n <= 8 a numpy call per size
-    # costs more than the whole list of starts.
-    d = diag.tolist()
-    coupling = (sup * sub).tolist()
+    # three-term recurrence
+    coupling = [u * v for u, v in zip(up, low)]
     prev2, prev1 = [1.0] * n, d
     for size in range(2, n + 1):
         cur = [
@@ -244,15 +226,10 @@ def _tridiagonal_criterion(diag, sup, sub, tol: float):
         for s, value in enumerate(cur):
             if not value >= -tol:
                 window = tuple(range(s, s + size))
-                report = TnnReport(
-                    is_tnn=False,
-                    witness=MinorWitness(rows=window, cols=window, value=value),
-                    method="tridiagonal-criterion",
-                )
-                return report, None
+                return rejected(window, window, value)
         prev2, prev1 = prev1, cur
     report = TnnReport(is_tnn=True, witness=None, method="tridiagonal-criterion")
-    return report, prev1[0]
+    return report, prev1[0] if n else 1.0
 
 
 def is_totally_positive(M) -> bool:
@@ -286,12 +263,12 @@ def is_irreducible_tnn(M):
     which for a TNN input is a proof.  det M is the last window of the exact
     (zero-tolerance) tridiagonal criterion, which raises NotTnn on failure.
     """
-    diag, sup, sub = _bands(M)
-    report, det = _tridiagonal_criterion(diag, sup, sub, 0.0)
+    d, up, low = _bands(M)
+    report, det = _tridiagonal_criterion(d, up, low, 0.0)
     if not report.is_tnn:
         raise NotTnn(f"input is not TNN (witness minor {report.witness.value!r})")
-    if det > 0.0 and np.all(sup > 0.0) and np.all(sub > 0.0):
-        return True, max(diag.size - 1, 1)
+    if det > 0.0 and all(x > 0.0 for x in up + low):
+        return True, max(len(d) - 1, 1)
     return False, None
 
 

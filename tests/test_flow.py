@@ -1170,6 +1170,17 @@ class TestDetectBlowup:
         with pytest.raises(ValueError, match="finite"):
             flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, 1.0]), t0, t1)
 
+    @pytest.mark.parametrize("f", [[1.0, -1.0, 1.0, -1.0], [1.0, 2.0, 0.5, 3.0]])
+    @pytest.mark.parametrize("t0, t1, end", [(-1e308, -1e307, -1e308), (1e307, 1e308, 1e308)])
+    def test_underflowed_terms_raise_range_exceeded(self, f, t0, t1, end):
+        # a cone point and a non-cone one: at |t| = 1e308 some term of
+        # tau[1] has t * rate = +-inf, so its class sum could read an exact 0
+        # that is no root
+        spec = lax.Spectrum(np.array([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(RangeExceeded) as info:
+            flow.detect_blowup(spec, jacobi.JacobiPoint.from_raw(f), t0, t1, grid=10)
+        assert info.value.time == end
+
     def test_grid_miss_warns(self):
         with pytest.warns(GridMiss):
             out = flow.detect_blowup(

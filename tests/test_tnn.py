@@ -368,6 +368,18 @@ class TestTridiagonalCriterion:
             hits += 1
             assert tnn.is_tnn_tridiagonal(L).is_tnn
 
+    @staticmethod
+    def criterion_output(report):
+        # repr tells NaN values apart from nothing and -0.0 from 0.0
+        witness = report.witness
+        return report.is_tnn, witness and (witness.rows, witness.cols, repr(witness.value))
+
+    @staticmethod
+    def reference_output(M, tol):
+        with np.errstate(all="ignore"):  # inf and NaN entries
+            ok, witness = plain_loop_tridiagonal_criterion(M, tol)
+        return ok, witness and (witness[0], witness[1], repr(witness[2]))
+
     def test_witness_matches_plain_loop_reference(self):
         rng = np.random.default_rng(31337)
         rejected = last_bits = lax_cases = lax_rejected = 0
@@ -393,28 +405,55 @@ class TestTridiagonalCriterion:
                     ratio = M[m - 1, m] * M[m, m - 1] * prev2 / prev1
                     M[m, m] = ratio + int(rng.integers(-3, 4)) * np.spacing(ratio)
             tol = (0.0, 1e-12)[trial % 2]
-            report = tnn.is_tnn_tridiagonal(M, tol=tol)
-            got = (report.is_tnn, report.witness and (
-                report.witness.rows, report.witness.cols, report.witness.value
-            ))
-            want = plain_loop_tridiagonal_criterion(M, tol)
+            got = self.criterion_output(tnn.is_tnn_tridiagonal(M, tol=tol))
+            want = self.reference_output(M, tol)
             assert got == want, f"trial {trial}: M={M!r}, tol={tol}"
             # the same windows as a LaxMatrix: unit superdiagonal, b = the coupling
             coupling = np.diag(M, 1) * np.diag(M, -1)
             if np.all(coupling != 0.0):
                 L = lax.LaxMatrix(n=n, a=np.diag(M), b=coupling)
-                report = tnn.is_tnn_tridiagonal(L, tol=tol)
-                lax_got = (report.is_tnn, report.witness and (
-                    report.witness.rows, report.witness.cols, report.witness.value
-                ))
-                lax_want = plain_loop_tridiagonal_criterion(L.to_dense(), tol)
+                lax_got = self.criterion_output(tnn.is_tnn_tridiagonal(L, tol=tol))
+                lax_want = self.reference_output(L.to_dense(), tol)
                 assert lax_got == lax_want, f"trial {trial}: L={L!r}, tol={tol}"
                 lax_cases += 1
                 lax_rejected += not lax_want[0]
             rejected += not want[0]
-            last_bits += not want[0] and abs(want[1][2]) < 1e-13
+            last_bits += not want[0] and abs(float(want[1][2])) < 1e-13
         assert rejected > 1000 and last_bits > 50
         assert lax_cases > 1900 and lax_rejected > 1000
+
+        # negative tolerances (an entry must then reach -tol > 0, so a
+        # missing neighbour read as 0.0 would be a witness) and NaN, +-inf
+        # and -0.0 band entries, on dense input and, where the bands are
+        # finite, on the LaxMatrix
+        special = np.array([np.nan, np.inf, -np.inf, -0.0])
+        values, first_entry, lax_cases = [], 0, 0
+        for trial in range(1500):
+            n = int(rng.integers(1, 9))
+            M = np.diag(rng.uniform(0.0, 3.0, n))
+            M[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.0, 1.5, n - 1)
+            M[np.arange(1, n), np.arange(n - 1)] = rng.uniform(0.0, 1.5, n - 1)
+            if trial % 2:
+                i = int(rng.integers(0, n))
+                j = min(max(i + int(rng.integers(-1, 2)), 0), n - 1)
+                M[i, j] = special[int(rng.integers(0, 4))]
+            tol = (-0.2, -0.05, 0.0, 1e-12)[trial % 4]
+            want = self.reference_output(M, tol)
+            assert self.criterion_output(tnn.is_tnn_tridiagonal(M, tol=tol)) == want, (
+                f"trial {trial}: M={M!r}, tol={tol}"
+            )
+            coupling = np.diag(M, 1) * np.diag(M, -1)
+            if n > 1 and np.isfinite(M).all() and np.all(coupling != 0.0):
+                L = lax.LaxMatrix(n=n, a=np.diag(M), b=coupling)
+                lax_want = self.reference_output(L.to_dense(), tol)
+                lax_got = self.criterion_output(tnn.is_tnn_tridiagonal(L, tol=tol))
+                assert lax_got == lax_want, f"trial {trial}: L={L!r}, tol={tol}"
+                lax_cases += 1
+            if not want[0]:
+                values.append(want[1][2])
+                first_entry += want[1][:2] == ((0,), (0,))
+        assert values.count("nan") > 100 and values.count("-0.0") > 40 and first_entry > 100
+        assert lax_cases > 500
 
     def test_structure_error_matches_plain_loop_reference(self):
         rng = np.random.default_rng(4242)
