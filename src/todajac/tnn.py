@@ -11,9 +11,9 @@ off-diagonal entries are positive, to strict eigenvalue interlacing with a
 positive bottom eigenvalue.  Strict interlacing itself forces a positive
 subdiagonal, so the interlacing route rejects a negative entry, a negative
 1x1 minor, before it computes any spectrum; the tests cross-check all three
-routes.  TP is decided from the n^2 initial minors (Gasca & Peña) and the
-irreducibility of a TNN tridiagonal matrix in closed form (Gantmacher &
-Krein): see ``is_totally_positive`` and ``is_irreducible_tnn``.
+routes.  TP is decided by the exhaustive oracle's expansion, testing every
+minor > 0, and the irreducibility of a TNN tridiagonal matrix in closed form
+(Gantmacher & Krein): see ``is_totally_positive`` and ``is_irreducible_tnn``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,24 +71,6 @@ def _as_dense(M) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _initial_minor_blocks(n: int) -> tuple:
-    """Flat indices of the initial-minor blocks of an n x n matrix, per size.
-
-    Entry k-1 is a read-only (2(n-k)+1, k, k) array: the column-initial
-    blocks (rows i-k+1..i, columns 0..k-1) for i = k-1..n-1, then the
-    row-initial blocks (rows 0..k-1, columns j-k+1..j) for j = k..n-1, so
-    the leading block is listed once and there are n^2 blocks in all.
-    """
-    blocks = []
-    for k in range(1, n + 1):
-        span = np.arange(k)
-        corners = [(r, 0) for r in range(n - k + 1)] + [(0, c) for c in range(1, n - k + 1)]
-        flat = [(r + span)[:, None] * n + (c + span) for r, c in corners]
-        blocks.append(lax._readonly(flat, dtype=np.intp))
-    return tuple(blocks)
-
-
-@functools.lru_cache(maxsize=None)
 def _expansion_tables(n: int) -> tuple:
     """Index tables of minor(R, C) = sum_j (-1)**j M[R[0], C[j]] minor(R - R[0], C - C[j]).
 
@@ -123,20 +106,31 @@ def is_tnn_exhaustive(M, tol: float = 0.0) -> TnnReport:
     is the exact minor rounded.  With a non-finite entry or ``tol`` the float
     signs decide.
     """
+    return _all_minors(M, tol, False, "exhaustive minor check")
+
+
+def _all_minors(M, tol: float, strict: bool, check: str) -> TnnReport:
+    """The report on "every minor >= -tol" (> -tol if ``strict``) of a
+    matrix of size at most EXHAUSTIVE_MAX_N: float minors first, exact ones
+    if a float sum is too close to the bound to decide."""
     M = _as_dense(M)
     n = M.shape[0]
     if n > EXHAUSTIVE_MAX_N:
-        raise TooLarge(f"exhaustive minor check limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
+        raise TooLarge(f"{check} limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
     finite = bool(np.isfinite(M).all() and np.isfinite(tol))
-    report = _first_negative_minor(M, tol, np.finfo(float).eps if finite else 0.0)
-    return report if report is not None else _first_negative_minor(M, tol, None)
+    report = _first_failing_minor(M, tol, strict, np.finfo(float).eps if finite else 0.0)
+    return report if report is not None else _first_failing_minor(M, tol, strict, None)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _first_negative_minor(M, tol: float, roundoff: Optional[float]) -> Optional[TnnReport]:
-    """is_tnn_exhaustive's report from float minors, or None at the first
-    minor within ``roundoff`` (0.0: float signs decide) of ``-tol``; from
-    exact ones if ``roundoff`` is None."""
+def _first_failing_minor(
+    M, tol: float, strict: bool, roundoff: Optional[float]
+) -> Optional[TnnReport]:
+    """_all_minors's report from float minors, or None at the first minor
+    within ``roundoff`` (0.0: float signs decide) of ``-tol``; from exact
+    ones if ``roundoff`` is None."""
+    # both tests are needed: a NaN sum neither passes nor fails
+    passes, fails = (operator.gt, operator.le) if strict else (operator.ge, operator.lt)
     values = M.ravel()
     if roundoff is None:
         ratios = [x.as_integer_ratio() for x in values.tolist()]
@@ -148,18 +142,18 @@ def _first_negative_minor(M, tol: float, roundoff: Optional[float]) -> Optional[
         first = np.take(plus_minus, signed)
         minors = (first * np.take(minors, below)).sum(axis=2)
         if roundoff is None:
-            bad = np.flatnonzero(minors < Fraction(-tol) * scale**k)
+            bad = np.flatnonzero(fails(minors, Fraction(-tol) * scale**k))
         else:
             # eps = 2u and a factor 2 over k(k+1)/2 cover the bound's own roundings
             permanents = (np.abs(first) * np.take(permanents, below)).sum(axis=2)
             slack = permanents * (k * (k + 1) * roundoff) if roundoff else np.zeros_like(minors)
-            bad = np.flatnonzero(~(minors - slack >= -tol))
+            bad = np.flatnonzero(~passes(minors - slack, -tol))
         if bad.size:
             r, c = divmod(int(bad[0]), len(subsets))
             if roundoff is None:
                 value = Fraction(minors[r, c], scale**k)
                 value = float(value) if abs(value) <= _MAX else math.inf if value > 0 else -math.inf
-            elif not roundoff or minors[r, c] + slack[r, c] < -tol:
+            elif not roundoff or fails(minors[r, c] + slack[r, c], -tol):
                 value = float(minors[r, c])
             else:
                 return None
@@ -235,19 +229,12 @@ def _tridiagonal_criterion(d: list, up: list, low: list, tol: float):
 def is_totally_positive(M) -> bool:
     """True iff every minor is strictly positive (n <= 8).
 
-    Decided from the n^2 initial minors, the contiguous minors that touch
-    the first row or the first column: a square matrix is totally positive
-    iff all of them are positive (Gasca & Peña, Linear Algebra Appl. 165,
-    1992).  One batched determinant per size, smallest size first.
+    The expansion and exact rerun of ``is_tnn_exhaustive``, testing "> 0"
+    in place of ">= -tol": every minor is decided in exact integers where
+    its float sum cannot be, and with a non-finite entry the float signs
+    decide (a NaN minor is not positive).
     """
-    M = _as_dense(M)
-    n = M.shape[0]
-    if n > EXHAUSTIVE_MAX_N:
-        raise TooLarge(f"total-positivity check limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    for blocks in _initial_minor_blocks(n):
-        if not np.all(np.linalg.det(np.take(M, blocks)) > 0.0):
-            return False
-    return True
+    return _all_minors(M, 0.0, True, "total-positivity check").is_tnn
 
 
 def is_irreducible_tnn(M):

@@ -499,25 +499,48 @@ class TestTotallyPositive:
             if tnn.is_totally_positive(M):
                 assert tnn.is_tnn_exhaustive(M).is_tnn
 
-    def test_initial_minors_match_all_minors_reference(self):
+    def test_corpus_verdicts_match_exact_initial_minors(self):
+        # LU determinants, of the initial minors or of all minors, get the
+        # verdict wrong both ways on 39 of these matrices
         corpus = total_positivity_corpus(np.random.default_rng(5150))
-        verdicts = [all_minors_totally_positive(M) for M in corpus]
-        disputed = 0
-        for M, want in zip(corpus, verdicts):
-            if tnn.is_totally_positive(M) == want:
-                continue
-            # The float verdicts may part only where rounding decides one: the
-            # matrix is exactly TP (the reference lost a sign), or LAPACK got
-            # the sign of one of the initial minors wrong.
-            assert not want, f"M={M!r}"
-            exact = [exact_det(B) for B in initial_minor_blocks(M)]
-            floats = [np.linalg.det(B) for B in initial_minor_blocks(M)]
-            assert all(e > 0 for e in exact) or any(
-                np.sign(f) != np.sign(e) for f, e in zip(floats, exact)
-            ), f"M={M!r}"
-            disputed += 1
+        verdicts = []
+        for M in corpus:
+            exact = np.array([[Fraction(float(x)) for x in row] for row in M], dtype=object)
+            want = exactly_totally_positive(exact)
+            assert tnn.is_totally_positive(M) == want, f"M={M!r}"
+            verdicts.append(want)
         assert len(corpus) == 980 and 300 < sum(verdicts) < len(corpus) - 300
-        assert disputed <= len(corpus) // 100
+
+    def test_minors_lu_got_wrong(self):
+        corpus = total_positivity_corpus(np.random.default_rng(5150))
+        # det = -3.68e-13 exactly, +6.5e-13 by LU
+        M = corpus[192]
+        assert M.shape == (5, 5) and exact_det(M) < 0
+        assert not tnn.is_totally_positive(M)
+        assert tnn.is_tnn_exhaustive(M).witness.rows == (0, 1, 2, 3, 4)
+        # det = 9.1e-18 exactly, 0 by LU
+        M = corpus[8]
+        assert M.shape == (2, 2) and exact_det(M) > 0
+        assert tnn.is_totally_positive(M)
+
+    def test_nan_entry_is_not_positive(self):
+        # warnings fail the suite: no "invalid value encountered in det"
+        assert not tnn.is_totally_positive([[np.nan]])
+        assert not tnn.is_totally_positive([[1.0, 1.0], [1.0, np.nan]])
+
+    def test_size_gate_names_the_check(self):
+        with pytest.raises(TooLarge, match="total-positivity check limited to n <= 8, got 9"):
+            tnn.is_totally_positive(np.ones((9, 9)))
+
+    def test_one_minor_kernel(self, monkeypatch):
+        def det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        corpus = total_positivity_corpus(np.random.default_rng(5150))
+        for M in (corpus[8], corpus[192], corpus[444], np.ones((8, 8))):
+            tnn.is_totally_positive(M)
+            tnn.is_tnn_exhaustive(M)
 
 
 # ---------------------------------------------------------------------------
