@@ -108,37 +108,37 @@ def matrix_exp_spectral(L0: lax.LaxMatrix, t: float) -> np.ndarray:
 
 
 def lu_unit_lower(M, scale=None) -> tuple:
-    """Doolittle factorization M = N*R, N unit lower and R upper triangular.
+    """Doolittle factorization M = N*R, N unit lower and R upper triangular,
+    eliminated right-looking: each pivot row goes into R, its column into N,
+    and one outer-product update into the trailing block.
 
     No pivoting: Symes's flow reads L(t) off the factors of exp(t*L0)
     itself, so row exchanges would factor another matrix.  R[k, k] is the
     ratio of the leading principal minors of orders k+1 and k, and a pivot
     that vanishes relative to the magnitudes accumulated into it signals a
-    singular leading principal minor.  Those magnitudes start from |M|, or
-    from ``scale`` when M's entries are themselves sums of terms whose
-    magnitudes ``scale`` holds.
+    singular leading principal minor.  Those magnitudes start from the
+    diagonal of |M|, or of ``scale`` when M's entries are themselves sums of
+    terms whose magnitudes ``scale`` holds, and gain the magnitudes of each
+    update's diagonal: the pivot test reads no other entry.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    A = np.array(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
-    base = np.abs(M) if scale is None else np.asarray(scale, dtype=float)
-    n = M.shape[0]
-    N = np.eye(n)
-    R = np.zeros((n, n))
+    n = A.shape[0]
+    mass = (np.abs(A) if scale is None else np.asarray(scale, dtype=float)).diagonal().tolist()
+    N, R = np.eye(n), np.zeros((n, n))
     for k in range(n):
-        acc = M[k, k:].copy()
-        mass = base[k, k:].copy()
-        for j in range(k):
-            acc -= N[k, j] * R[j, k:]
-            mass += np.abs(N[k, j] * R[j, k:])
-        pivot = acc[0]
-        if not np.isfinite(pivot) or abs(pivot) <= 1e-13 * mass[0]:
+        pivot = float(A[k, k])
+        if not math.isfinite(pivot) or abs(pivot) <= 1e-13 * mass[k]:
             raise SingularLeadingMinor(k + 1)
-        R[k, k:] = acc
-        col = M[k + 1 :, k].copy()
-        for j in range(k):
-            col -= N[k + 1 :, j] * R[j, k]
-        N[k + 1 :, k] = col / pivot
+        R[k, k:] = A[k, k:]
+        if k == n - 1:
+            break
+        N[k + 1 :, k] = A[k + 1 :, k] / pivot
+        update = N[k + 1 :, k, None] * R[k, k + 1 :]
+        A[k + 1 :, k + 1 :] -= update
+        for i, term in enumerate(np.abs(update.diagonal()).tolist(), k + 1):
+            mass[i] += term
     return N, R
 
 

@@ -261,30 +261,25 @@ def is_irreducible_tnn(M):
 
 @dataclass(frozen=True, eq=False)
 class InterlacingData:
-    """Spectra of a Lax matrix and of its two size-(n-1) principal corners."""
+    """Spectra of a Lax matrix and of its trailing size-(n-1) corner."""
 
     lambdas: lax.Spectrum
     mus: lax.Spectrum
-    mus_prime: lax.Spectrum
 
     def __post_init__(self):
-        if self.mus.n != self.lambdas.n - 1 or self.mus_prime.n != self.lambdas.n - 1:
-            raise ValueError("corner spectra must have length n-1")
-
-
-def _principal_corner_spectrum(a: np.ndarray, b: np.ndarray) -> lax.Spectrum:
-    # bands of a valid matrix: finite, with a nonzero subdiagonal
-    if a.size == 1:
-        return lax.Spectrum._trusted(a)
-    return lax.spectrum(lax.LaxMatrix._trusted(n=a.size, a=a, b=b))
+        if self.mus.n != self.lambdas.n - 1:
+            raise ValueError("corner spectrum must have length n-1")
 
 
 def interlacing_spectra(L: lax.LaxMatrix) -> InterlacingData:
-    """Spectra of L, of its trailing corner Q and of its leading corner Q'."""
+    """Spectra of L and of its trailing corner Q, the two that
+    ``check_interlacing`` reads."""
     lams = lax.spectrum(L)
-    mus = _principal_corner_spectrum(L.a[1:], L.b[1:])
-    mus_prime = _principal_corner_spectrum(L.a[:-1], L.b[:-1])
-    return InterlacingData(lambdas=lams, mus=mus, mus_prime=mus_prime)
+    # bands of a valid matrix: finite, with a nonzero subdiagonal
+    if L.n == 2:
+        return InterlacingData(lambdas=lams, mus=lax.Spectrum._trusted(L.a[1:]))
+    corner = lax.LaxMatrix._trusted(n=L.n - 1, a=L.a[1:], b=L.b[1:])
+    return InterlacingData(lambdas=lams, mus=lax.spectrum(corner))
 
 
 def check_interlacing(data: InterlacingData) -> bool:
@@ -315,8 +310,9 @@ def is_tnn_interlacing(L: lax.LaxMatrix) -> TnnReport:
     Golub, Linear Algebra Appl. 21, 1978).  So a negative entry of ``L.b``
     (a negative 1x1 minor; a LaxMatrix has none that is zero) is "not TNN"
     with no spectrum computed.  For b > 0 the verdict is
-    ``check_interlacing(interlacing_spectra(L))``, whose spectrum failures
-    (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow) propagate.
+    ``check_interlacing(interlacing_spectra(L))``, from two spectra, L's and
+    its trailing corner's, whose failures (NonRealSpectrum,
+    NonSimpleSpectrum, SpectrumOverflow) propagate.
     """
     ok = bool(np.all(L.b > 0.0)) and check_interlacing(interlacing_spectra(L))
     return TnnReport(is_tnn=ok, witness=None, method="interlacing")

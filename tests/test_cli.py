@@ -28,6 +28,14 @@ MAT_TINY_NEGATIVE = {
     "b": [-2.053110304527219e-232, 0.4753978632097647],
 }
 
+# TNN, nearly decoupled: the leading (n-1) corner's spectrum is not simple,
+# and the interlacing route does not read it
+MATS_NEARLY_DECOUPLED_TNN = [
+    {"n": 5, "a": [3.5, 2.5, 2.5, 3.5, 9.0], "b": [1e-8] * 4},
+    {"n": 8, "a": [4.0, 3.0, 2.0, 1.0, 2.0, 3.0, 4.0, 9.0], "b": [1e-4] * 7},
+    {"n": 8, "a": [5.0, 4.0, 3.0, 2.0, 3.0, 4.0, 5.0, 20.0], "b": [1e-4] * 7},
+]
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -190,6 +198,14 @@ class TestCheckTnn:
         assert report["is_tnn"] is False and captured.err == ""
         if mode != "interlacing":
             assert report["witness"] == {"rows": [1], "cols": [0], "value": -2.053110304527219e-232}
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "tridiagonal", "interlacing"])
+    def test_nearly_decoupled_tnn_exit_zero(self, tmp_path, capsys, mode):
+        for i, data in enumerate(MATS_NEARLY_DECOUPLED_TNN):
+            path = write_json(tmp_path / f"m{i}.json", data)
+            assert main(["check-tnn", "--matrix", path, "--mode", mode]) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["is_tnn"] is True and captured.err == ""
 
     def test_size_gate(self, tmp_path):
         big = {"n": 9, "a": [1.0] * 9, "b": [1.0] * 8}

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todajac import flow, jacobi, lax, tnn, verify
 from todajac.errors import (
@@ -77,6 +79,40 @@ def rk4_reference(L0, t, dt):
         ):
             raise Overflow(elapsed)
     return a, b
+
+
+def lu_reference(M, scale=None):
+    """Frozen copy of the row-by-row Doolittle loop: the right-looking
+    factorization must match its factors and its singular order bit for bit."""
+    M = np.asarray(M, dtype=float)
+    base = np.abs(M) if scale is None else np.asarray(scale, dtype=float)
+    n = M.shape[0]
+    N = np.eye(n)
+    R = np.zeros((n, n))
+    for k in range(n):
+        acc = M[k, k:].copy()
+        mass = base[k, k:].copy()
+        for j in range(k):
+            acc -= N[k, j] * R[j, k:]
+            mass += np.abs(N[k, j] * R[j, k:])
+        pivot = acc[0]
+        if not np.isfinite(pivot) or abs(pivot) <= 1e-13 * mass[0]:
+            raise SingularLeadingMinor(k + 1)
+        R[k, k:] = acc
+        col = M[k + 1 :, k].copy()
+        for j in range(k):
+            col -= N[k + 1 :, j] * R[j, k]
+        N[k + 1 :, k] = col / pivot
+    return N, R
+
+
+def lu_outcome(factor, M, scale=None):
+    """The factors' bytes, or the order of the singular leading minor."""
+    try:
+        N, R = factor(M, scale=scale)
+    except SingularLeadingMinor as exc:
+        return exc.order
+    return N.tobytes(), R.tobytes()
 
 
 def lagrange_exp_reference(L0, t):
@@ -255,6 +291,37 @@ class TestLuUnitLower:
         with pytest.raises(SingularLeadingMinor) as err:
             flow.lu_unit_lower(M, scale=[[1.0, 1.0], [1.0, 1.0]])
         assert err.value.order == 1
+
+    def test_matches_reference_loop_on_symes_exponentials(self):
+        # the scaled exponentials the sign-mixed Symes route factors, most of
+        # them past a vanishing pivot
+        rng = np.random.default_rng(31415)
+        mats = sign_mixed_matrices(rng, list(range(2, 9)))
+        mats += [blowup_matrix(rng, n, float(rng.uniform(0.0, 3.0))) for n in range(2, 9)]
+        total = singular = 0
+        for L in mats:
+            eig = flow._eigendecomposition(L, 0.0)
+            for t in np.linspace(-3.0, 50.0, 80).tolist():
+                scaled, _, mass = flow._scaled_exp(eig, t)
+                for scale in (mass, None):
+                    want = lu_outcome(lu_reference, scaled, scale)
+                    assert lu_outcome(flow.lu_unit_lower, scaled, scale) == want, (L, t)
+                    total += 1
+                    singular += isinstance(want, int)
+        assert total >= 2000 and 500 <= singular < total
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.floats(-4.0, 4.0), min_size=n * n, max_size=n * n)
+        )
+    )
+    def test_matches_reference_loop_on_random_matrices(self, entries):
+        n = math.isqrt(len(entries))
+        M = np.reshape(entries, (n, n))
+        assert lu_outcome(flow.lu_unit_lower, M) == lu_outcome(lu_reference, M)
+        scale = np.abs(M) + 1.0
+        assert lu_outcome(flow.lu_unit_lower, M, scale) == lu_outcome(lu_reference, M, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from todajac import lax, tnn, verify
-from todajac.errors import NonRealSpectrum, NotTnn, NotTridiagonal, TooLarge
+from todajac.errors import NonRealSpectrum, NonSimpleSpectrum, NotTnn, NotTridiagonal, TooLarge
 
 RNG = np.random.default_rng(7151)
 
@@ -29,6 +29,14 @@ TINY_NEGATIVE_B = make(
     [2.9877258766458645, 3.1461341964872647, 3.291349420217848],
     [-2.053110304527219e-232, 0.4753978632097647],
 )
+
+# TNN and nearly decoupled: the leading (n-1) corner has two eigenvalues
+# within DEFAULT_SEPARATION, L and its trailing corner do not
+NEARLY_DECOUPLED_TNN = [
+    make([3.5, 2.5, 2.5, 3.5, 9.0], [1e-8] * 4),
+    make([4.0, 3.0, 2.0, 1.0, 2.0, 3.0, 4.0, 9.0], [1e-4] * 7),
+    make([5.0, 4.0, 3.0, 2.0, 3.0, 4.0, 5.0, 20.0], [1e-4] * 7),
+]
 
 
 def sign_mixed_tridiagonal(rng, n, tiny):
@@ -658,14 +666,12 @@ class TestInterlacing:
             data.lambdas.lambdas, [2 - np.sqrt(2), 2, 2 + np.sqrt(2)], atol=1e-12
         )
         np.testing.assert_allclose(data.mus.lambdas, [1.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(data.mus_prime.lambdas, [1.0, 3.0], atol=1e-12)
         assert tnn.check_interlacing(data)
 
     def test_two_by_two_scalars(self):
         data = tnn.interlacing_spectra(make([2, 2], [1]))
         np.testing.assert_allclose(data.lambdas.lambdas, [1.0, 3.0], atol=1e-13)
         np.testing.assert_allclose(data.mus.lambdas, [2.0])
-        np.testing.assert_allclose(data.mus_prime.lambdas, [2.0])
 
     def test_swap_matrix_interlacing_false(self):
         # spectrum is real, so no error; positivity clause fails
@@ -678,20 +684,21 @@ class TestInterlacing:
         data = tnn.InterlacingData(
             lambdas=lax.Spectrum(np.array([-1.0, 1.0])),
             mus=lax.Spectrum(np.array([0.0])),
-            mus_prime=lax.Spectrum(np.array([0.0])),
         )
         assert not tnn.check_interlacing(data)
 
     def test_simple_interleave(self):
-        data = tnn.InterlacingData(
-            lambdas=lax.Spectrum(np.array([1.0, 3.0])),
-            mus=lax.Spectrum(np.array([2.0])),
-            mus_prime=lax.Spectrum(np.array([2.0])),
-        )
-        assert tnn.check_interlacing(data)
+        # mu strictly inside (lambda_1, lambda_2) interlaces; on or outside it does not
+        for mu, want in ((2.0, True), (0.5, False), (1.0, False), (3.0, False), (4.0, False)):
+            data = tnn.InterlacingData(
+                lambdas=lax.Spectrum(np.array([1.0, 3.0])),
+                mus=lax.Spectrum(np.array([mu])),
+            )
+            assert tnn.check_interlacing(data) is want, mu
 
     def test_triple_equivalence_positive_offdiagonals(self):
-        # exhaustive <=> tridiagonal criterion <=> interlacing, both corners
+        # exhaustive <=> tridiagonal criterion <=> interlacing, both corners;
+        # the route reads the trailing one, the leading one is checked here
         for _ in range(800):
             n = int(RNG.integers(2, 7))
             L = random_tridiagonal(RNG, n)
@@ -700,9 +707,8 @@ class TestInterlacing:
             data = tnn.interlacing_spectra(L)
             r3 = tnn.check_interlacing(data)
             assert r1 == r2 == r3, f"a={L.a}, b={L.b}: {r1} {r2} {r3}"
-            swapped = tnn.InterlacingData(
-                lambdas=data.lambdas, mus=data.mus_prime, mus_prime=data.mus
-            )
+            leading = lax.spectrum(make(L.a[:-1], L.b[:-1])) if n > 2 else lax.Spectrum(L.a[:1])
+            swapped = tnn.InterlacingData(lambdas=data.lambdas, mus=leading)
             assert tnn.check_interlacing(swapped) == r3
 
 
@@ -736,8 +742,15 @@ class TestInterlacingRoute:
             assert verdicts == [False] * 3, f"a={L.a}, b={L.b}: {verdicts}"
         assert calls == []
 
-    def test_positive_b_takes_three_spectra(self, monkeypatch):
-        # n >= 3: an n = 2 matrix has scalar corners, so one spectrum call
+    def test_unread_leading_corner_cannot_fail_the_route(self):
+        for L in NEARLY_DECOUPLED_TNN:
+            assert tnn.is_tnn_exhaustive(L).is_tnn and tnn.is_tnn_tridiagonal(L).is_tnn
+            with pytest.raises(NonSimpleSpectrum):
+                lax.spectrum(make(L.a[:-1], L.b[:-1]))
+            assert tnn.is_tnn_interlacing(L).is_tnn
+
+    def test_positive_b_takes_two_spectra(self, monkeypatch):
+        # n >= 3: an n = 2 matrix has a scalar corner, so one spectrum call
         rng = np.random.default_rng(2122)
         calls = []
         real_spectrum = lax.spectrum
@@ -747,5 +760,5 @@ class TestInterlacingRoute:
             L = random_tridiagonal(rng, n)
             calls.clear()
             verdict = tnn.is_tnn_interlacing(L).is_tnn
-            assert calls == [n, n - 1, n - 1]
+            assert calls == [n, n - 1]
             assert verdict == tnn.is_tnn_tridiagonal(L).is_tnn
