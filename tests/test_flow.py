@@ -174,6 +174,27 @@ def detect_blowup_reference(spec, F0, t0, t1, grid=1000, refine_tol=1e-9):
     return float(min(roots)), len(candidates)
 
 
+def sequential_bisection(kernel, lo, hi, first, s_lo, live, refine_tol=1e-9):
+    """Frozen copy of detect_blowup's one-midpoint-per-call bisection over
+    the live class range.  Returns (root, midpoints in the order summed)."""
+    mids = []
+    while hi - lo > refine_tol:
+        span = np.flatnonzero(live)
+        keep = slice(span[0], span[-1] + 1)
+        first, live, s_lo = first + int(span[0]), live[keep], s_lo[keep]
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        s_mid = kernel.sums(mid, first, first + live.size)[0][0]
+        left = live & (s_mid * s_lo < 0.0)
+        if left.any():
+            hi, live = mid, left
+        elif (s_mid[live] == 0.0).any():
+            return mid, mids
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), mids
+
+
 def clustered_cone_matrices(rng, count, width=0.01):
     """Cone matrices, n = 8, with four eigenvalues in a window of the given
     width inside a spectrum drawn from (0.5, 2.5)."""
@@ -1197,11 +1218,12 @@ class TestDetectBlowup:
         assert misses >= 3
 
     def test_certified_point_makes_no_grid_evaluation(self, monkeypatch):
-        ranges = []
+        ranges, summed = [], []
         sums = jacobi.TauKernel.sums
 
         def counting_sums(kernel, times, first=0, stop=None):
             ranges.append((first, stop))
+            summed.append(np.array(times, dtype=float, ndmin=1))
             return sums(kernel, times, first, stop)
 
         monkeypatch.setattr(jacobi.TauKernel, "sums", counting_sums)
@@ -1211,11 +1233,23 @@ class TestDetectBlowup:
             assert flow.detect_blowup(spec, verify.sample_cone_point(rng, n, 3.0), -10.0, 10.0) is None
         assert ranges == []
         # n = 2: tau[0] and tau[2] are single terms, so the scan and every
-        # bisection step sum tau[1] alone, and never a tau' class
+        # bisection step sum tau[1] alone, and never a tau' class; the
+        # bisection sums every midpoint of the one-midpoint-per-call path
         kappa = 1.7
-        root = flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, kappa]), -1.0, 1.0)
-        assert root == pytest.approx(-math.log(kappa) / 2.0, abs=1e-9)
-        assert len(ranges) > 20 and set(ranges) == {(1, 2)}
+        point = jacobi.JacobiPoint.from_raw([1.0, kappa])
+        kernel = jacobi.TauKernel(self.SPEC, point)
+        ts = np.linspace(-1.0, 1.0, 1001)
+        signs = kernel.sums(ts, 1, 2)[0]
+        i = int(np.flatnonzero(signs[:-1, 0] * signs[1:, 0] < 0.0)[0])
+        expected, path = sequential_bisection(
+            kernel, ts[i], ts[i + 1], 1, signs[i], signs[i] * signs[i + 1] < 0.0
+        )
+        ranges.clear()
+        summed.clear()
+        root = flow.detect_blowup(self.SPEC, point, -1.0, 1.0)
+        assert root == expected == pytest.approx(-math.log(kappa) / 2.0, abs=1e-9)
+        assert set(ranges) == {(1, 2)} and np.array_equal(summed[0], ts)
+        assert len(path) > 20 and set(path) <= set(np.concatenate(summed[1:]).tolist())
         # n = 4: the scan sums tau[1..3], each bisection step only tau[3],
         # the one class that changes sign in the bracket
         spec = lax.Spectrum(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -1224,6 +1258,140 @@ class TestDetectBlowup:
         ranges.clear()
         assert flow.detect_blowup(spec, point, -3.0, 3.0) == expected
         assert ranges[0] == (1, 4) and set(ranges[1:]) == {(3, 4)}
+
+    # n = 8 with tau[1..7] uncertified: the first scan chunk is one kernel
+    # block of their 254 terms, 16384 // 254 = 64 rows, and each later one
+    # doubles
+    SPEC8 = lax.Spectrum(np.array([-3.0, -2.0, -1.5, -0.5, 0.25, 1.0, 2.0, 3.5]))
+    POINT8 = jacobi.JacobiPoint.from_raw([1.0, 2.0, 1.0, -1.0, 0.5, 1.0, 3.0, 1.0])
+    # symmetric about 1: tau[1] and tau[7] are exactly 0 at t = 0
+    SYM8 = lax.Spectrum(np.array([-4.0, -3.0, -2.0, 0.0, 2.0, 4.0, 5.0, 6.0]))
+    SYM_POINT8 = jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+
+    @staticmethod
+    def chunked_scan(monkeypatch, spec, point, t0, t1, grid=1000):
+        """detect_blowup's result and warnings, the row counts of its scan
+        chunks (the leading sums calls over consecutive grid slices) and the
+        time arrays of the sums calls after them."""
+        summed = []
+        sums = jacobi.TauKernel.sums
+
+        def recording_sums(kernel, times, first=0, stop=None):
+            summed.append(np.array(times, dtype=float, ndmin=1))
+            return sums(kernel, times, first, stop)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jacobi.TauKernel, "sums", recording_sums)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = flow.detect_blowup(spec, point, t0, t1, grid=grid)
+        ts = np.linspace(t0, t1, grid + 1)
+        chunks = []
+        for times in summed:
+            if not np.array_equal(times, ts[sum(chunks) : sum(chunks) + times.size]):
+                break
+            chunks.append(times.size)
+        return got, [type(w.message) for w in caught], chunks, summed[len(chunks) :]
+
+    def root8(self):
+        return detect_blowup_reference(self.SPEC8, self.POINT8, -10.0, 10.0)[0]
+
+    def test_scan_stops_in_a_late_chunk(self, monkeypatch):
+        # the root sits near row 500, in the fourth chunk (rows 448-959)
+        t0, t1 = self.root8() - 0.5, self.root8() + 0.5
+        got, caught, chunks, _ = self.chunked_scan(monkeypatch, self.SPEC8, self.POINT8, t0, t1)
+        assert got == detect_blowup_reference(self.SPEC8, self.POINT8, t0, t1)[0]
+        assert caught == [] and chunks == [64, 128, 256, 512]
+
+    def test_sign_change_between_two_chunks(self, monkeypatch):
+        # the root lies between row 63, the first chunk's last, and row 64
+        t0 = self.root8() - 0.0635
+        t1 = t0 + 1.0
+        got, caught, chunks, after = self.chunked_scan(monkeypatch, self.SPEC8, self.POINT8, t0, t1)
+        ts = np.linspace(t0, t1, 1001)
+        assert got == detect_blowup_reference(self.SPEC8, self.POINT8, t0, t1)[0]
+        assert caught == [] and chunks == [64, 128]
+        assert after[0][0] == 0.5 * (ts[63] + ts[64])  # the bisection's first midpoint
+
+    def test_exact_grid_zero_in_a_late_chunk(self, monkeypatch):
+        # t = 0 is row 68, in the second chunk (rows 64-191); the same chunk
+        # changes sign from row 141 on, which the exact zero precedes
+        step = 2.0**-24
+        t0, t1 = -68 * step, 932 * step
+        signs = jacobi.TauKernel(self.SYM8, self.SYM_POINT8).evaluate(np.linspace(t0, t1, 1001)).sign_tau
+        assert np.flatnonzero((signs == 0.0).any(axis=1)).tolist() == [68]
+        flips = np.flatnonzero((signs[:-1] * signs[1:] < 0.0).any(axis=1))
+        assert 68 < flips[0] < 191
+        got, caught, chunks, after = self.chunked_scan(monkeypatch, self.SYM8, self.SYM_POINT8, t0, t1)
+        assert got == detect_blowup_reference(self.SYM8, self.SYM_POINT8, t0, t1)[0] == 0.0
+        assert caught == [] and chunks == [64, 128] and after == []
+
+    def first_time_past_root8(self):
+        """The bracket end of a float-precision bisection of the root."""
+        kernel = jacobi.TauKernel(self.SPEC8, self.POINT8)
+        lo, hi = self.root8() - 1e-9, self.root8() + 1e-9
+        s_lo = kernel.sums(lo, 1, 8)[0][0]
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if (kernel.sums(mid, 1, 8)[0][0] * s_lo < 0.0).any():
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("tangent_chunk", ["last", "first"])
+    def test_grid_miss_after_every_chunk(self, monkeypatch, tangent_chunk):
+        # no sign change on the grid, and the least generality lies in the
+        # last chunk (the window ends just short of the root) or in the first
+        # (it starts just past the root; the next root is 0.83 later)
+        if tangent_chunk == "last":
+            t0, t1 = self.root8() - 2.0, self.root8() - 1e-12
+        else:
+            t0 = self.first_time_past_root8()
+            t1 = t0 + 0.8
+        gens = jacobi.TauKernel(self.SPEC8, self.POINT8).evaluate(np.linspace(t0, t1, 1001)).generality
+        assert detect_blowup_reference(self.SPEC8, self.POINT8, t0, t1)[0] is None
+        low, rest = (gens[:64], gens[64:]) if tangent_chunk == "first" else (gens[960:], gens[:960])
+        assert float(np.min(low)) < flow.TANGENCY_TOL < float(np.min(rest))
+        got, caught, chunks, after = self.chunked_scan(monkeypatch, self.SPEC8, self.POINT8, t0, t1)
+        assert got is None and caught == [GridMiss]
+        assert chunks == [64, 128, 256, 512, 41] and after == []
+
+    def test_early_root_sums_less_than_the_grid(self, monkeypatch):
+        t0, t1 = self.root8() - 0.01, self.root8() + 10.0
+        got, _, chunks, after = self.chunked_scan(monkeypatch, self.SPEC8, self.POINT8, t0, t1)
+        assert got == detect_blowup_reference(self.SPEC8, self.POINT8, t0, t1)[0]
+        assert chunks == [64] and sum(chunks) + sum(times.size for times in after) < 1001
+
+    def test_exact_zero_at_a_bisection_midpoint(self):
+        # the one-interval grid's first midpoint is t = 0, where tau[1] is 0
+        point = jacobi.JacobiPoint.from_raw([1.0, 1.0])
+        assert flow.detect_blowup(self.SPEC, point, -1.0, 1.0, grid=1) == 0.0
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        data=st.data(),
+        center=st.floats(-20.0, 20.0),
+        half=st.floats(0.5, 40.0),
+        grid=st.integers(1, 3000),
+    )
+    def test_matches_reference_on_drawn_cases(self, n, data, center, half, grid):
+        gaps = data.draw(st.lists(st.floats(0.05, 1.5), min_size=n - 1, max_size=n - 1))
+        lams = data.draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+        logs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        spec = lax.Spectrum(lams)
+        point = jacobi.JacobiPoint.from_raw(np.array(signs) * np.exp(logs))
+        t0, t1 = center - half, center + half
+        expected, _ = detect_blowup_reference(spec, point, t0, t1, grid=grid)
+        gens = jacobi.TauKernel(spec, point).evaluate(np.linspace(t0, t1, grid + 1)).generality
+        miss = expected is None and float(np.min(gens)) < flow.TANGENCY_TOL
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = flow.detect_blowup(spec, point, t0, t1, grid=grid)
+        assert got == expected
+        assert [type(w.message) for w in caught] == [GridMiss] * miss
 
     def test_grid_below_one_raises(self):
         # tau_1 of this point vanishes at 0, inside the window
