@@ -226,6 +226,27 @@ def _tridiagonal_criterion(d: list, up: list, low: list, tol: float):
     return report, prev1[0] if n else 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _tridiagonal_verdicts(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``is_tnn_tridiagonal(LaxMatrix(a[r], b[r]), tol).is_tnn`` for every
+    row r of the band stacks a (R, n) and b (R, n-1).
+
+    The entry tests and window recurrence of ``_tridiagonal_criterion`` on
+    whole columns, with the same elementwise operations in the same order
+    (the coupling 1.0 * b is b), so every verdict is the criterion's.
+    Witnesses are left to the criterion.
+    """
+    n = a.shape[1]
+    ok = (a >= -tol).all(axis=1) & (b >= -tol).all(axis=1) & (n < 2 or 1.0 >= -tol)
+    prev2, prev1 = np.ones_like(a), a
+    for size in range(2, n + 1):
+        starts = n - size + 1
+        cur = a[:, size - 1 :] * prev1[:, :starts] - b[:, size - 2 :] * prev2[:, :starts]
+        ok &= (cur >= -tol).all(axis=1)
+        prev2, prev1 = prev1, cur
+    return ok
+
+
 def is_totally_positive(M) -> bool:
     """True iff every minor is strictly positive (n <= 8).
 

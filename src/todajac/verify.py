@@ -10,15 +10,24 @@ Every sample draws from its own RNG stream keyed by (seed, direction,
 index), so reports are byte-identical however the indices are chunked.
 Everything runs in order in the calling process.
 
-Each direction runs on stacks of samples: the forward cone points are
-reconstructed by one stacked tau-kernel pass, and the converse matrices are
-linearized by one stacked ``eigh`` call and one stacked Weyl-residue
-evaluation.  A stack holds at most the tau kernel's block of 2^14 terms
-(32 samples at n = 8).  Every stacked row equals its single-object call bit
-for bit, so a row that does not pass the stack (non-general, out of range,
-nonsimple, not TNN, not in the cone, ...) is simply run again through the
-per-sample ``_forward_case``/``_converse_case``, which decides it and writes
-its report entry.
+Each direction runs on stacks of samples.  Every index takes one draw
+from its stream (2n numbers, 2n + 1 for an evolved converse sample), and
+stacked arithmetic forms the spectra, the cone points and the evolved
+points from them.  The forward cone points are reconstructed by one stacked
+tau-kernel pass and decided by one stacked tridiagonal-criterion pass.  Each
+rejection-sampled converse index draws its tries a block at a time, and one
+stacked criterion pass per block decides the tries of the whole chunk.  The
+converse matrices are linearized by one stacked ``eigh`` call and one
+stacked Weyl-residue evaluation.  A stack holds at most the tau kernel's
+block of 2^14 terms (32 samples at n = 8).
+
+Every stacked row equals its per-sample call bit for bit.  The rejection
+blocks read a stream past its accepted try, which changes nothing: nothing
+reads that stream afterwards.  A row the stack does not pass (a spectrum
+retry, non-general, out of range, nonsimple, not TNN, not in the cone, ...)
+is simply run again through the per-sample ``_forward_case`` or
+``_converse_case``, which stays the definition: it decides the row and
+writes its report entry.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ DEFAULT_TOL = 1e-9
 _FORWARD = 0
 _CONVERSE = 1
 _PATTERN = 2
+# rejection tries a stream draws per stacked round: at n = 8 a try is
+# accepted with probability 0.18, so all 32 fail with probability 0.002
+_TRY_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +94,15 @@ def sample_tnn_rejection(
         L = make(n=n, a=rng.uniform(*a_range, n), b=rng.uniform(*b_range, n - 1))
         if tnn.is_tnn_tridiagonal(L, tol=0.0).is_tnn:
             return L
+    a, b = _bidiagonal_product(rng, n)
+    return make(n=n, a=a, b=b)
+
+
+def _bidiagonal_product(rng, n):
+    """Bands of a product of two positive bidiagonal factors: always TNN."""
     c = rng.uniform(0.05, 1.0, n - 1)
     d = rng.uniform(0.1, 2.0, n)
-    a = d + np.concatenate(([0.0], c))
-    return make(n=n, a=a, b=c * d[:-1])
+    return d + np.concatenate(([0.0], c)), c * d[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,29 +164,83 @@ def _converse_case(args):
 # ---------------------------------------------------------------------------
 
 
-def _draws(draw, n, seed, indices, spec_lo, spec_hi, coord_range) -> list:
-    """Draws of ``indices`` in order, up to the first one that raises.
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi, k)`` from ``u = rng.random(k)``, as numpy forms it."""
+    return lo + (hi - lo) * u
 
-    That index and the ones after it are left to the per-sample route,
-    which raises the same error again in sample order.
-    """
-    out = []
-    for index in indices:
-        try:
-            out.append(draw(n, seed, index, spec_lo, spec_hi, coord_range))
-        except (TodaError, ValueError):
-            break
+
+def _draw_rows(rngs, width: int) -> np.ndarray:
+    """One ``rng.random(width)`` per stream, stacked."""
+    out = np.empty((len(rngs), width))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
     return out
 
 
-def _stacked_reconstruct(pairs):
-    """Bands of reconstruct(spec, point) for (spec, point) pairs, one tau
-    kernel pass, and which rows stand (general and in range)."""
-    lams = np.array([spec.lambdas for spec, _ in pairs])
-    f = np.array([point.f for _, point in pairs])
-    grid = jacobi.TauKernel(lams, f).evaluate(0.0)
-    rows = jacobi._reconstruct_rows(grid)
-    return rows.a, rows.b, ~rows.out_of_range & ~rows.nongeneral.any(axis=1)
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cone_draws(u, n, spec_lo, spec_hi, coord_range):
+    """``sample_spectrum`` and ``sample_cone_point`` of every row of draws
+    (the first n for the spectrum, the next n for the point): eigenvalue
+    and normalized-coordinate stacks, and which rows equal the samplers'
+    results.  A row whose spectrum the sampler would draw again, or whose
+    point the constructor would reject, does not."""
+    lams = np.sort(_uniform(spec_lo, spec_hi, u[:, :n]), axis=1)
+    min_gap = max(1e-6 * (spec_hi - spec_lo), lax.DEFAULT_SEPARATION)
+    signs = np.array((1,) + jacobi.alternating_signs(n), dtype=float)
+    f = np.exp(_uniform(-coord_range, coord_range, u[:, n : 2 * n])) * signs
+    f = f / f[:, :1]
+    ok = (np.diff(lams, axis=1).min(axis=1) > min_gap) & np.isfinite(f).all(axis=1) & f.all(axis=1)
+    return lams, f, ok
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _evolved(lams, f, times):
+    """``evolve_point`` of every point row to its time, and which rows it
+    returns (every coordinate finite and nonzero) rather than raises on."""
+    z = times[:, None] * lams
+    w = np.exp(z - z.max(axis=1, keepdims=True)) * f
+    w = w / w[:, :1]
+    return w, np.isfinite(w).all(axis=1) & w.all(axis=1)
+
+
+def _reconstructed(lams, f, ok):
+    """Bands of ``reconstruct`` on the rows where ``ok``, in one tau-kernel
+    pass, and which rows stand (drawn, general and in range)."""
+    rows, n = lams.shape
+    a, b, stands = np.zeros((rows, n)), np.zeros((rows, n - 1)), ok.copy()
+    if ok.any():
+        grid = jacobi._reconstruct_rows(jacobi.TauKernel(lams[ok], f[ok]).evaluate(0.0))
+        a[ok], b[ok] = grid.a, grid.b
+        stands[ok] = ~grid.out_of_range & ~grid.nongeneral.any(axis=1)
+    return a, b, stands
+
+
+def _rejection_picks(rngs, n, a_range=(0.05, 3.0), b_range=(0.01, 1.0), max_tries=2000):
+    """Bands of ``sample_tnn_rejection(rng, n, ...)`` for each of ``rngs``.
+
+    Each stream draws its tries _TRY_BLOCK at a time, and one stacked
+    verdict pass decides the tries of every stream still drawing; a stream
+    is read past its accepted try.  After ``max_tries`` tries, exactly as
+    many as the sampler reads, the fallback construction follows.
+    """
+    a, b = np.empty((len(rngs), n)), np.empty((len(rngs), n - 1))
+    pending = np.arange(len(rngs))
+    for tried in range(0, max_tries, _TRY_BLOCK):
+        if not pending.size:
+            break
+        k = min(_TRY_BLOCK, max_tries - tried)
+        u = _draw_rows([rngs[r] for r in pending], k * (2 * n - 1))
+        u = u.reshape(pending.size, k, 2 * n - 1)
+        try_a, try_b = _uniform(*a_range, u[:, :, :n]), _uniform(*b_range, u[:, :, n:])
+        good = tnn._tridiagonal_verdicts(try_a.reshape(-1, n), try_b.reshape(-1, n - 1), 0.0)
+        good = good.reshape(pending.size, k)
+        hit = good.any(axis=1)
+        first = good.argmax(axis=1)[hit]
+        a[pending[hit]], b[pending[hit]] = try_a[hit, first], try_b[hit, first]
+        pending = pending[~hit]
+    for r in pending.tolist():
+        a[r], b[r] = _bidiagonal_product(rngs[r], n)
+    return a, b
 
 
 def _cone_images(a, b):
@@ -207,31 +278,28 @@ def _settle(case_fn, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range) ->
 
 
 def _forward_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
-    pairs = _draws(_forward_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
-    passed = np.zeros(hi - lo, dtype=bool)
-    if pairs:
-        a, b, stands = _stacked_reconstruct(pairs)
-        for r in np.flatnonzero(stands).tolist():
-            L = lax.LaxMatrix._trusted(n=n, a=a[r], b=b[r])
-            passed[r] = tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn
+    rngs = [np.random.default_rng([seed, _FORWARD, index]) for index in range(lo, hi)]
+    u = _draw_rows(rngs, 2 * n)
+    a, b, passed = _reconstructed(*_cone_draws(u, n, spec_lo, spec_hi, coord_range))
+    passed[passed] = tnn._tridiagonal_verdicts(a[passed], b[passed], tol)
     return _settle(_forward_case, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range)
 
 
 def _converse_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
-    draws = _draws(_converse_draw, n, seed, range(lo, hi), spec_lo, spec_hi, coord_range)
-    a, b = np.empty((len(draws), n)), np.empty((len(draws), n - 1))
-    stands = np.ones(len(draws), dtype=bool)
-    evolved = [r for r, d in enumerate(draws) if not isinstance(d, lax.LaxMatrix)]
-    if evolved:
-        a[evolved], b[evolved], stands[evolved] = _stacked_reconstruct([draws[r] for r in evolved])
-    for r, d in enumerate(draws):
-        if isinstance(d, lax.LaxMatrix):
-            a[r], b[r] = d.a, d.b
+    rngs = [np.random.default_rng([seed, _CONVERSE, index]) for index in range(lo, hi)]
+    # rows of even indices evolve cone points; odd ones rejection-sample
+    even, odd = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
+    u = _draw_rows(rngs[even], 2 * n + 1)
+    lams, f, drawn = _cone_draws(u, n, spec_lo, spec_hi, coord_range)
+    f, evolved = _evolved(lams, f, _uniform(-1.5, 1.5, u[:, 2 * n]))
+    a, b = np.empty((hi - lo, n)), np.empty((hi - lo, n - 1))
+    stands = np.ones(hi - lo, dtype=bool)
+    a[even], b[even], stands[even] = _reconstructed(lams, f, drawn & evolved)
+    a[odd], b[odd] = _rejection_picks(rngs[odd], n)
     stands &= (b > 0.0).all(axis=1)
     passed = np.zeros(hi - lo, dtype=bool)
-    rows = np.flatnonzero(stands)
-    if rows.size:
-        passed[rows] = _cone_images(a[rows], b[rows])
+    if stands.any():
+        passed[stands] = _cone_images(a[stands], b[stands])
     return _settle(_converse_case, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todajac import lax, tnn, verify
 from todajac.errors import NonRealSpectrum, NonSimpleSpectrum, NotTnn, NotTridiagonal, TooLarge
@@ -483,6 +485,24 @@ class TestTridiagonalCriterion:
             with pytest.raises(NotTridiagonal) as info:
                 tnn.is_tnn_tridiagonal(M)
             assert str(info.value) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.integers(2, 9), tol=st.sampled_from([0.0, 1e-9, -0.05, 0.3]), data=st.data())
+    def test_stacked_verdicts_match_criterion(self, n, tol, data):
+        # exact zeros, magnitudes 1e-300..1e300 and moderate ones; a row
+        # with every sign positive can be TNN
+        magnitude = st.one_of(
+            st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e), st.floats(0.01, 3.0)
+        )
+        entry = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda p: p[0] * p[1])
+        row = st.tuples(st.booleans(), st.lists(entry, min_size=2 * n - 1, max_size=2 * n - 1))
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        bands = np.array([np.abs(r) if positive else r for positive, r in rows])
+        a, b = bands[:, :n], bands[:, n:]
+        got = tnn._tridiagonal_verdicts(a, b, tol)
+        for r in range(len(rows)):
+            L = lax.LaxMatrix._trusted(n=n, a=a[r], b=b[r])
+            assert got[r] == tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,153 @@ class TestStackedRoute:
         assert seq["failures"] > 10
         assert seq == per_sample_report(**kwargs)
 
+    def test_stacked_draws_match_per_sample_draws(self):
+        samples = 20
+        matched = handed_back = 0
+        for n in range(2, 9):
+            for seed in range(3):
+                for extra in REPORT_CONFIGS + hand_back_configs(n):
+                    spec_lo, spec_hi = extra.get("spec_range", verify.DEFAULT_SPEC_RANGE)
+                    coord = extra.get("coord_log_range", verify.DEFAULT_COORD_LOG_RANGE)
+                    args = (spec_lo, spec_hi, coord)
+                    forward = [np.random.default_rng([seed, 0, i]) for i in range(samples)]
+                    lams, f, ok = verify._cone_draws(verify._draw_rows(forward, 2 * n), n, *args)
+                    for i in range(samples):
+                        spec, point = verify._forward_draw(n, seed, i, *args)
+                        same = same_draw(spec, point, lams[i], f[i])
+                        assert same == ok[i], (n, seed, extra, i)
+                        matched += same
+                        handed_back += not same
+                    converse = [np.random.default_rng([seed, 1, i]) for i in range(0, samples, 2)]
+                    u = verify._draw_rows(converse, 2 * n + 1)
+                    lams, f, drawn = verify._cone_draws(u, n, *args)
+                    w, evolved = verify._evolved(lams, f, verify._uniform(-1.5, 1.5, u[:, 2 * n]))
+                    for row, i in enumerate(range(0, samples, 2)):
+                        spec, point = verify._converse_draw(n, seed, i, *args)
+                        same = same_draw(spec, point, lams[row], w[row])
+                        assert same == (drawn[row] and evolved[row]), (n, seed, extra, i)
+                        matched += same
+                        handed_back += not same
+                    odd = range(1, samples, 2)
+                    streams = [np.random.default_rng([seed, 1, i]) for i in odd]
+                    a, b = verify._rejection_picks(streams, n)
+                    for row, i in enumerate(odd):
+                        L = verify.sample_tnn_rejection(np.random.default_rng([seed, 1, i]), n)
+                        assert np.array_equal(L.a, a[row]) and np.array_equal(L.b, b[row])
+                        matched += 1
+        assert matched > 5000 and handed_back > 300
+
+    def test_rejection_picks_match_sampler_across_blocks_and_fallback(self):
+        """Picks accepted in the first block of tries, in the second, and
+        after max_tries (the fallback construction) equal the sampler's."""
+        where = {"first block": 0, "second block": 0, "fallback": 0}
+        # a diagonal range that accepts 2-8% of the tries
+        diagonal_top = {2: 0.5, 3: 0.8, 4: 1.2, 5: 1.6, 6: 1.6, 7: 2.0, 8: 2.0}
+        for n in range(2, 9):
+            rare = ((0.05, diagonal_top[n]), verify._TRY_BLOCK + 8)
+            for a_range, max_tries in (((0.0, 1e-6), 3), rare):
+                keys = [[7, 1, i] for i in range(60)]
+                streams = [np.random.default_rng(key) for key in keys]
+                a, b = verify._rejection_picks(streams, n, a_range=a_range, max_tries=max_tries)
+                for row, key in enumerate(keys):
+                    L = verify.sample_tnn_rejection(
+                        np.random.default_rng(key), n, a_range=a_range, max_tries=max_tries
+                    )
+                    assert np.array_equal(L.a, a[row]) and np.array_equal(L.b, b[row])
+                    tries = accepted_try(np.random.default_rng(key), n, a_range, max_tries)
+                    block = "fallback" if tries is None else (
+                        "first block" if tries < verify._TRY_BLOCK else "second block"
+                    )
+                    where[block] += 1
+        assert min(where.values()) > 10, where
+
+    def test_rows_handed_back_inside_a_chunk_match_per_sample_loop(self, monkeypatch):
+        """Rows the stack cannot decide (spectrum retries, failures) sit
+        between stacked rows; the report still equals the per-sample loop's."""
+        handed_back = []
+
+        def recording(fn, tag):
+            def wrapper(args):
+                handed_back.append((tag, args[2]))
+                return fn(args)
+            return wrapper
+
+        monkeypatch.setattr(verify, "_forward_case", recording(verify._forward_case, "forward"))
+        monkeypatch.setattr(verify, "_converse_case", recording(verify._converse_case, "converse"))
+        samples = 20
+        inside = with_failures = 0
+        for n in range(2, 9):
+            for seed in range(16):
+                for extra in hand_back_configs(n):
+                    kwargs = dict(n=n, samples=samples, seed=seed, **extra)
+                    handed_back.clear()
+                    got = verify.run_verification(**kwargs).to_json_dict()
+                    rows = set(handed_back)
+                    inside += any(
+                        (tag, i + 1) not in rows and i + 1 < samples for tag, i in rows
+                    )
+                    want = per_sample_report(**kwargs)
+                    same = json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+                    assert same, kwargs
+                    with_failures += got["failures"] > 0
+        assert inside > 100 and with_failures > 50
+
+    def test_default_run_makes_no_per_sample_calls(self, monkeypatch):
+        calls = {"is_tnn_tridiagonal": 0, "sample_tnn_rejection": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(tnn, "is_tnn_tridiagonal")
+        counting(verify, "sample_tnn_rejection")
+        report = verify.run_verification(n=8, samples=25, seed=1)
+        assert report.samples == 50 and report.failures == 0
+        assert calls == {"is_tnn_tridiagonal": 0, "sample_tnn_rejection": 0}
+        # the per-sample route goes through both spies
+        lo, hi = verify.DEFAULT_SPEC_RANGE
+        args = (8, 1, 1, verify.DEFAULT_TOL, lo, hi, verify.DEFAULT_COORD_LOG_RANGE)
+        verify._forward_case(args)
+        verify._converse_case(args)
+        assert calls["is_tnn_tridiagonal"] >= 2 and calls["sample_tnn_rejection"] == 1
+
+
+# the configurations of test_reports_match_per_sample_loop
+REPORT_CONFIGS = [
+    {},
+    {"coord_log_range": 12.0},
+    {"coord_log_range": 20.0},
+    {"tol": -0.05},
+    {"spec_range": (0.5, 2.5), "coord_log_range": 2.0},
+]
+
+
+def hand_back_configs(n):
+    """A spectrum range barely n^2 separations wide, which forces spectrum
+    retries, and coordinates spread over exp(+-300)."""
+    return [
+        {"spec_range": (1.0, 1.0 + 1.01 * n * n * lax.DEFAULT_SEPARATION)},
+        {"coord_log_range": 300.0},
+    ]
+
+
+def same_draw(spec, point, lams, f):
+    return np.array_equal(spec.lambdas, lams) and np.array_equal(point.f, f)
+
+
+def accepted_try(rng, n, a_range, max_tries):
+    """The try sample_tnn_rejection accepts (default b range), or None."""
+    for tries in range(max_tries):
+        a, b = rng.uniform(*a_range, n), rng.uniform(0.01, 1.0, n - 1)
+        if tnn.is_tnn_tridiagonal(lax.LaxMatrix._trusted(n=n, a=a, b=b), tol=0.0).is_tnn:
+            return tries
+    return None
+
 
 def per_sample_report(
     n, samples, seed, direction="both", tol=verify.DEFAULT_TOL,
