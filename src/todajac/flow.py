@@ -188,8 +188,6 @@ def _symes_qr(L0: lax.LaxMatrix, times) -> tuple:
     a = (weighted * Q).sum(axis=1)
     sub = (weighted[:, :, 1:] * Q[:, :, :-1]).sum(axis=1)
     b = sub * sub
-    a.setflags(write=False)
-    b.setflags(write=False)
     out_of_range = ~lax._in_range(a, b)
     if not out_of_range.any():
         return a, b, None
@@ -235,8 +233,6 @@ def _symes_lu(L0: lax.LaxMatrix, times) -> tuple:
         error = None
     except (Blowup, RangeExceeded) as exc:
         error = exc
-    a.setflags(write=False)
-    b.setflags(write=False)
     return a[:stop], b[:stop], error
 
 
@@ -375,8 +371,6 @@ def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
             stop += 1
     except (Overflow, RangeExceeded) as exc:
         error = exc
-    a.setflags(write=False)
-    b.setflags(write=False)
     return a[:stop], b[:stop], error
 
 
@@ -403,7 +397,7 @@ class Trajectory:
     blowup: Optional[float] = None
 
     def __post_init__(self):
-        times, a, b = (lax._sealed(x) for x in (self.times, self.a, self.b))
+        times, a, b = (lax._frozen(x) for x in (self.times, self.a, self.b))
         if times.ndim != 1 or (times.size > 1 and np.any(np.diff(times) <= 0)):
             raise ValueError("sample times must be strictly increasing")
         if a.ndim != 2 or a.shape[0] != times.size or b.shape != (times.size, a.shape[1] - 1):

@@ -531,7 +531,7 @@ def _reconstruct_rows(grid: TauGrid) -> _Rows:
 
 def reconstruct_along(spec: lax.Spectrum, F0, times) -> tuple:
     """Bands of reconstruct(spec, evolve_point(F0, spec, t)) for each of
-    ``times``, stacked: (a, b, error) with a (T, n) and b (T, n-1) read-only.
+    ``times``, stacked: (a, b, error) with a (T, n) and b (T, n-1).
 
     One TauKernel evaluation covers every time and no evolved point is
     formed.  The stacks stop before the first failing time, and ``error`` is
@@ -543,8 +543,6 @@ def reconstruct_along(spec: lax.Spectrum, F0, times) -> tuple:
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = _reconstruct_rows(TauKernel(spec, F0).evaluate(times))
-    rows.a.setflags(write=False)
-    rows.b.setflags(write=False)
     if rows.a.shape[1] < 2:
         raise ValueError("LaxMatrix needs n >= 2")
     nongeneral = rows.nongeneral.any(axis=1)
@@ -569,10 +567,18 @@ def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:
     lams = spec.lambdas
     if F0.n != lams.size:
         raise ValueError("point and spectrum sizes differ")
-    z = t * lams
-    w = np.exp(z - np.max(z)) * F0.f
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = w / w[0]
-    if not np.all(np.isfinite(w)) or np.any(w == 0.0):
+    w, ok = _evolved(lams[None], F0.f[None], np.array([t], dtype=float))
+    if not ok[0]:
         raise RangeExceeded(t, f"evolved coordinates leave double range at t={t!r}")
-    return JacobiPoint._trusted(w)
+    return JacobiPoint._trusted(w[0])
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _evolved(lams, f, times):
+    """``evolve_point`` of every point row of ``f`` over the eigenvalue rows
+    ``lams`` to its time, and which rows it returns (every coordinate finite
+    and nonzero) rather than raises on."""
+    z = times[:, None] * lams
+    w = np.exp(z - z.max(axis=1, keepdims=True)) * f
+    w = w / w[:, :1]
+    return w, np.isfinite(w).all(axis=1) & w.all(axis=1)

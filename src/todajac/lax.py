@@ -9,6 +9,10 @@ Conventions used throughout the package:
   multiplies ``lambda**k`` (the ``numpy.polynomial`` convention).
 * Matrix row/column indices are 0-based.  Component indices (``v_k``) and tau
   indices keep their mathematical numbering: components run 1..n, tau 0..n.
+* Values are read-only by one rule: every array a value or a cached per-n
+  table holds is a view of a read-only array, so it cannot be made writable
+  again.  Values seal their arrays where they are built (``_readonly``,
+  ``_frozen``); kernels hand back plain arrays.
 """
 
 from __future__ import annotations
@@ -39,26 +43,19 @@ def _in_range(a, b):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
+    """A copy of ``values`` as a view of a read-only array: unlike an array
+    that owns its data, it cannot be made writable again."""
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
-    return out
+    return out[...]
 
 
 def _frozen(values) -> np.ndarray:
-    """``values`` itself when it is a read-only float array, else a read-only copy."""
-    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
-        return values
-    return _readonly(values)
-
-
-def _sealed(values) -> np.ndarray:
-    """A read-only float view of a read-only array: unlike an array that owns
-    its data, it cannot be made writable again.  ``values`` itself when it is
-    one already (a row or slice of a frozen stack), else a view of a copy."""
-    out = _frozen(values)
-    if isinstance(out.base, np.ndarray) and not out.base.flags.writeable:
-        return out
-    return _readonly(out)[...]
+    """``values`` itself when it is a read-only float view of a read-only
+    array (a row of a sealed stack, say), else a ``_readonly`` copy."""
+    base = getattr(values, "base", None)
+    sealed = isinstance(base, np.ndarray) and not (base.flags.writeable or values.flags.writeable)
+    return values if sealed and values.dtype == float else _readonly(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +92,8 @@ class LaxMatrix:
         """Bands the caller has just built and knows to be valid: finite,
         of lengths n and n-1, with a nonzero subdiagonal.  No checks.
 
-        A read-only float array is kept as it is (a row view of a stack the
-        caller froze, say); anything writable is copied."""
+        A sealed float array is kept as it is (a row of a trajectory's
+        stack, say); anything else is copied (``_frozen``)."""
         out = object.__new__(cls)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "a", _frozen(a))
@@ -371,7 +368,7 @@ def spectrum(L: LaxMatrix) -> Spectrum:
     """
     if np.all(L.b > 0):
         lams, vectors = np.linalg.eigh(_symmetric_tridiagonal(L.a, np.sqrt(L.b)))
-        vectors.setflags(write=False)
+        vectors = _readonly(vectors)
     else:
         lams, vectors = charpoly_root_eigenvalues(L), None
     gaps = np.diff(lams)
@@ -406,7 +403,10 @@ def _validate_index_list(idx, n: int, name: str) -> tuple:
 def minor(M, rows: Sequence[int], cols: Sequence[int]) -> float:
     """Determinant of the submatrix selected by 0-based row/column indices.
 
-    Exact cofactor expansion for orders up to 3, pivoted LU above.
+    Cofactor expansion for orders up to 3, pivoted LU (``numpy.linalg.det``)
+    above, both in floats: a minor far below its terms can get the wrong
+    sign, as LU does on two matrices of the total-positivity test corpus
+    (ROADMAP item 8 owns an exact fix).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -169,7 +169,8 @@ def _bands(M) -> tuple:
         return M.a.tolist(), [1.0] * (M.n - 1), M.b.tolist()
     M = _as_dense(M)
     index = np.arange(M.shape[0])
-    outside = (np.abs(index[:, None] - index) >= 2) & (np.abs(M) > 0.0)
+    # != 0, not |x| > 0: a NaN off the bands is no zero
+    outside = (np.abs(index[:, None] - index) >= 2) & (M != 0.0)
     if outside.any():
         i, j = (int(v) for v in np.argwhere(outside)[0])
         raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")

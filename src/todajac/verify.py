@@ -193,16 +193,6 @@ def _cone_draws(u, n, spec_lo, spec_hi, coord_range):
     return lams, f, ok
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _evolved(lams, f, times):
-    """``evolve_point`` of every point row to its time, and which rows it
-    returns (every coordinate finite and nonzero) rather than raises on."""
-    z = times[:, None] * lams
-    w = np.exp(z - z.max(axis=1, keepdims=True)) * f
-    w = w / w[:, :1]
-    return w, np.isfinite(w).all(axis=1) & w.all(axis=1)
-
-
 def _reconstructed(lams, f, ok):
     """Bands of ``reconstruct`` on the rows where ``ok``, in one tau-kernel
     pass, and which rows stand (drawn, general and in range)."""
@@ -291,7 +281,7 @@ def _converse_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
     even, odd = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
     u = _draw_rows(rngs[even], 2 * n + 1)
     lams, f, drawn = _cone_draws(u, n, spec_lo, spec_hi, coord_range)
-    f, evolved = _evolved(lams, f, _uniform(-1.5, 1.5, u[:, 2 * n]))
+    f, evolved = jacobi._evolved(lams, f, _uniform(-1.5, 1.5, u[:, 2 * n]))
     a, b = np.empty((hi - lo, n)), np.empty((hi - lo, n - 1))
     stands = np.ones(hi - lo, dtype=bool)
     a[even], b[even], stands[even] = _reconstructed(lams, f, drawn & evolved)

@@ -432,6 +432,22 @@ class TestVerifyTheorem:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--spec-min", "0"],
+            ["--spec-min", "-1"],
+            # 1e-9 wide: fewer than n^2 = 16 separations of 1e-10
+            ["--spec-min", "1", "--spec-max", "1.000000001"],
+            ["--spec-min", "2", "--spec-max", "1"],
+        ],
+    )
+    def test_spectrum_range_exit_one(self, capsys, options):
+        assert main(["verify-theorem", "--n", "4", "--samples", "10"] + options) == 1
+        assert one_error_line(capsys) == (
+            "error: spectrum range must be positive, finite and n^2 separations wide\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # errors every command shares
@@ -527,6 +543,37 @@ def test_rk4_overflow_prints_only_the_blowup_line(tmp_path):
     assert proc.stdout == (
         "t,a1,a2,a3,b1,b2\n0.0,1e+300,0.0,-1e+300,1e+300,1e+300\n# blowup t=0.001000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 3, "a": [1, 2], "b": [1, 1]}', "diagonal must have length 3, got (2,)"),
+        ('{"n": 2, "a": [1e999, 1], "b": [1]}', "matrix entries must be finite"),
+    ],
+)
+def test_check_tnn_unloadable_matrix_exit_one(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check-tnn", "--matrix", str(path)]) == 1
+    assert one_error_line(capsys) == f"error: cannot load matrix: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "spectrum, point, message",
+    [
+        ('{"lambdas": ["x", 2]}', '{"f": [1, -1]}',
+         "malformed spectrum object: could not convert string to float: 'x'"),
+        ('{"lambdas": [1e999, 2]}', '{"f": [1, -1]}', "spectrum entries must be finite"),
+        ('{"lambdas": [1, 2]}', '{"g": [1, -1]}', "malformed point object: 'f'"),
+    ],
+)
+def test_reconstruct_unloadable_inputs_exit_one(tmp_path, capsys, spectrum, point, message):
+    spath, ppath = tmp_path / "s.json", tmp_path / "p.json"
+    spath.write_text(spectrum, encoding="utf-8")
+    ppath.write_text(point, encoding="utf-8")
+    assert main(["reconstruct", "--spectrum", str(spath), "--point", str(ppath)]) == 1
+    assert one_error_line(capsys) == f"error: cannot load inputs: {message}\n"
 
 
 def test_number_beyond_float_range_in_file_exit_one(tmp_path, capsys):

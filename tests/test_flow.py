@@ -644,6 +644,23 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             call()
 
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="^unknown method 'euler'$"):
+            flow.trajectory(L2, 0.0, 1.0, 0.5, "euler")
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [1.0, 0.0], [[0.0, 1.0]]])
+    def test_times_not_increasing_raise(self, times):
+        with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+            flow.Trajectory(np.array(times), np.ones((2, 2)), np.ones((2, 1)), "tau")
+
+    @pytest.mark.parametrize(
+        "a, b", [(np.ones((2, 3)), np.ones((2, 3))), (np.ones((3, 2)), np.ones((3, 1))),
+                 (np.ones(2), np.ones((2, 1)))],
+    )
+    def test_bands_of_the_wrong_shape_raise(self, a, b):
+        with pytest.raises(ValueError, match="^bands of shape"):
+            flow.Trajectory(np.arange(2.0), a, b, "tau")
+
     def test_sample_count_limit(self):
         # the sample list grew until the process was killed
         with pytest.raises(ValueError, match="MAX_SAMPLE_STEPS"):
@@ -1392,6 +1409,11 @@ class TestDetectBlowup:
             got = flow.detect_blowup(spec, point, t0, t1, grid=grid)
         assert got == expected
         assert [type(w.message) for w in caught] == [GridMiss] * miss
+
+    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (1.0, -1.0)])
+    def test_empty_window_raises(self, t0, t1):
+        with pytest.raises(ValueError, match="^need t0 < t1$"):
+            flow.detect_blowup(self.SPEC, jacobi.JacobiPoint.from_raw([1.0, 1.0]), t0, t1)
 
     def test_grid_below_one_raises(self):
         # tau_1 of this point vanishes at 0, inside the window

@@ -380,6 +380,10 @@ class TestEvolvePoint:
             jacobi.evolve_point(jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]), spec, -200.0)
         assert info.value.time == -200.0
 
+    def test_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="^point and spectrum sizes differ$"):
+            jacobi.evolve_point(jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]), SPEC13, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # batched tau kernel
@@ -388,6 +392,15 @@ class TestEvolvePoint:
 
 class TestTauKernel:
     # own generators, so the module RNG stream of the other tests is unchanged
+
+    def test_point_of_another_length_raises(self):
+        with pytest.raises(ValueError, match=r"^point length \(3,\) does not match spectrum size"):
+            jacobi.TauKernel(SPEC13, jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]))
+
+    def test_times_that_do_not_match_the_stack_raise(self):
+        kernel = jacobi.TauKernel(np.array([[1.0, 3.0], [1.0, 4.0]]), np.array([[1.0, -1.0]] * 2))
+        with pytest.raises(ValueError, match="^3 times do not match a stack of 2 points$"):
+            kernel.sums([0.0, 0.5, 1.0])
 
     def test_matches_dense_determinants(self):
         # oracle: eps_k * det of the mixed Vandermonde / point columns, formed

@@ -128,6 +128,14 @@ class TestLaxMatrix:
         assert not np.shares_memory(copied.a, buf) and not np.shares_memory(copied.b, buf)
         assert not copied.a.flags.writeable and not copied.b.flags.writeable
 
+    def test_trusted_copies_a_writable_view_of_a_read_only_array(self):
+        # views taken before the flag was cleared stay writable
+        buf = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        a, b = buf[:3], buf[3:]
+        buf.setflags(write=False)
+        L = lax.LaxMatrix._trusted(n=3, a=a, b=b)
+        assert not np.shares_memory(L.a, buf) and not np.shares_memory(L.b, buf)
+
 
 class TestSpectrum:
     def test_requires_increasing(self):
@@ -327,6 +335,15 @@ class TestMinor:
     def test_bad_indices(self, rows, cols):
         with pytest.raises(BadIndex):
             lax.minor(np.eye(3), rows, cols)
+
+    def test_non_square_matrix(self):
+        with pytest.raises(BadIndex, match="^matrix must be square$"):
+            lax.minor(np.ones((2, 3)), (0,), (0,))
+
+    @pytest.mark.parametrize("rows", [("x",), None])
+    def test_non_integer_indices(self, rows):
+        with pytest.raises(BadIndex, match="^rows must be a sequence of integers$"):
+            lax.minor(np.eye(3), rows, (0,))
 
     def test_matches_numpy_det(self):
         M = RNG.uniform(-2, 2, (7, 7))

@@ -1,9 +1,15 @@
-"""Package-level checks: what an import loads, and the README example."""
+"""Package-level checks: what an import loads, the README example, and the
+read-only arrays of every value."""
 
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from todajac import flow, jacobi, lax, tnn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,3 +30,69 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+# ---------------------------------------------------------------------------
+# every array a value holds is sealed where the value is built
+# ---------------------------------------------------------------------------
+
+
+def make_l4():
+    return lax.LaxMatrix(4, a=[1.0, 2.0, 3.0, 4.0], b=[0.5] * 3)
+
+
+def trusted_from_writable_buffer(L):
+    buf = np.concatenate((L.a, L.b))
+    return lax.LaxMatrix._trusted(n=4, a=buf[:4], b=buf[4:])
+
+
+def tau_sequence_fields(L):
+    ts = jacobi.tau_sequence(lax.spectrum(L), jacobi.abel_jacobi(L))
+    return [getattr(ts, name) for name in ts.__dataclass_fields__]
+
+
+def bands(L):
+    return [L.a, L.b]
+
+
+def trajectory_arrays(L, method):
+    traj = flow.trajectory(L, 0.0, 1.0, 0.25, method)
+    return [traj.times, traj.a, traj.b] + [x for state in traj.states for x in bands(state)]
+
+
+# the arrays of every kind of value and cached table the package builds
+SEALED = {
+    "LaxMatrix": bands,
+    "LaxMatrix._trusted": lambda L: bands(trusted_from_writable_buffer(L)),
+    "Spectrum": lambda L: [lax.spectrum(L).lambdas, lax.Spectrum([1.0, 2.0]).lambdas],
+    "Spectrum._vectors_of": lambda L: [lax.spectrum(L)._vectors_of(L)],
+    "JacobiPoint": lambda L: [jacobi.abel_jacobi(L).f, jacobi.JacobiPoint.from_raw([2.0, -1.0]).f],
+    "TauSequence": tau_sequence_fields,
+    "PolynomialVector": lambda L: [e for v in lax.cofactor_vectors(L) for e in v.entries],
+    "Trajectory(tau)": lambda L: trajectory_arrays(L, "tau"),
+    "Trajectory(symes)": lambda L: trajectory_arrays(L, "symes"),
+    "Trajectory(rk4)": lambda L: trajectory_arrays(L, "rk4"),
+    "solve_tau": lambda L: bands(flow.solve_tau(L, 0.3)),
+    "solve_symes": lambda L: bands(flow.solve_symes(L, 0.3)),
+    "solve_rk4": lambda L: bands(flow.solve_rk4(L, 0.3, 0.01)),
+    "TauKernel": lambda L: [
+        getattr(jacobi.TauKernel(lax.spectrum(L), jacobi.abel_jacobi(L)), name)
+        for name in ("bounds", "classes")
+    ],
+    "jacobi._subsets": lambda L: list(jacobi._subsets(L.n)),
+    "flow._rate_matrix": lambda L: [flow._rate_matrix(L.n)],
+    "tnn._expansion_tables": lambda L: [
+        x for _, *index in tnn._expansion_tables(L.n) for x in index
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SEALED)
+def test_value_arrays_cannot_be_made_writable(name):
+    arrays = SEALED[name](make_l4())
+    assert arrays
+    for x in arrays:
+        assert isinstance(x, np.ndarray) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x.setflags(write=True)
+

@@ -351,6 +351,15 @@ class TestTridiagonalCriterion:
         with pytest.raises(NotTridiagonal):
             tnn.is_tnn_tridiagonal(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("check", [tnn.is_tnn_tridiagonal, tnn.is_irreducible_tnn])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_outside_the_bands_is_not_tridiagonal(self, check, value):
+        # a NaN there once read as zero: TNN with no witness, or (False, None)
+        M = np.eye(3)
+        M[0, 2] = value
+        with pytest.raises(NotTridiagonal, match=r"^entry \(0,2\)=.* outside the three bands$"):
+            check(M)
+
     def test_method_tag(self):
         assert tnn.is_tnn_tridiagonal(make([2, 2], [1])).method == "tridiagonal-criterion"
 

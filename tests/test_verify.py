@@ -200,6 +200,16 @@ class TestStackedRoute:
                     failures += got["failures"]
         assert failures > 150
 
+    def test_failures_past_the_cap_keep_no_cases(self):
+        kwargs = dict(n=4, samples=40, seed=3, tol=-0.2)
+        got = verify.run_verification(**kwargs).to_json_dict()
+        full = verify.run_verification(**kwargs, keep_cases_up_to=1000).to_json_dict()
+        assert got["failures"] == full["failures"] > 10
+        for entry, kept in zip(got["failure_cases"], full["failure_cases"], strict=True):
+            assert set(entry) == {"direction", "index", "replay_key", "diagnostic"}
+            assert entry == {key: value for key, value in kept.items() if key != "case"}
+        assert got == per_sample_report(**kwargs)
+
     def test_run_with_kept_failure_cases_matches_per_sample_loop(self):
         kwargs = dict(n=4, samples=40, seed=3, tol=-0.2, keep_cases_up_to=1000)
         seq = verify.run_verification(**kwargs).to_json_dict()
@@ -226,7 +236,7 @@ class TestStackedRoute:
                     converse = [np.random.default_rng([seed, 1, i]) for i in range(0, samples, 2)]
                     u = verify._draw_rows(converse, 2 * n + 1)
                     lams, f, drawn = verify._cone_draws(u, n, *args)
-                    w, evolved = verify._evolved(lams, f, verify._uniform(-1.5, 1.5, u[:, 2 * n]))
+                    w, evolved = jacobi._evolved(lams, f, verify._uniform(-1.5, 1.5, u[:, 2 * n]))
                     for row, i in enumerate(range(0, samples, 2)):
                         spec, point = verify._converse_draw(n, seed, i, *args)
                         same = same_draw(spec, point, lams[row], w[row])
