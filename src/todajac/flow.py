@@ -32,8 +32,12 @@ row 0 of a one-time run.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
   coordinates of dL/dt = [L, L_lower].  It steps one state vector
   y = [a; b] over a fixed +-1 rate matrix M: the rates are M @ y with the
-  subdiagonal part multiplied by b, computed in place into buffers made once
-  per call.
+  subdiagonal part multiplied by b, computed in place into the rows of one
+  (4, 2n-1) stage buffer made once per call, which one reduction sums.  The
+  overflow test is deferred: the steps keep running extrema of the states,
+  read every few hundred steps, and only when a read shows an overflow do
+  the steps since the last clean read run again with each state tested, so
+  Overflow carries the time of the same step as a per-step test.
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
@@ -64,6 +68,9 @@ from .errors import (
 )
 
 RK4_OVERFLOW_THRESHOLD = 1e12
+# solve_rk4: steps between reads of the running extrema, so an overflow
+# costs at most this many steps past it and as many again in the rerun
+_EXTREMA_STEPS = 256
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
@@ -299,6 +306,14 @@ def toda_derivative(a: np.ndarray, b: np.ndarray) -> tuple:
     return rates[:n], rates[n:]
 
 
+def _overflowed(peak: np.ndarray, trough: np.ndarray, n: int) -> bool:
+    """Whether states with these entrywise extrema (a state is its own) hold
+    a non-finite entry or a subdiagonal magnitude past the threshold."""
+    if not (np.isfinite(peak).all() and np.isfinite(trough).all()):
+        return True
+    return max(peak[n:].max(), -trough[n:].min()) > RK4_OVERFLOW_THRESHOLD
+
+
 def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     """Classical fixed-step RK4 on the tridiagonal coordinates.
 
@@ -309,6 +324,15 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     (NaN included) is a ValueError.  Every entry rounds as in the two-array
     form of the method: each rate is one difference, and the update keeps the
     order (((k1 + 2 k2) + 2 k3) + k4).
+
+    The four stages are the rows of one buffer, summed by one reduction.  The
+    steps keep running entrywise extrema of the states instead of testing
+    each one; NaN and inf carry through them.  The extrema are read every
+    _EXTREMA_STEPS steps and after the last one.  A clean read marks the
+    state; one that shows an overflow reruns the steps from the last mark
+    (L0 at first) with each state tested, which raises at the step the
+    per-step test would.  L0 itself is never tested: if no step overflows,
+    the rerun runs to the end and returns normally.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -317,38 +341,64 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     n = L0.n
     M = _rate_matrix(n)
     y = np.concatenate((L0.a, L0.b))
+    peak, trough, mark = y.copy(), y.copy(), y.copy()
     # zeros, not empty: the BLAS product may scale its output buffer by 0
-    k1, k2, k3, k4, s = (np.zeros_like(y) for _ in range(5))
-    y_b, s_b, k1_b = y[n:], s[n:], k1[n:]
-    # (stage input rates, fraction of h, output rates, their b tail)
-    stages = ((k1, 0.5, k2, k2[n:]), (k2, 0.5, k3, k3[n:]), (k3, 1.0, k4, k4[n:]))
+    K, s, acc = np.zeros((4, y.size)), np.zeros_like(y), np.zeros_like(y)
+    k1, k2, k3, k4 = K
+    k23 = K[1:3]
+    y_b, s_b, k1_b, k2_b, k3_b, k4_b = y[n:], s[n:], k1[n:], k2[n:], k3[n:], k4[n:]
+    dot, multiply, maximum, minimum = np.dot, np.multiply, np.maximum, np.minimum
+    add_reduce = np.add.reduce
     elapsed = 0.0
     remaining = float(t)
+    marked = elapsed, remaining
     direction = math.copysign(1.0, t) if t != 0.0 else 1.0
+    every = _EXTREMA_STEPS
+    steps = 0
 
-    # the check after each step decides an overflow, not numpy's warnings
+    # the extrema decide an overflow, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while abs(remaining) > 0.0:
             h = direction * min(dt, abs(remaining))
-            np.dot(M, y, out=k1)
+            half = 0.5 * h
+            dot(M, y, out=k1)
             k1_b *= y_b
-            for k_in, frac, k_out, k_out_b in stages:
-                np.multiply(k_in, frac * h, out=s)
-                s += y
-                np.dot(M, s, out=k_out)
-                k_out_b *= s_b
-            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= h / 6.0
-            y += k2
+            multiply(k1, half, out=s)
+            s += y
+            dot(M, s, out=k2)
+            k2_b *= s_b
+            multiply(k2, half, out=s)
+            s += y
+            dot(M, s, out=k3)
+            k3_b *= s_b
+            multiply(k3, h, out=s)
+            s += y
+            dot(M, s, out=k4)
+            k4_b *= s_b
+            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4): a reduction over the
+            # slow axis adds row by row, and -0.0 is the exact identity
+            k23 *= 2.0
+            add_reduce(K, axis=0, out=acc, initial=-0.0)
+            acc *= h / 6.0
+            y += acc
             elapsed += h
             remaining -= h
-            if not np.isfinite(y).all() or np.abs(y_b).max() > RK4_OVERFLOW_THRESHOLD:
+            maximum(peak, y, out=peak)
+            minimum(trough, y, out=trough)
+            steps += 1
+            if steps % every and abs(remaining) > 0.0:
+                continue
+            if not _overflowed(peak, trough, n):
+                np.copyto(mark, y)
+                marked = elapsed, remaining
+            elif every == 1:  # in the rerun: the first state past the threshold
                 raise Overflow(elapsed)
+            else:
+                # rerun from the mark, each state its own extrema
+                np.copyto(y, mark)
+                elapsed, remaining = marked
+                peak = trough = y
+                every = 1
     if not lax._in_range(y[:n], y_b):
         raise RangeExceeded(float(t))
     return lax.LaxMatrix._trusted(n=n, a=y[:n], b=y_b)

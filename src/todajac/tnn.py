@@ -173,7 +173,7 @@ def _bands(M) -> tuple:
     outside = (np.abs(index[:, None] - index) >= 2) & (M != 0.0)
     if outside.any():
         i, j = (int(v) for v in np.argwhere(outside)[0])
-        raise NotTridiagonal(f"entry ({i},{j})={M[i, j]!r} outside the three bands")
+        raise NotTridiagonal(f"entry ({i},{j})={float(M[i, j])!r} outside the three bands")
     return M.diagonal().tolist(), M.diagonal(1).tolist(), M.diagonal(-1).tolist()
 
 

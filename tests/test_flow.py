@@ -1002,6 +1002,93 @@ class TestTauStacks:
         assert {1, 20} <= stops and len(stops) >= 4
 
 
+def rk4_chain_reference(L0, t0, t1, dt_out, dt):
+    """rk4_reference chained across the sample intervals of a trajectory.
+    Returns the rows up to the first Overflow and its time (None when no
+    step overflows); raises RangeExceeded(sample time) as trajectory does."""
+    rows = [(L0.a, L0.b)]
+    times = flow._sample_times(t0, t1, dt_out)
+    for prev, t in zip(times[:-1].tolist(), times[1:].tolist()):
+        try:
+            a, b = rk4_reference(lax.LaxMatrix(n=L0.n, a=rows[-1][0], b=rows[-1][1]), t - prev, dt)
+        except Overflow as exc:
+            return rows, prev + exc.time
+        if not lax._in_range(a, b):
+            raise RangeExceeded(t)
+        rows.append((a, b))
+    return rows, None
+
+
+def rk4_trajectory(L0, t0, t1, dt_out, dt):
+    """trajectory("rk4") in the reference's terms: its rows and blowup time."""
+    traj = flow.trajectory(L0, t0, t1, dt_out, "rk4", rk4_dt=dt)
+    return list(zip(traj.a, traj.b)), traj.blowup
+
+
+def rk4_outcome(run, *args):
+    """The rows' bytes and the blowup time of a run, or the time of its
+    RangeExceeded."""
+    try:
+        rows, blowup = run(*args)
+    except RangeExceeded as exc:
+        return exc.time
+    return [a.tobytes() + b.tobytes() for a, b in rows], blowup
+
+
+class TestRk4Stacks:
+    """The rk4 route of trajectory: solve_rk4 across each sample interval,
+    whose deferred overflow test must stop where the per-step test does."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        blowup=st.floats(0.05, 2.0),
+        t0=st.floats(-1.0, 1.0),
+        span=st.floats(0.05, 1.5),
+        intervals=st.integers(1, 3),
+        dt=st.sampled_from([2e-3, 5e-3, 1e-2]),
+    )
+    def test_rows_match_chained_reference(self, n, mixed, seed, blowup, t0, span, intervals, dt):
+        rng = np.random.default_rng(seed)
+        # sign-mixed: a tau value vanishes at t0 + blowup, inside the window or past it
+        L = blowup_matrix(rng, n, blowup) if mixed else random_tnn(rng, n)[0]
+        args = (L, t0, t0 + span, span / intervals, dt)
+        assert rk4_outcome(rk4_trajectory, *args) == rk4_outcome(rk4_chain_reference, *args)
+
+    @pytest.mark.parametrize(
+        "t0, t1, dt_out",
+        [
+            (0.0, 1.5, 0.5),  # |b| passes 1e12 in the first step of the last interval
+            (-0.3, 0.9, 0.6),  # in step 401 of 600: the read at step 256 marked a clean state
+            (0.0, 1.8, 0.9),  # in step 101 of 900, before the first read
+        ],
+    )
+    def test_overflow_mid_interval_matches_chained_reference(self, t0, t1, dt_out):
+        # the state's tau[1] vanishes one unit after t0
+        Lnc, _ = noncone_two_by_two()
+        got = rk4_outcome(rk4_trajectory, Lnc, t0, t1, dt_out, 1e-3)
+        assert got == rk4_outcome(rk4_chain_reference, Lnc, t0, t1, dt_out, 1e-3)
+        assert t0 + 1.0 < got[1] < t0 + 1.01
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, -1e-3, 0.5])
+    def test_state_past_the_threshold_at_t0_matches_reference(self, t):
+        # the reference never tests L0: at t = 0 it returns L_HUGE itself
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.concatenate(rk4_reference(L_HUGE, t, 1e-3)).tobytes()
+        except Overflow as exc:
+            want = exc.time
+        try:
+            S = flow.solve_rk4(L_HUGE, t, 1e-3)
+            got = np.concatenate((S.a, S.b)).tobytes()
+        except Overflow as exc:
+            got = exc.time
+        assert got == want
+        assert (t == 0.0) == isinstance(got, bytes)
+
+
 def writer_reference_csv(traj):
     """The per-state CSV row loop the stacked writer replaced."""
     states = traj.states

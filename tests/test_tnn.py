@@ -360,6 +360,12 @@ class TestTridiagonalCriterion:
         with pytest.raises(NotTridiagonal, match=r"^entry \(0,2\)=.* outside the three bands$"):
             check(M)
 
+    def test_off_band_entry_prints_as_plain_float(self):
+        M = np.array([[1, 0, 2.5], [0, 1, 0], [0, 0, 1.0]])
+        with pytest.raises(NotTridiagonal) as info:
+            tnn.is_tnn_tridiagonal(M)
+        assert str(info.value) == "entry (0,2)=2.5 outside the three bands"
+
     def test_method_tag(self):
         assert tnn.is_tnn_tridiagonal(make([2, 2], [1])).method == "tridiagonal-criterion"
 
@@ -486,7 +492,7 @@ class TestTridiagonalCriterion:
                     i, j = j, i
                 M[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-300, 1.0)
             expected = next(
-                f"entry ({r},{c})={M[r, c]!r} outside the three bands"
+                f"entry ({r},{c})={float(M[r, c])!r} outside the three bands"
                 for r in range(n)
                 for c in range(n)
                 if abs(r - c) >= 2 and abs(M[r, c]) > 0.0
