@@ -5,8 +5,7 @@ Commands:
 * ``simulate``: run one trajectory and write it as CSV or JSON.
 * ``check-tnn``: total-nonnegativity report for a matrix file, from the
   exhaustive, tridiagonal or interlacing route (``--mode``).  The
-  interlacing route reads "not TNN" off a negative subdiagonal entry with no
-  spectrum; on b > 0 a spectrum failure is "not TNN" with a ``note:`` line.
+  interlacing route reads the signs of b and of the bottom eigenvalue.
 * ``linearize``: Jacobi coordinates, sign component and tau data of a matrix.
 * ``reconstruct``: matrix from a spectrum file and a point file.
 * ``verify-theorem``: randomized check that cone points reconstruct to TNN
@@ -17,9 +16,10 @@ files that cannot be read or written, sampling ranges too wide); 2 negative
 finding (not TNN, non-general point, theorem failures, spectrum failure:
 eigenvalues that are non-real, non-simple or whose polish leaves double
 range); 3 blowup (simulate only, partial output is still written); 4 range
-exceeded: a state entry leaves double range (simulate and reconstruct,
-nothing is written).  Commands return their verdict (0, 2 or 3) and raise
-every other failure; ``main`` alone maps errors to exit codes.
+exceeded: a state entry or cofactor value leaves double range (simulate,
+linearize, reconstruct; nothing is written).  Commands return their verdict
+(0, 2 or 3) and raise every other failure; ``main`` alone maps errors to
+exit codes.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_BLOWUP = 3
 EXIT_RANGE = 4
-
-# a spectrum that cannot be computed is a negative finding (exit 2)
-SPECTRUM_FAILURES = (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow)
 
 
 def _load(path: str, build, what: str = "matrix"):
@@ -98,11 +95,7 @@ def cmd_check_tnn(args) -> int:
     elif args.mode == "tridiagonal":
         report = tnn.is_tnn_tridiagonal(L, tol=args.tol)
     else:
-        try:
-            report = tnn.is_tnn_interlacing(L)
-        except SPECTRUM_FAILURES as exc:
-            print(f"note: spectrum test failed ({exc})", file=sys.stderr)
-            report = tnn.TnnReport(is_tnn=False, witness=None, method="interlacing")
+        report = tnn.is_tnn_interlacing(L)
     _dump(report.to_json_dict(), args.out)
     return EXIT_OK if report.is_tnn else EXIT_NEGATIVE
 
@@ -243,7 +236,8 @@ def main(argv=None) -> int:
         message, code = str(exc), EXIT_RANGE
     except NonGeneralDivisor as exc:
         message, code = f"non-general point: tau index {exc.index} vanishes", EXIT_NEGATIVE
-    except (*SPECTRUM_FAILURES, ZeroCofactorValue) as exc:
+    except (NonRealSpectrum, NonSimpleSpectrum, SpectrumOverflow, ZeroCofactorValue) as exc:
+        # a spectrum that cannot be computed or a vanishing cofactor value: negative finding
         message, code = str(exc), EXIT_NEGATIVE
     except (OSError, ValueError, TodaError) as exc:
         message, code = str(exc), EXIT_INPUT

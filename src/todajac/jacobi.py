@@ -464,8 +464,9 @@ def abel_jacobi(L: lax.LaxMatrix, spec: lax.Spectrum | None = None) -> JacobiPoi
     """Linearization map: (1,1)-cofactor values at the eigenvalues, normalized.
 
     For b > 0 they are Weyl residues from the eigenvectors ``spectrum(L)``
-    keeps; another ``spec`` costs an ``eigh`` of L.  Raises ZeroCofactorValue
-    when a value is at most DEFAULT_ZERO_COFACTOR_TOL times the largest one.
+    keeps; another ``spec`` costs an ``eigh`` of L.  Raises RangeExceeded
+    (t = 0) when a value leaves double range, ZeroCofactorValue when one is
+    at most DEFAULT_ZERO_COFACTOR_TOL times the largest.
     """
     if spec is None:
         spec = lax.spectrum(L)
@@ -475,7 +476,10 @@ def abel_jacobi(L: lax.LaxMatrix, spec: lax.Spectrum | None = None) -> JacobiPoi
     vals = None if vecs is None else lax._weyl_cofactor_values(vecs, spec.lambdas)
     if vals is None or not np.isfinite(vals).all():
         # sign-mixed b, or eigenvalue differences beyond double range
-        vals = lax.chop_values(L, spec.lambdas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = lax.chop_values(L, spec.lambdas)
+        if not np.isfinite(vals).all():
+            raise RangeExceeded(0.0, "cofactor values leave double range")
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0 or np.any(np.abs(vals) <= DEFAULT_ZERO_COFACTOR_TOL * scale):
         i = int(np.argmin(np.abs(vals)))

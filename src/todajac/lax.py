@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * Matrix row/column indices are 0-based.  Component indices (``v_k``) and tau
   indices keep their mathematical numbering: components run 1..n, tau 0..n.
 * Values are read-only by one rule: every array a value or a cached per-n
-  table holds is a view of a read-only array, so it cannot be made writable
-  again.  Values seal their arrays where they are built (``_readonly``,
-  ``_frozen``); kernels hand back plain arrays.
+  table holds is a view of an array over immutable ``bytes``, so neither it
+  nor its base can be made writable.  Values seal their arrays where they
+  are built (``_readonly``, ``_frozen``); kernels hand back plain arrays.
 """
 
 from __future__ import annotations
@@ -43,18 +43,16 @@ def _in_range(a, b):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    """A copy of ``values`` as a view of a read-only array: unlike an array
-    that owns its data, it cannot be made writable again."""
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out[...]
+    """A copy of ``values`` as a view of an array over an immutable ``bytes``
+    buffer: neither the view nor its base can be made writable again."""
+    out = np.asarray(values, dtype=dtype)
+    return np.frombuffer(out.tobytes(), out.dtype).reshape(out.shape)
 
 
 def _frozen(values) -> np.ndarray:
-    """``values`` itself when it is a read-only float view of a read-only
-    array (a row of a sealed stack, say), else a ``_readonly`` copy."""
-    base = getattr(values, "base", None)
-    sealed = isinstance(base, np.ndarray) and not (base.flags.writeable or values.flags.writeable)
+    """``values`` itself when it is a float view of a ``_readonly`` array (a
+    row of a sealed stack, say), else a ``_readonly`` copy."""
+    sealed = isinstance(getattr(getattr(values, "base", None), "base", None), bytes)
     return values if sealed and values.dtype == float else _readonly(values)
 
 

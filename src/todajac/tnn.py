@@ -7,13 +7,14 @@ first-row expansion, so a minor with no nonzero transversal is exactly 0, and
 reruns the expansion in exact integers when rounding could decide a sign.
 For tridiagonal matrices TNN is equivalent to nonnegative off-diagonal
 entries plus nonnegative contiguous principal minors, and, when the
-off-diagonal entries are positive, to strict eigenvalue interlacing with a
-positive bottom eigenvalue.  Strict interlacing itself forces a positive
-subdiagonal, so the interlacing route rejects a negative entry, a negative
-1x1 minor, before it computes any spectrum; the tests cross-check all three
-routes.  TP is decided by the exhaustive oracle's expansion, testing every
-minor > 0, and the irreducibility of a TNN tridiagonal matrix in closed form
-(Gantmacher & Krein): see ``is_totally_positive`` and ``is_irreducible_tnn``.
+off-diagonal entries are positive and the matrix is nonsingular, to strict
+eigenvalue interlacing with a positive bottom eigenvalue.  Strict
+interlacing forces a positive subdiagonal, and a positive subdiagonal
+forces strict interlacing, so the interlacing route reads only the bottom
+eigenvalue; the tests cross-check all three routes.  TP is decided by the
+exhaustive oracle's expansion, testing every minor > 0, and the
+irreducibility of a TNN tridiagonal matrix in closed form (Gantmacher &
+Krein): see ``is_totally_positive`` and ``is_irreducible_tnn``.
 """
 
 from __future__ import annotations
@@ -308,11 +309,9 @@ def check_interlacing(data: InterlacingData) -> bool:
     """Strict interlacing with a positive bottom eigenvalue.
 
     True iff 0 < lambda_1 < mu_1 < lambda_2 < ... < mu_{n-1} < lambda_n,
-    where the mu are the trailing-corner eigenvalues.  The equivalence with
-    the TNN tests is only promised for positive off-diagonal entries: on a
-    sign-mixed matrix rounding can make a nearly decoupled spectrum
-    interlace.  ``is_tnn_interlacing`` decides such a matrix from its
-    entries instead.
+    where the mu are the trailing-corner eigenvalues: the paper's predicate
+    on given spectra.  ``is_tnn_interlacing`` does not call it: rounding can
+    break or fake the strict inequalities of a nearly decoupled matrix.
     """
     lam = data.lambdas.lambdas
     mu = data.mus.lambdas
@@ -331,10 +330,12 @@ def is_tnn_interlacing(L: lax.LaxMatrix) -> TnnReport:
     residues, and a positive measure gives a positive subdiagonal (de Boor &
     Golub, Linear Algebra Appl. 21, 1978).  So a negative entry of ``L.b``
     (a negative 1x1 minor; a LaxMatrix has none that is zero) is "not TNN"
-    with no spectrum computed.  For b > 0 the verdict is
-    ``check_interlacing(interlacing_spectra(L))``, from two spectra, L's and
-    its trailing corner's, whose failures (NonRealSpectrum,
-    NonSimpleSpectrum, SpectrumOverflow) propagate.
+    with no eigenvalue computed.  For b > 0, L is similar to the unreduced
+    symmetric tridiagonal T with off-diagonals sqrt(b), whose eigenvalues
+    strictly interlace those of its trailing corner (Parlett, The Symmetric
+    Eigenvalue Problem, Ch. 7).  So the verdict is 0 < lambda_1, from one
+    LAPACK call and with no spectrum error, strict as in the paper: a
+    singular TNN matrix such as a = [1, 1], b = [1] is "not TNN" here.
     """
-    ok = bool(np.all(L.b > 0.0)) and check_interlacing(interlacing_spectra(L))
-    return TnnReport(is_tnn=ok, witness=None, method="interlacing")
+    ok = bool(np.all(L.b > 0.0)) and lax.symmetric_tridiagonal_eigenvalues(L.a, np.sqrt(L.b))[0] > 0
+    return TnnReport(is_tnn=bool(ok), witness=None, method="interlacing")

@@ -28,8 +28,8 @@ MAT_TINY_NEGATIVE = {
     "b": [-2.053110304527219e-232, 0.4753978632097647],
 }
 
-# TNN, nearly decoupled: the leading (n-1) corner's spectrum is not simple,
-# and the interlacing route does not read it
+# TNN, nearly decoupled: the leading (n-1) corner's spectrum is not simple;
+# the interlacing route reads only the bottom eigenvalue of L
 MATS_NEARLY_DECOUPLED_TNN = [
     {"n": 5, "a": [3.5, 2.5, 2.5, 3.5, 9.0], "b": [1e-8] * 4},
     {"n": 8, "a": [4.0, 3.0, 2.0, 1.0, 2.0, 3.0, 4.0, 9.0], "b": [1e-4] * 7},
@@ -262,6 +262,14 @@ class TestLinearize:
         path = write_json(tmp_path / "rot.json", {"n": 2, "a": [0.0, 0.0], "b": [-1.0]})
         assert main(["linearize", "--matrix", path]) == 2
 
+    def test_cofactor_values_beyond_double_range_exit_four(self, tmp_path, capsys):
+        # the recurrence's values are [-inf, -1e300, inf]: range, not a zero
+        data = {"n": 3, "a": [1e300, 0.0, -1e300], "b": [1e300, 1e300]}
+        assert main(["linearize", "--matrix", write_json(tmp_path / "m.json", data)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cofactor values leave double range\n"
+
     def test_one_tau_kernel_per_call(self, cone_file, noncone_file, capsys, monkeypatch):
         built = []
 
@@ -317,17 +325,14 @@ def test_spectrum_overflow_is_a_spectrum_failure(tmp_path, capsys, command):
     path = write_json(tmp_path / "m.json", MAT_POLISH_OVERFLOW)
     assert main(command + ["--matrix", path]) == 2
     if command[0] == "check-tnn":
-        # a negative entry is "not TNN" before any spectrum, so the
-        # interlacing route's spectrum failures come from b > 0 inputs
+        # a negative entry is "not TNN" before any spectrum, and on b > 0
+        # the route reads one eigenvalue: no spectrum failure either way
         captured = capsys.readouterr()
         assert json.loads(captured.out)["is_tnn"] is False and captured.err == ""
         path = write_json(tmp_path / "m.json", MAT_NOT_SIMPLE)
         assert main(command + ["--matrix", path]) == 2
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["is_tnn"] is False
-        assert captured.err == (
-            "note: spectrum test failed (eigenvalues -1e-15 and 1e-15 closer than 1.0e-10)\n"
-        )
+        assert json.loads(captured.out)["is_tnn"] is False and captured.err == ""
         return
     assert "polish of the eigenvalues leaves double range" in capsys.readouterr().err
 

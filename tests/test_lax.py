@@ -119,10 +119,14 @@ class TestLaxMatrix:
             L.a[0] = 5.0
 
     def test_trusted_keeps_read_only_bands_and_copies_writable_ones(self):
-        stack = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        stack.setflags(write=False)
+        stack = lax._readonly([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         kept = lax.LaxMatrix._trusted(n=3, a=stack[1], b=stack[0, :2])
         assert np.shares_memory(kept.a, stack) and np.shares_memory(kept.b, stack)
+        # a flag the user cleared, the user can set again
+        user = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        user.setflags(write=False)
+        copied = lax.LaxMatrix._trusted(n=3, a=user[1], b=user[0, :2])
+        assert not np.shares_memory(copied.a, user) and not np.shares_memory(copied.b, user)
         buf = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         copied = lax.LaxMatrix._trusted(n=3, a=buf[:3], b=buf[3:])
         assert not np.shares_memory(copied.a, buf) and not np.shares_memory(copied.b, buf)

@@ -96,3 +96,22 @@ def test_value_arrays_cannot_be_made_writable(name):
         with pytest.raises(ValueError):
             x.setflags(write=True)
 
+
+@pytest.mark.parametrize("name", SEALED)
+def test_value_array_bases_cannot_be_made_writable(name):
+    for x in SEALED[name](make_l4()):
+        assert isinstance(x.base, np.ndarray) and isinstance(x.base.base, bytes)
+        with pytest.raises(ValueError):
+            x.base.setflags(write=True)
+
+
+def test_a_kernel_base_cannot_poison_later_kernels():
+    # a writable base of the cached n = 4 tables would corrupt every later
+    # tau kernel of that size
+    L = make_l4()
+    kernel = jacobi.TauKernel(lax.spectrum(L), jacobi.abel_jacobi(L))
+    with pytest.raises(ValueError):
+        kernel.bounds.base.setflags(write=True)
+    np.testing.assert_allclose(
+        flow.solve_tau(make_l4(), 0.3).a, [1.17342327, 2.00149821, 2.99850179, 3.82657673]
+    )

@@ -41,6 +41,15 @@ NEARLY_DECOUPLED_TNN = [
 ]
 
 
+def nearly_decoupled_family():
+    """150 TNN matrices, n = 4..8: a V-shaped leading diagonal, one far or
+    near last diagonal entry, and every subdiagonal entry the same tiny b."""
+    for n, mid, last, b in itertools.product(
+        range(4, 9), (1.0, 2.0), (0.5, 9.0, 20.0), (1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
+    ):
+        yield make([mid + abs((n - 2) / 2 - i) for i in range(n - 1)] + [last], [b] * (n - 1))
+
+
 def sign_mixed_tridiagonal(rng, n, tiny):
     """Random phase-space matrix with at least one negative subdiagonal entry.
 
@@ -784,16 +793,57 @@ class TestInterlacingRoute:
                 lax.spectrum(make(L.a[:-1], L.b[:-1]))
             assert tnn.is_tnn_interlacing(L).is_tnn
 
-    def test_positive_b_takes_two_spectra(self, monkeypatch):
-        # n >= 3: an n = 2 matrix has a scalar corner, so one spectrum call
+    def test_positive_b_takes_one_eigenvalue_call(self, monkeypatch):
+        # no spectrum at all; one eigenvalue call for b > 0, none otherwise
         rng = np.random.default_rng(2122)
-        calls = []
-        real_spectrum = lax.spectrum
-        monkeypatch.setattr(lax, "spectrum", lambda L: calls.append(L.n) or real_spectrum(L))
-        for i in range(120):
-            n = 3 + i % 6
-            L = random_tridiagonal(rng, n)
+        spectra, calls = [], []
+        real = lax.symmetric_tridiagonal_eigenvalues
+        monkeypatch.setattr(lax, "spectrum", lambda L: spectra.append(L.n))
+        monkeypatch.setattr(
+            lax, "symmetric_tridiagonal_eigenvalues", lambda d, e: calls.append(len(d)) or real(d, e)
+        )
+        for i in range(140):
+            n = 2 + i % 7
+            L = random_tridiagonal(rng, n) if i % 4 else sign_mixed_tridiagonal(rng, n, i % 8 == 0)
             calls.clear()
             verdict = tnn.is_tnn_interlacing(L).is_tnn
-            assert calls == [n, n - 1]
+            assert calls == ([n] if np.all(L.b > 0.0) else [])
             assert verdict == tnn.is_tnn_tridiagonal(L).is_tnn
+        assert spectra == []
+
+    def test_nearly_decoupled_family_matches_exhaustive(self):
+        family = list(nearly_decoupled_family())
+        assert len(family) == 150
+        for L in family:
+            verdicts = [tnn.is_tnn_exhaustive(L).is_tnn, tnn.is_tnn_interlacing(L).is_tnn]
+            assert verdicts == [True, True], f"a={L.a}, b={L.b}: {verdicts}"
+
+    def test_wide_range_positive_b_matches_exhaustive(self):
+        rng = np.random.default_rng(7)
+        tnn_count = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            L = make(rng.uniform(-0.5, 3.0, n), 10.0 ** rng.uniform(-8.0, 1.0, n - 1))
+            want = tnn.is_tnn_exhaustive(L).is_tnn
+            assert tnn.is_tnn_interlacing(L).is_tnn == want, f"a={L.a}, b={L.b}"
+            tnn_count += want
+        assert 500 <= tnn_count <= 2500
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.0, 0.0], [1e-30]),  # eigenvalues +-1e-15: not simple
+            ([1e-300, 1e-300], [5e-324]),  # eigenvalues 1e-300 +- 2.2e-162
+            ([1.7e308, -1.7e308], [1.7e308]),  # entries near the top of double range
+        ],
+    )
+    def test_verdict_without_spectrum_errors(self, a, b):
+        # the suite turns a floating-point warning into an error
+        L = make(a, b)
+        assert tnn.is_tnn_interlacing(L).is_tnn is tnn.is_tnn_exhaustive(L).is_tnn is False
+
+    def test_singular_tnn_is_not_tnn_here(self):
+        # the paper's predicate asks 0 < lambda_1; here lambda_1 = 0
+        L = make([1.0, 1.0], [1.0])
+        assert tnn.is_tnn_exhaustive(L).is_tnn and tnn.is_tnn_tridiagonal(L).is_tnn
+        assert not tnn.is_tnn_interlacing(L).is_tnn
