@@ -30,14 +30,15 @@ row 0 of a one-time run.
   range (for b > 0: the diagonal similarity cumprod(sqrt(b)) is not finite
   or reaches 0), and when a state entry does.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
-  coordinates of dL/dt = [L, L_lower].  It steps one state vector
-  y = [a; b] over a fixed +-1 rate matrix M: the rates are M @ y with the
-  subdiagonal part multiplied by b, computed in place into the rows of one
-  (4, 2n-1) stage buffer made once per call, which one reduction sums.  The
-  overflow test is deferred: the steps keep running extrema of the states,
-  read every few hundred steps, and only when a read shows an overflow do
-  the steps since the last clean read run again with each state tested, so
-  Overflow carries the time of the same step as a per-step test.
+  coordinates of dL/dt = [L, L_lower].  It steps one interleaved state
+  [0, a_1, b_1, ..., b_{n-1}, a_n, -0.0], on which each rate is the
+  difference of the two entries beside it (times b for the b entries),
+  computed into the rows of one (4, 2n-1) stage buffer made once per call,
+  which one reduction sums.  The overflow test is deferred: the steps keep
+  running extrema of the states, read every few hundred steps, and only
+  when a read shows an overflow do the steps since the last clean read run
+  again with each state tested, so Overflow carries the time of the same
+  step as a per-step test.
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
@@ -278,40 +279,38 @@ def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     return lax.LaxMatrix._trusted(n=L0.n, a=a[0], b=b[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _rate_matrix(n: int) -> np.ndarray:
-    """Read-only +-1 matrix M with M @ [a; b] = [adot; a[1:] - a[:-1]].
-
-    Every row has at most two nonzero entries, so each product entry rounds
-    exactly like the difference it stands for; the subdiagonal rates are the
-    tail times b.
-    """
-    M = np.zeros((2 * n - 1, 2 * n - 1))
-    for k in range(n - 1):
-        M[k, n + k] = 1.0
-        M[k + 1, n + k] = -1.0
-        M[n + k, k + 1] = 1.0
-        M[n + k, k] = -1.0
-    return lax._readonly(M)
+def _interleaved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The state [0, a_1, b_1, a_2, ..., b_{n-1}, a_n, -0.0]: entry j's rate is
+    entry j+1 minus entry j-1, times entry j for the b entries.  The end
+    zeros give da_1 = b_1 - 0.0 and da_n = -0.0 - b_{n-1}, which round (signed
+    zeros included) as b_1 and -b_{n-1}."""
+    y = np.zeros(2 * a.size + 1)
+    y[1:-1:2] = a
+    y[2:-1:2] = b
+    y[-1] = -0.0
+    return y
 
 
 def toda_derivative(a: np.ndarray, b: np.ndarray) -> tuple:
     """Right-hand side of the lattice equations in tridiagonal coordinates.
 
     da_1 = b_1, da_k = b_k - b_{k-1}, da_n = -b_{n-1}; db_k = b_k (a_{k+1} - a_k).
+    On the interleaved state [0, a_1, b_1, ..., a_n, -0.0] each rate is one
+    difference of the entries beside it, and the b rates are then scaled by b.
     """
-    n = a.size
-    rates = _rate_matrix(n) @ np.concatenate((a, b))
-    rates[n:] *= b
-    return rates[:n], rates[n:]
+    y = _interleaved(a, b)
+    rates = y[2:] - y[:-2]
+    rates[1::2] *= b
+    return rates[::2], rates[1::2]
 
 
-def _overflowed(peak: np.ndarray, trough: np.ndarray, n: int) -> bool:
-    """Whether states with these entrywise extrema (a state is its own) hold
-    a non-finite entry or a subdiagonal magnitude past the threshold."""
+def _overflowed(peak: np.ndarray, trough: np.ndarray) -> bool:
+    """Whether interleaved states [a_1, b_1, ..., a_n] with these entrywise
+    extrema (a state is its own) hold a non-finite entry or a subdiagonal
+    magnitude, read at the odd offsets, past the threshold."""
     if not (np.isfinite(peak).all() and np.isfinite(trough).all()):
         return True
-    return max(peak[n:].max(), -trough[n:].min()) > RK4_OVERFLOW_THRESHOLD
+    return max(peak[1::2].max(), -trough[1::2].min()) > RK4_OVERFLOW_THRESHOLD
 
 
 def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
@@ -325,30 +324,41 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     form of the method: each rate is one difference, and the update keeps the
     order (((k1 + 2 k2) + 2 k3) + k4).
 
-    The four stages are the rows of one buffer, summed by one reduction.  The
-    steps keep running entrywise extrema of the states instead of testing
-    each one; NaN and inf carry through them.  The extrema are read every
-    _EXTREMA_STEPS steps and after the last one.  A clean read marks the
-    state; one that shows an overflow reruns the steps from the last mark
-    (L0 at first) with each state tested, which raises at the step the
-    per-step test would.  L0 itself is never tested: if no step overflows,
-    the rerun runs to the end and returns normally.
+    The steps run on the interleaved state of ``toda_derivative``, so a
+    stage's rates are one subtraction of the state shifted by two and one
+    strided product with the b entries.  The four stages are the rows of one
+    buffer, summed by one reduction; every call writes into a buffer made
+    once per call, and the step sizes are 0-d arrays, rebuilt only when the
+    step changes (at a final partial step).  The steps keep running entrywise
+    extrema of the states instead of testing each one; NaN and inf carry
+    through them.  The extrema are read every _EXTREMA_STEPS steps and after
+    the last one.  A clean read marks the state; one that shows an overflow
+    reruns the steps from the last mark (L0 at first) with each state
+    tested, which raises at the step the per-step test would.  L0 itself is
+    never tested: if no step overflows, the rerun runs to the end and
+    returns normally.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    n = L0.n
-    M = _rate_matrix(n)
-    y = np.concatenate((L0.a, L0.b))
+    # Y and S hold the state and a stage input between their end zeros; y
+    # and s are the states themselves, [a_1, b_1, ..., a_n]
+    Y = _interleaved(L0.a, L0.b)
+    S = Y.copy()
+    y, s = Y[1:-1], S[1:-1]
+    Y_next, Y_prev, S_next, S_prev = Y[2:], Y[:-2], S[2:], S[:-2]
+    y_b, s_b = Y[2:-1:2], S[2:-1:2]
     peak, trough, mark = y.copy(), y.copy(), y.copy()
-    # zeros, not empty: the BLAS product may scale its output buffer by 0
-    K, s, acc = np.zeros((4, y.size)), np.zeros_like(y), np.zeros_like(y)
+    K, acc = np.empty((4, y.size)), np.empty_like(y)
     k1, k2, k3, k4 = K
     k23 = K[1:3]
-    y_b, s_b, k1_b, k2_b, k3_b, k4_b = y[n:], s[n:], k1[n:], k2[n:], k3[n:], k4[n:]
-    dot, multiply, maximum, minimum = np.dot, np.multiply, np.maximum, np.minimum
+    k1_b, k2_b, k3_b, k4_b = K[:, 1::2]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    maximum, minimum = np.maximum, np.minimum
     add_reduce = np.add.reduce
+    two = np.array(2.0)
+    h = full = half = sixth = None
     elapsed = 0.0
     remaining = float(t)
     marked = elapsed, remaining
@@ -359,36 +369,39 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     # the extrema decide an overflow, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while abs(remaining) > 0.0:
-            h = direction * min(dt, abs(remaining))
-            half = 0.5 * h
-            dot(M, y, out=k1)
-            k1_b *= y_b
-            multiply(k1, half, out=s)
-            s += y
-            dot(M, s, out=k2)
-            k2_b *= s_b
-            multiply(k2, half, out=s)
-            s += y
-            dot(M, s, out=k3)
-            k3_b *= s_b
-            multiply(k3, h, out=s)
-            s += y
-            dot(M, s, out=k4)
-            k4_b *= s_b
+            step = direction * min(dt, abs(remaining))
+            if step != h:
+                h = step
+                full, half, sixth = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
+            subtract(Y_next, Y_prev, k1)
+            multiply(k1_b, y_b, k1_b)
+            multiply(k1, half, s)
+            add(s, y, s)
+            subtract(S_next, S_prev, k2)
+            multiply(k2_b, s_b, k2_b)
+            multiply(k2, half, s)
+            add(s, y, s)
+            subtract(S_next, S_prev, k3)
+            multiply(k3_b, s_b, k3_b)
+            multiply(k3, full, s)
+            add(s, y, s)
+            subtract(S_next, S_prev, k4)
+            multiply(k4_b, s_b, k4_b)
             # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4): a reduction over the
             # slow axis adds row by row, and -0.0 is the exact identity
-            k23 *= 2.0
+            multiply(k23, two, k23)
             add_reduce(K, axis=0, out=acc, initial=-0.0)
-            acc *= h / 6.0
-            y += acc
+            multiply(acc, sixth, acc)
+            add(y, acc, y)
             elapsed += h
             remaining -= h
+            # out= by keyword: numpy deprecates a third positional argument here
             maximum(peak, y, out=peak)
             minimum(trough, y, out=trough)
             steps += 1
             if steps % every and abs(remaining) > 0.0:
                 continue
-            if not _overflowed(peak, trough, n):
+            if not _overflowed(peak, trough):
                 np.copyto(mark, y)
                 marked = elapsed, remaining
             elif every == 1:  # in the rerun: the first state past the threshold
@@ -399,9 +412,10 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
                 elapsed, remaining = marked
                 peak = trough = y
                 every = 1
-    if not lax._in_range(y[:n], y_b):
+    a, b = y[::2], y[1::2]
+    if not lax._in_range(a, b):
         raise RangeExceeded(float(t))
-    return lax.LaxMatrix._trusted(n=n, a=y[:n], b=y_b)
+    return lax.LaxMatrix._trusted(n=L0.n, a=a, b=b)
 
 
 def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:

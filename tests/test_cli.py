@@ -270,6 +270,14 @@ class TestLinearize:
         assert captured.out == ""
         assert captured.err == "error: cofactor values leave double range\n"
 
+    def test_eigenvalue_gaps_beyond_double_range_print_one_error_line(self, tmp_path, capsys):
+        # the gap between -1e308 and 1e308 is inf: no numpy warning precedes the error
+        data = {"n": 2, "a": [1e308, -1e308], "b": [1e308]}
+        assert main(["linearize", "--matrix", write_json(tmp_path / "m.json", data)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cofactor values leave double range\n"
+
     def test_one_tau_kernel_per_call(self, cone_file, noncone_file, capsys, monkeypatch):
         built = []
 

@@ -48,17 +48,18 @@ def noncone_two_by_two():
     return jacobi.reconstruct(spec, jacobi.JacobiPoint.from_raw([1.0, math.exp(-2.0)])), spec
 
 
+def derivative_reference(a, b):
+    """Frozen copy of the two-array lattice derivative: toda_derivative must match it bit for bit."""
+    adot = np.empty_like(a)
+    adot[0] = b[0]
+    adot[-1] = -b[-1]
+    if a.size > 2:
+        adot[1:-1] = b[1:] - b[:-1]
+    return adot, b * (a[1:] - a[:-1])
+
+
 def rk4_reference(L0, t, dt):
     """Frozen copy of the two-array RK4 loop: the fused integrator must match it bit for bit."""
-
-    def derivative(a, b):
-        adot = np.empty_like(a)
-        adot[0] = b[0]
-        adot[-1] = -b[-1]
-        if a.size > 2:
-            adot[1:-1] = b[1:] - b[:-1]
-        return adot, b * (a[1:] - a[:-1])
-
     a = L0.a.copy()
     b = L0.b.copy()
     elapsed = 0.0
@@ -66,10 +67,10 @@ def rk4_reference(L0, t, dt):
     direction = math.copysign(1.0, t) if t != 0.0 else 1.0
     while abs(remaining) > 0.0:
         h = direction * min(dt, abs(remaining))
-        k1a, k1b = derivative(a, b)
-        k2a, k2b = derivative(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = derivative(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = derivative(a + h * k3a, b + h * k3b)
+        k1a, k1b = derivative_reference(a, b)
+        k2a, k2b = derivative_reference(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+        k3a, k3b = derivative_reference(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+        k4a, k4b = derivative_reference(a + h * k3a, b + h * k3b)
         a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         elapsed += h
@@ -396,6 +397,19 @@ class TestSolvers:
             np.testing.assert_allclose(adot, np.diag(comm), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bdot, np.diag(comm, -1), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(np.diag(comm, 1), 0.0, atol=1e-12)
+
+    def test_derivative_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(4417)
+        for case in range(60):
+            n = 2 + case % 7
+            a = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-3.0, 6.0)
+            b = rng.choice([-1.0, 1.0], n - 1) * 10.0 ** rng.uniform(-8.0, 11.0, n - 1)
+            if case % 10 == 0:  # signed zeros at the ends of b: da_1 = b_1, da_n = -b_{n-1}
+                b[0], b[-1] = -0.0, 0.0
+            got = flow.toda_derivative(a, b)
+            want = derivative_reference(a, b)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes(), f"case {case}: n={n}"
 
     def test_three_way_agreement_random(self):
         for _ in range(8):
@@ -1071,6 +1085,39 @@ class TestRk4Stacks:
         got = rk4_outcome(rk4_trajectory, Lnc, t0, t1, dt_out, 1e-3)
         assert got == rk4_outcome(rk4_chain_reference, Lnc, t0, t1, dt_out, 1e-3)
         assert t0 + 1.0 < got[1] < t0 + 1.01
+
+    def test_overflow_after_a_clean_read_matches_reference_loop(self):
+        # sign-mixed lattices, n = 3..8, whose |b| passes the threshold after
+        # more than 700 steps: the rerun starts from a state a clean read
+        # marked, not L0.  The flow keeps its shape under a -> s a,
+        # b -> s**2 b, t -> t / s, so s = 10**5 starts |b| within a few
+        # decades of the threshold, and a finer step keeps the run long.
+        rng = np.random.default_rng(60115)
+        b_max = 0.0
+        for case in range(12):
+            n = 3 + case % 6
+            while True:
+                L = blowup_matrix(rng, n, rng.uniform(0.9, 1.4))
+                if np.any(L.b < 0) and np.any(L.b > 0):
+                    break
+            s, dt = ((1.0, 1e-3), (1e3, 1e-3), (1e5, 2e-4))[case % 3]
+            L = lax.LaxMatrix(n=n, a=s * L.a, b=s * s * L.b)
+            b_max = max(b_max, float(np.max(np.abs(L.b))))
+            h = dt / s
+            with pytest.raises(Overflow) as want:
+                rk4_reference(L, 2.0 / s, h)
+            with pytest.raises(Overflow) as got:
+                flow.solve_rk4(L, 2.0 / s, h)
+            when = want.value.time
+            assert got.value.time == when, f"case {case}: n={n}, s={s}"
+            assert when > 700 * h
+            # the same run sampled 300 steps before the overflow: equal bands
+            # at both samples, and the overflow 300 steps into an interval
+            args = (L, 0.0, when + 100 * h, when - 300 * h, h)
+            rows, blowup = rk4_outcome(rk4_trajectory, *args)
+            assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
+            assert len(rows) == 2 and blowup - (when - 300 * h) > flow._EXTREMA_STEPS * h
+        assert b_max > 1e10
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, -1e-3, 0.5])
     def test_state_past_the_threshold_at_t0_matches_reference(self, t):

@@ -80,7 +80,6 @@ SEALED = {
         for name in ("bounds", "classes")
     ],
     "jacobi._subsets": lambda L: list(jacobi._subsets(L.n)),
-    "flow._rate_matrix": lambda L: [flow._rate_matrix(L.n)],
     "tnn._expansion_tables": lambda L: [
         x for _, *index in tnn._expansion_tables(L.n) for x in index
     ],
