@@ -4,8 +4,9 @@ Each method is one private kernel over an array of times (``_tau_stacks``,
 ``_symes_stacks``, ``_rk4_stacks``).  A kernel returns the stacked bands of
 its states, a (T, n) and b (T, n-1), cut off before the first sample that
 fails, with the error that stopped them (None when every sample stands);
-``trajectory`` keeps the stacks, and ``solve_tau`` and ``solve_symes`` read
-row 0 of a one-time run.
+``trajectory`` keeps the stacks, and each public solver is the one-time
+case of its kernel: ``solve_tau`` and ``solve_symes`` read row 0 of a run
+over [t], ``solve_rk4`` row 1 of a run over [0, t].
 
 * ``solve_tau``: closed form through the linearized coordinates: linearize,
   multiply by exponentials, reconstruct.
@@ -30,15 +31,17 @@ row 0 of a one-time run.
   range (for b > 0: the diagonal similarity cumprod(sqrt(b)) is not finite
   or reaches 0), and when a state entry does.
 * ``solve_rk4``: classical fixed-step Runge-Kutta on the tridiagonal
-  coordinates of dL/dt = [L, L_lower].  It steps one interleaved state
-  [0, a_1, b_1, ..., b_{n-1}, a_n, -0.0], on which each rate is the
-  difference of the two entries beside it (times b for the b entries),
-  computed into the rows of one (4, 2n-1) stage buffer made once per call,
-  which one reduction sums.  The overflow test is deferred: the steps keep
-  running extrema of the states, read every few hundred steps, and only
-  when a read shows an overflow do the steps since the last clean read run
-  again with each state tested, so Overflow carries the time of the same
-  step as a per-step test.
+  coordinates of dL/dt = [L, L_lower].  One stepping run crosses every
+  sample time, each interval stepped by dt with a final partial step.  It
+  steps one interleaved state [0, a_1, b_1, ..., b_{n-1}, a_n, -0.0], on
+  which each rate is the difference of the two entries beside it (times b
+  for the b entries), computed into the rows of one (4, 2n-1) stage buffer
+  made once per run, which one reduction sums.  The overflow test is
+  deferred: the steps keep running extrema of the states, read every few
+  hundred steps and at each sample time, and only when a read shows an
+  overflow do the steps since the last clean read run again with each
+  state tested, so Overflow carries the time of the same step as a
+  per-step test.
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
@@ -80,6 +83,9 @@ _BISECT_DEPTH = 5
 # trajectory: most output steps, (t1 - t0) / dt_out, one run may ask for; a
 # run has one sample more than its steps (t1 closes it)
 MAX_SAMPLE_STEPS = 100_000
+# _rk4_stacks: most steps, span / dt, one run may ask for; a step below the
+# spacing of floats near the remaining time would never shorten it
+MAX_RK4_STEPS = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -313,43 +319,45 @@ def _overflowed(peak: np.ndarray, trough: np.ndarray) -> bool:
     return max(peak[1::2].max(), -trough[1::2].min()) > RK4_OVERFLOW_THRESHOLD
 
 
-def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
-    """Classical fixed-step RK4 on the tridiagonal coordinates.
-
-    Integrates ceil(|t|/dt) steps with a final partial step; raises Overflow
-    (with the step time) when a subdiagonal magnitude passes 1e12, and, as
-    the closed forms do, RangeExceeded (time t) when one ends below the
-    smallest normal double.  A non-finite t or a step that is not positive
-    (NaN included) is a ValueError.  Every entry rounds as in the two-array
-    form of the method: each rate is one difference, and the update keeps the
-    order (((k1 + 2 k2) + 2 k3) + k4).
+def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
+    """RK4 states at ``sample_ts`` from L0 at sample_ts[0], as (a, b, error):
+    one run of fixed steps, each interval between consecutive sample times
+    stepped by dt with a final partial step.  The error is the Overflow
+    (with the overflowing step's time) or the RangeExceeded (with the sample
+    time) that ended the run.  A dt that is not positive (NaN included), or
+    one that asks for more than MAX_RK4_STEPS steps over the span of the
+    sample times, is a ValueError.
 
     The steps run on the interleaved state of ``toda_derivative``, so a
     stage's rates are one subtraction of the state shifted by two and one
     strided product with the b entries.  The four stages are the rows of one
     buffer, summed by one reduction; every call writes into a buffer made
-    once per call, and the step sizes are 0-d arrays, rebuilt only when the
+    once per run, and the step sizes are 0-d arrays, rebuilt only when the
     step changes (at a final partial step).  The steps keep running entrywise
     extrema of the states instead of testing each one; NaN and inf carry
-    through them.  The extrema are read every _EXTREMA_STEPS steps and after
-    the last one.  A clean read marks the state; one that shows an overflow
-    reruns the steps from the last mark (L0 at first) with each state
-    tested, which raises at the step the per-step test would.  L0 itself is
-    never tested: if no step overflows, the rerun runs to the end and
-    returns normally.
+    through them.  The extrema are read every _EXTREMA_STEPS steps and at
+    each sample time.  A clean read marks the state; one that shows an
+    overflow reruns the steps from the last mark with each state tested,
+    which stops at the step the per-step test would.  Each sample time
+    starts the extrema, the mark and the read period afresh from its state,
+    which is never tested: if no step overflows, the rerun runs to the
+    sample time and the run goes on, so a rerun never crosses a sample time.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    times = sample_ts.tolist()
+    if abs(times[-1] - times[0]) / dt > MAX_RK4_STEPS:
+        raise ValueError(f"rk4 dt {dt!r} needs more than MAX_RK4_STEPS = {MAX_RK4_STEPS} steps")
+    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
+    a[0], b[0] = L0.a, L0.b
     # Y and S hold the state and a stage input between their end zeros; y
     # and s are the states themselves, [a_1, b_1, ..., a_n]
     Y = _interleaved(L0.a, L0.b)
     S = Y.copy()
     y, s = Y[1:-1], S[1:-1]
     Y_next, Y_prev, S_next, S_prev = Y[2:], Y[:-2], S[2:], S[:-2]
-    y_b, s_b = Y[2:-1:2], S[2:-1:2]
-    peak, trough, mark = y.copy(), y.copy(), y.copy()
+    y_a, y_b, s_b = Y[1:-1:2], Y[2:-1:2], S[2:-1:2]
+    held = np.empty((3, y.size))  # the extrema and the mark
     K, acc = np.empty((4, y.size)), np.empty_like(y)
     k1, k2, k3, k4 = K
     k23 = K[1:3]
@@ -359,83 +367,85 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     add_reduce = np.add.reduce
     two = np.array(2.0)
     h = full = half = sixth = None
-    elapsed = 0.0
-    remaining = float(t)
-    marked = elapsed, remaining
-    direction = math.copysign(1.0, t) if t != 0.0 else 1.0
-    every = _EXTREMA_STEPS
-    steps = 0
 
     # the extrema decide an overflow, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while abs(remaining) > 0.0:
-            step = direction * min(dt, abs(remaining))
-            if step != h:
-                h = step
-                full, half, sixth = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
-            subtract(Y_next, Y_prev, k1)
-            multiply(k1_b, y_b, k1_b)
-            multiply(k1, half, s)
-            add(s, y, s)
-            subtract(S_next, S_prev, k2)
-            multiply(k2_b, s_b, k2_b)
-            multiply(k2, half, s)
-            add(s, y, s)
-            subtract(S_next, S_prev, k3)
-            multiply(k3_b, s_b, k3_b)
-            multiply(k3, full, s)
-            add(s, y, s)
-            subtract(S_next, S_prev, k4)
-            multiply(k4_b, s_b, k4_b)
-            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4): a reduction over the
-            # slow axis adds row by row, and -0.0 is the exact identity
-            multiply(k23, two, k23)
-            add_reduce(K, axis=0, out=acc, initial=-0.0)
-            multiply(acc, sixth, acc)
-            add(y, acc, y)
-            elapsed += h
-            remaining -= h
-            # out= by keyword: numpy deprecates a third positional argument here
-            maximum(peak, y, out=peak)
-            minimum(trough, y, out=trough)
-            steps += 1
-            if steps % every and abs(remaining) > 0.0:
-                continue
-            if not _overflowed(peak, trough):
-                np.copyto(mark, y)
-                marked = elapsed, remaining
-            elif every == 1:  # in the rerun: the first state past the threshold
-                raise Overflow(elapsed)
-            else:
-                # rerun from the mark, each state its own extrema
-                np.copyto(y, mark)
-                elapsed, remaining = marked
-                peak = trough = y
-                every = 1
-    a, b = y[::2], y[1::2]
-    if not lax._in_range(a, b):
-        raise RangeExceeded(float(t))
-    return lax.LaxMatrix._trusted(n=L0.n, a=a, b=b)
+        for stop, (prev, t) in enumerate(zip(times, times[1:]), 1):
+            held[:] = y
+            peak, trough, mark = held
+            elapsed, remaining = 0.0, t - prev
+            marked = elapsed, remaining
+            direction = math.copysign(1.0, remaining)
+            every, steps = _EXTREMA_STEPS, 0
+            while abs(remaining) > 0.0:
+                step = direction * min(dt, abs(remaining))
+                if step != h:
+                    h = step
+                    full, half, sixth = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
+                subtract(Y_next, Y_prev, k1)
+                multiply(k1_b, y_b, k1_b)
+                multiply(k1, half, s)
+                add(s, y, s)
+                subtract(S_next, S_prev, k2)
+                multiply(k2_b, s_b, k2_b)
+                multiply(k2, half, s)
+                add(s, y, s)
+                subtract(S_next, S_prev, k3)
+                multiply(k3_b, s_b, k3_b)
+                multiply(k3, full, s)
+                add(s, y, s)
+                subtract(S_next, S_prev, k4)
+                multiply(k4_b, s_b, k4_b)
+                # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4): a reduction over the
+                # slow axis adds row by row, and -0.0 is the exact identity
+                multiply(k23, two, k23)
+                add_reduce(K, axis=0, out=acc, initial=-0.0)
+                multiply(acc, sixth, acc)
+                add(y, acc, y)
+                elapsed += h
+                remaining -= h
+                # out= by keyword: numpy deprecates a third positional argument here
+                maximum(peak, y, out=peak)
+                minimum(trough, y, out=trough)
+                steps += 1
+                if steps % every and abs(remaining) > 0.0:
+                    continue
+                if not _overflowed(peak, trough):
+                    np.copyto(mark, y)
+                    marked = elapsed, remaining
+                elif every == 1:  # in the rerun: the first state past the threshold
+                    return a[:stop], b[:stop], Overflow(prev + elapsed)
+                else:
+                    # rerun from the mark, each state its own extrema
+                    np.copyto(y, mark)
+                    elapsed, remaining = marked
+                    peak = trough = y
+                    every = 1
+            if not lax._in_range(y_a, y_b):
+                return a[:stop], b[:stop], RangeExceeded(t)
+            a[stop], b[stop] = y_a, y_b
+    return a, b, None
 
 
-def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
-    """L0 at sample_ts[0], then the state after ``solve_rk4`` across each
-    interval between consecutive sample times, as (a, b, error).  The error
-    is the Overflow (with the time elapsed since the last sample time) or
-    the RangeExceeded that ended an interval."""
-    a, b = np.empty((len(sample_ts), L0.n)), np.empty((len(sample_ts), L0.n - 1))
-    a[0], b[0] = L0.a, L0.b
-    state = L0
-    stop = 1
-    error = None
-    try:
-        for prev, t in zip(sample_ts[:-1].tolist(), sample_ts[1:].tolist()):
-            state = solve_rk4(state, t - prev, dt)
-            a[stop], b[stop] = state.a, state.b
-            stop += 1
-    except (Overflow, RangeExceeded) as exc:
-        error = exc
-    return a[:stop], b[:stop], error
+def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
+    """Classical fixed-step RK4 on the tridiagonal coordinates: the one-time
+    case of the kernel ``trajectory`` uses.
+
+    Integrates ceil(|t|/dt) steps with a final partial step; raises Overflow
+    (with the step time) when a subdiagonal magnitude passes 1e12, and, as
+    the closed forms do, RangeExceeded (time t) when one ends below the
+    smallest normal double.  A non-finite t, a step that is not positive
+    (NaN included) or more than MAX_RK4_STEPS steps, |t| / dt, is a
+    ValueError.  Every entry rounds as in the two-array form of the method:
+    each rate is one difference, and the update keeps the order
+    (((k1 + 2 k2) + 2 k3) + k4).
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    a, b, error = _rk4_stacks(L0, np.array([0.0, t]), dt)
+    if error is not None:
+        raise error
+    return lax.LaxMatrix._trusted(n=L0.n, a=a[1], b=b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +541,15 @@ def trajectory(
     Each method is one kernel that returns the stacked bands of all sample
     times: tau and symes decompose L0 once (symes: one ``eigh`` and one
     stacked QR for b > 0, one ``eig`` for sign-mixed b), so their rows equal
-    ``solve_tau`` and ``solve_symes`` bit for bit; rk4 runs ``solve_rk4``
-    between consecutive sample times.
+    ``solve_tau`` and ``solve_symes`` bit for bit; rk4 makes one stepping
+    run across all sample times, of which ``solve_rk4`` is the one-time case.
     Sampling stops, with ``blowup`` set to the failing sample time (for rk4
     the overflowing step's time), at the first Blowup or Overflow.
     RangeExceeded is raised again with the failing sample time: a value
     that leaves double range is not a blowup.  A non-finite time, a step
-    that is not positive (NaN included) or more than MAX_SAMPLE_STEPS steps,
-    (t1 - t0) / dt_out, is a ValueError.
+    that is not positive (NaN included), more than MAX_SAMPLE_STEPS steps,
+    (t1 - t0) / dt_out, or for rk4 more than MAX_RK4_STEPS steps,
+    (t1 - t0) / rk4_dt, is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t0 and t1 must be finite")
@@ -559,7 +570,7 @@ def trajectory(
     if isinstance(error, RangeExceeded):
         raise RangeExceeded(float(sample_ts[rows])) from error
     if isinstance(error, Overflow):
-        blowup = float(sample_ts[rows - 1] + error.time)
+        blowup = error.time
     elif error is not None:  # NonGeneralDivisor or Blowup
         blowup = float(sample_ts[rows])
     return Trajectory(sample_ts[:rows], a, b, method, blowup)

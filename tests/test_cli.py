@@ -520,6 +520,14 @@ def test_too_many_samples_exit_one(cone_file, capsys):
     assert "MAX_SAMPLE_STEPS" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("rk4_dt", ["1e-17", "5e-324"])
+def test_rk4_step_below_float_spacing_exit_one(cone_file, capsys, rk4_dt):
+    # the steps never shortened the remaining time, and the command hung
+    command = ["simulate", "--matrix", cone_file, "--t0", "0", "--t1", "1", "--dt", "0.5"]
+    assert main(command + ["--method", "rk4", "--rk4-dt", rk4_dt]) == 1
+    assert "MAX_RK4_STEPS" in one_error_line(capsys)
+
+
 def test_negative_exponent_time_with_equals_sign(cone_file, capsys):
     # the documented form for a negative time in exponent notation
     command = ["simulate", "--matrix", cone_file, "--t1", "1e-3", "--dt", "1e-3"]

@@ -1050,8 +1050,9 @@ def rk4_outcome(run, *args):
 
 
 class TestRk4Stacks:
-    """The rk4 route of trajectory: solve_rk4 across each sample interval,
-    whose deferred overflow test must stop where the per-step test does."""
+    """The rk4 route of trajectory: one run across the sample intervals, equal
+    to the reference chained across them, whose deferred overflow test must
+    stop where the per-step test does."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(
@@ -1134,6 +1135,46 @@ class TestRk4Stacks:
             got = exc.time
         assert got == want
         assert (t == 0.0) == isinstance(got, bytes)
+
+    def test_rerun_that_finds_no_overflow_matches_reference(self, monkeypatch):
+        # L0 is past the threshold and no step is: a read shows an overflow,
+        # the rerun tests each state, finds none and runs on to the sample
+        # time, and the run goes on across the later sample times
+        L = lax.LaxMatrix(3, a=[2e6, 0.0, -2e6], b=[1.001e12, 1e11])
+        reads = []
+        overflowed = flow._overflowed
+
+        def spy(peak, trough):
+            reads.append(overflowed(peak, trough))
+            return reads[-1]
+
+        monkeypatch.setattr(flow, "_overflowed", spy)
+        got = flow.solve_rk4(L, 1e-6, 1e-9)
+        want_a, want_b = rk4_reference(L, 1e-6, 1e-9)
+        assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b)
+        assert True in reads
+        reads.clear()
+        args = (L, 0.0, 1e-6, 2e-7, 1e-9)
+        rows, blowup = rk4_outcome(rk4_trajectory, *args)
+        assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
+        assert len(rows) == 6 and blowup is None and True in reads
+
+    @pytest.mark.parametrize("dt", [1e-17, 5e-324])
+    def test_step_below_float_spacing_is_a_value_error(self, dt):
+        # remaining -= dt left the remaining time unchanged: the steps never ended
+        with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+            flow.solve_rk4(L2, 1.0, dt)
+        with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+            flow.trajectory(L2, 0.0, 1.0, 0.5, "rk4", rk4_dt=dt)
+
+    def test_step_limit_counts_the_span_of_the_sample_times(self, monkeypatch):
+        monkeypatch.setattr(flow, "MAX_RK4_STEPS", 100)
+        flow.solve_rk4(L2, -1.0, 0.01)
+        flow.trajectory(L2, -0.5, 0.5, 0.25, "rk4", rk4_dt=0.01)
+        with pytest.raises(ValueError, match="MAX_RK4_STEPS = 100 steps"):
+            flow.solve_rk4(L2, -1.0, 0.0099)
+        with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
+            flow.trajectory(L2, -0.5, 0.5, 0.25, "rk4", rk4_dt=0.0099)
 
 
 def writer_reference_csv(traj):

@@ -1,6 +1,9 @@
-"""Package-level checks: what an import loads, the README example, and the
-read-only arrays of every value."""
+"""Package-level checks: what an import loads, the README example, the
+README's list of exports no package code calls, and the read-only arrays of
+every value."""
 
+import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import todajac
 from todajac import flow, jacobi, lax, tnn
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +34,38 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(readme), "exec"), {})
+
+
+def names_called_in_package() -> set:
+    """Every name a call in ``src/todajac`` is made through: the names and
+    attributes of each called expression (``f(x)``, ``lax.f(x)``, ``(f if c
+    else g)(x)``)."""
+    called = set()
+    for path in (ROOT / "src" / "todajac").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                for part in ast.walk(node.func):
+                    if isinstance(part, ast.Name):
+                        called.add(part.id)
+                    elif isinstance(part, ast.Attribute):
+                        called.add(part.attr)
+    return called
+
+
+def readme_uncalled_names() -> list:
+    """The names listed under the README's "Public names that no command calls"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Public names that no command calls\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\* `(\w+)`", section, re.M)
+
+
+def test_readme_lists_every_exported_function_no_code_calls():
+    exported = [name for name in dir(todajac) if not name.startswith("_")]
+    functions = {name for name in exported if inspect.isfunction(getattr(todajac, name))}
+    uncalled = functions - names_called_in_package()
+    listed = readme_uncalled_names()
+    assert uncalled <= set(listed), sorted(uncalled - set(listed))
+    assert set(listed) <= set(exported), sorted(set(listed) - set(exported))
 
 
 # ---------------------------------------------------------------------------
