@@ -35,13 +35,16 @@ over [t], ``solve_rk4`` row 1 of a run over [0, t].
   sample time, each interval stepped by dt with a final partial step.  It
   steps one interleaved state [0, a_1, b_1, ..., b_{n-1}, a_n, -0.0], on
   which each rate is the difference of the two entries beside it (times b
-  for the b entries), computed into the rows of one (4, 2n-1) stage buffer
-  made once per run, which one reduction sums.  The overflow test is
-  deferred: the steps keep running extrema of the states, read every few
-  hundred steps and at each sample time, and only when a read shows an
-  overflow do the steps since the last clean read run again with each
-  state tested, so Overflow carries the time of the same step as a
-  per-step test.
+  for the b entries).  Two steppers give the same bits, and the size picks
+  one.  Up to n = _SCALAR_RK4_MAX_N a Python function generated once per
+  size steps the entries as floats in straight-line code and tests every
+  state.  Above it a numpy loop computes the rates into the rows of one
+  (4, 2n-1) stage buffer made once per run, which one reduction sums, and
+  defers the overflow test: the steps keep running extrema of the states,
+  read every few hundred steps and at each sample time, and only when a
+  read shows an overflow do the steps since the last clean read run again
+  with each state tested.  Either way Overflow carries the time of the
+  same step as a per-step test.
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
@@ -72,9 +75,12 @@ from .errors import (
 )
 
 RK4_OVERFLOW_THRESHOLD = 1e12
-# solve_rk4: steps between reads of the running extrema, so an overflow
+# _rk4_numpy: steps between reads of the running extrema, so an overflow
 # costs at most this many steps past it and as many again in the rerun
 _EXTREMA_STEPS = 256
+# _rk4_stacks: largest n stepped by generated float code; the numpy loop is
+# faster above it (the measured table is in CHANGES.md)
+_SCALAR_RK4_MAX_N = 18
 # detect_blowup: refined bracket width; generality that reads as a GridMiss
 REFINE_TOL = 1e-9
 TANGENCY_TOL = 1e-9
@@ -319,14 +325,93 @@ def _overflowed(peak: np.ndarray, trough: np.ndarray) -> bool:
     return max(peak[1::2].max(), -trough[1::2].min()) > RK4_OVERFLOW_THRESHOLD
 
 
-def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
-    """RK4 states at ``sample_ts`` from L0 at sample_ts[0], as (a, b, error):
-    one run of fixed steps, each interval between consecutive sample times
-    stepped by dt with a final partial step.  The error is the Overflow
-    (with the overflowing step's time) or the RangeExceeded (with the sample
-    time) that ended the run.  A dt that is not positive (NaN included), or
-    one that asks for more than MAX_RK4_STEPS steps over the span of the
-    sample times, is a ValueError.
+# one function per size; _rk4_stacks asks for sizes up to _SCALAR_RK4_MAX_N
+@functools.lru_cache(maxsize=None)
+def _rk4_interval(n: int):
+    """The RK4 stepper of one sample interval for lattices of size n, as a
+    Python function generated once per size: straight-line float code,
+    ``run(dt, remaining, y_0, ..., y_{2n-2}) -> (elapsed, overflowed, *state)``
+    on the state [a_1, b_1, ..., a_n] of ``toda_derivative``.
+
+    Each step rounds as a step of ``_rk4_numpy``: step = direction *
+    min(dt, |remaining|), half = 0.5 * step and sixth = step / 6.0; a rate is
+    the difference of the entries beside it (the end zeros 0.0 and -0.0
+    written in), times b for the b entries; a stage input is y + k * c; the
+    update is y + (((k1 + k2 * 2.0) + k3 * 2.0) + k4) * sixth.  Every new
+    state is tested, so a run stops at the first step that holds a
+    non-finite a entry or a b entry outside [-RK4_OVERFLOW_THRESHOLD,
+    RK4_OVERFLOW_THRESHOLD] (NaN and +-inf included), with overflowed True.
+    The source depends on n and module constants only; the threshold is
+    written in when the stepper of a size is first built.
+    """
+    m = 2 * n - 1
+    y = [f"y{j}" for j in range(m)]
+    s = [f"s{j}" for j in range(m)]
+
+    def rates(k: str, x: list) -> list:
+        out = []
+        for j in range(m):
+            rate = f"{x[j + 1] if j + 1 < m else '-0.0'} - {x[j - 1] if j else '0.0'}"
+            out.append(f"{k}_{j} = ({rate}) * {x[j]}" if j % 2 else f"{k}_{j} = {rate}")
+        return out
+
+    bound = repr(float(RK4_OVERFLOW_THRESHOLD))
+    # a comparison is false for NaN, and x - x is NaN for +-inf and NaN
+    tests = [f"-{bound} <= y{j} <= {bound}" for j in range(1, m, 2)]
+    tests += [f"y{j} - y{j} == 0.0" for j in range(0, m, 2)]
+    state = ", ".join(y)
+    step = [
+        "step = direction * min(dt, abs(remaining))",
+        "half = 0.5 * step",
+        "sixth = step / 6.0",
+        *rates("k1", y),
+        *(f"s{j} = y{j} + k1_{j} * half" for j in range(m)),
+        *rates("k2", s),
+        *(f"s{j} = y{j} + k2_{j} * half" for j in range(m)),
+        *rates("k3", s),
+        *(f"s{j} = y{j} + k3_{j} * step" for j in range(m)),
+        *rates("k4", s),
+        *(f"y{j} = y{j} + (((k1_{j} + k2_{j} * 2.0) + k3_{j} * 2.0) + k4_{j}) * sixth" for j in range(m)),
+        "elapsed += step",
+        "remaining -= step",
+        f"if not ({' and '.join(tests)}):",
+        f"    return elapsed, True, {state}",
+    ]
+    source = "\n".join(
+        [
+            f"def run(dt, remaining, {state}):",
+            "    direction = copysign(1.0, remaining)",
+            "    elapsed = 0.0",
+            "    while abs(remaining) > 0.0:",
+            *(f"        {line}" for line in step),
+            f"    return elapsed, False, {state}",
+        ]
+    )
+    namespace = {"copysign": math.copysign}
+    exec(compile(source, f"<rk4 stepper n={n}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _rk4_scalar(L0: lax.LaxMatrix, times: list, dt: float) -> tuple:
+    """``_rk4_stacks`` on Python floats: one call of the generated stepper
+    ``_rk4_interval(n)`` per sample interval."""
+    run = _rk4_interval(L0.n)
+    dt = float(dt)  # a numpy scalar would step in numpy scalar arithmetic
+    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
+    a[0], b[0] = L0.a, L0.b
+    state = _interleaved(L0.a, L0.b)[1:-1].tolist()
+    for stop, (prev, t) in enumerate(zip(times, times[1:]), 1):
+        elapsed, overflowed, *state = run(dt, t - prev, *state)
+        if overflowed:
+            return a[:stop], b[:stop], Overflow(prev + elapsed)
+        a[stop], b[stop] = state[::2], state[1::2]
+        if not lax._in_range(a[stop], b[stop]):
+            return a[:stop], b[:stop], RangeExceeded(t)
+    return a, b, None
+
+
+def _rk4_numpy(L0: lax.LaxMatrix, times: list, dt: float) -> tuple:
+    """``_rk4_stacks`` as a numpy loop whose calls do not grow with n.
 
     The steps run on the interleaved state of ``toda_derivative``, so a
     stage's rates are one subtraction of the state shifted by two and one
@@ -343,11 +428,6 @@ def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
     which is never tested: if no step overflows, the rerun runs to the
     sample time and the run goes on, so a rerun never crosses a sample time.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    times = sample_ts.tolist()
-    if abs(times[-1] - times[0]) / dt > MAX_RK4_STEPS:
-        raise ValueError(f"rk4 dt {dt!r} needs more than MAX_RK4_STEPS = {MAX_RK4_STEPS} steps")
     a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
     a[0], b[0] = L0.a, L0.b
     # Y and S hold the state and a stage input between their end zeros; y
@@ -427,6 +507,31 @@ def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
     return a, b, None
 
 
+def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
+    """RK4 states at ``sample_ts`` from L0 at sample_ts[0], as (a, b, error):
+    one run of fixed steps, each interval between consecutive sample times
+    stepped by dt with a final partial step.  The error is the Overflow
+    (with the overflowing step's time) or the RangeExceeded (with the sample
+    time) that ended the run.  A dt that is not positive (NaN included), or
+    one that asks for more than MAX_RK4_STEPS steps over the span of the
+    sample times, is a ValueError.
+
+    Two steppers give the same bits, errors and times.  Up to n =
+    _SCALAR_RK4_MAX_N the steps run in generated Python float code
+    (``_rk4_scalar``), whose cost grows with n; above it, in the numpy loop
+    of ``_rk4_numpy``, whose calls do not.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    times = sample_ts.tolist()
+    if abs(times[-1] - times[0]) / dt > MAX_RK4_STEPS:
+        raise ValueError(
+            f"rk4 dt {float(dt)!r} needs more than MAX_RK4_STEPS = {MAX_RK4_STEPS} steps"
+        )
+    stepper = _rk4_scalar if L0.n <= _SCALAR_RK4_MAX_N else _rk4_numpy
+    return stepper(L0, times, dt)
+
+
 def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     """Classical fixed-step RK4 on the tridiagonal coordinates: the one-time
     case of the kernel ``trajectory`` uses.
@@ -438,7 +543,9 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     (NaN included) or more than MAX_RK4_STEPS steps, |t| / dt, is a
     ValueError.  Every entry rounds as in the two-array form of the method:
     each rate is one difference, and the update keeps the order
-    (((k1 + 2 k2) + 2 k3) + k4).
+    (((k1 + 2 k2) + 2 k3) + k4).  Lattices up to n = _SCALAR_RK4_MAX_N step
+    in generated Python float code, larger ones in a numpy loop; both give
+    the same bits, errors and times (``_rk4_stacks``).
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -520,8 +627,8 @@ def _sample_times(t0: float, t1: float, dt_out: float) -> np.ndarray:
     steps = (stop / 2 - t0 / 2) / dt_out * 2
     if steps > MAX_SAMPLE_STEPS:
         raise ValueError(
-            f"dt_out {dt_out!r} asks for more than MAX_SAMPLE_STEPS = {MAX_SAMPLE_STEPS}"
-            f" sample steps on [{t0!r}, {t1!r}]"
+            f"dt_out {float(dt_out)!r} asks for more than MAX_SAMPLE_STEPS = {MAX_SAMPLE_STEPS}"
+            f" sample steps on [{float(t0)!r}, {float(t1)!r}]"
         )
     inner = t0 + np.arange(1, math.floor(max(steps, 0.0)) + 3) * dt_out
     return np.concatenate(([t0], inner[inner < stop], [t1]))

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,7 +113,7 @@ class LaxMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaxMatrix":
         try:
-            n = int(data["n"])
+            n = operator.index(data["n"])  # an int, not a float or a string
             a = [float(x) for x in data["a"]]
             b = [float(x) for x in data["b"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

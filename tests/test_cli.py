@@ -597,6 +597,18 @@ def test_reconstruct_unloadable_inputs_exit_one(tmp_path, capsys, spectrum, poin
     assert one_error_line(capsys) == f"error: cannot load inputs: {message}\n"
 
 
+@pytest.mark.parametrize("size, kind", [("2.9", "float"), ('"2"', "str"), ("2.0", "float")])
+def test_matrix_size_that_is_not_an_integer_exit_one(tmp_path, capsys, size, kind):
+    # int() truncated 2.9 and parsed "2", and check-tnn reported on n = 2
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": {size}, "a": [1, 2], "b": [1]}}', encoding="utf-8")
+    assert main(["check-tnn", "--matrix", str(path)]) == 1
+    assert one_error_line(capsys) == (
+        f"error: cannot load matrix: malformed matrix object: "
+        f"'{kind}' object cannot be interpreted as an integer\n"
+    )
+
+
 def test_number_beyond_float_range_in_file_exit_one(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"n": 1e400, "a": [1, 2], "b": [1]}', encoding="utf-8")

@@ -675,6 +675,17 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="^bands of shape"):
             flow.Trajectory(np.arange(2.0), a, b, "tau")
 
+    def test_limit_messages_print_plain_floats(self):
+        # a numpy scalar step printed as np.float64(...)
+        with pytest.raises(ValueError) as rk4:
+            flow.solve_rk4(L2, 1.0, np.float64(1e-17))
+        assert str(rk4.value) == "rk4 dt 1e-17 needs more than MAX_RK4_STEPS = 10000000 steps"
+        with pytest.raises(ValueError) as out:
+            flow.trajectory(L2, np.float64(0.0), np.float64(1.0), np.float64(1e-9), "tau")
+        assert str(out.value) == (
+            "dt_out 1e-09 asks for more than MAX_SAMPLE_STEPS = 100000 sample steps on [0.0, 1.0]"
+        )
+
     def test_sample_count_limit(self):
         # the sample list grew until the process was killed
         with pytest.raises(ValueError, match="MAX_SAMPLE_STEPS"):
@@ -1051,8 +1062,10 @@ def rk4_outcome(run, *args):
 
 class TestRk4Stacks:
     """The rk4 route of trajectory: one run across the sample intervals, equal
-    to the reference chained across them, whose deferred overflow test must
-    stop where the per-step test does."""
+    to the reference chained across them.  Up to n = _SCALAR_RK4_MAX_N the
+    generated stepper tests every state; above it the numpy stepper's
+    deferred overflow test must stop where the per-step test does, and both
+    steppers must give the same bits, errors and times at every n."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(
@@ -1117,7 +1130,12 @@ class TestRk4Stacks:
             args = (L, 0.0, when + 100 * h, when - 300 * h, h)
             rows, blowup = rk4_outcome(rk4_trajectory, *args)
             assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
-            assert len(rows) == 2 and blowup - (when - 300 * h) > flow._EXTREMA_STEPS * h
+            assert len(rows) == 2
+            # the numpy stepper, which these sizes do not select, reads its
+            # extrema clean at least once in the second interval
+            _, _, error = flow._rk4_numpy(L, flow._sample_times(*args[1:4]).tolist(), h)
+            assert error.time == blowup
+            assert blowup - (when - 300 * h) > flow._EXTREMA_STEPS * h
         assert b_max > 1e10
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, -1e-3, 0.5])
@@ -1137,10 +1155,19 @@ class TestRk4Stacks:
         assert (t == 0.0) == isinstance(got, bytes)
 
     def test_rerun_that_finds_no_overflow_matches_reference(self, monkeypatch):
-        # L0 is past the threshold and no step is: a read shows an overflow,
-        # the rerun tests each state, finds none and runs on to the sample
-        # time, and the run goes on across the later sample times
+        # L0 is past the threshold and no step is: in the numpy stepper a
+        # read shows an overflow, the rerun tests each state, finds none and
+        # runs on to the sample time, and the run goes on across the later
+        # sample times
         L = lax.LaxMatrix(3, a=[2e6, 0.0, -2e6], b=[1.001e12, 1e11])
+        got = flow.solve_rk4(L, 1e-6, 1e-9)
+        want_a, want_b = rk4_reference(L, 1e-6, 1e-9)
+        assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b)
+        args = (L, 0.0, 1e-6, 2e-7, 1e-9)
+        rows, blowup = rk4_outcome(rk4_trajectory, *args)
+        assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
+        assert len(rows) == 6 and blowup is None
+
         reads = []
         overflowed = flow._overflowed
 
@@ -1149,15 +1176,13 @@ class TestRk4Stacks:
             return reads[-1]
 
         monkeypatch.setattr(flow, "_overflowed", spy)
-        got = flow.solve_rk4(L, 1e-6, 1e-9)
-        want_a, want_b = rk4_reference(L, 1e-6, 1e-9)
-        assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b)
+        a, b, error = flow._rk4_numpy(L, [0.0, 1e-6], 1e-9)
+        assert error is None and np.array_equal(a[1], want_a) and np.array_equal(b[1], want_b)
         assert True in reads
         reads.clear()
-        args = (L, 0.0, 1e-6, 2e-7, 1e-9)
-        rows, blowup = rk4_outcome(rk4_trajectory, *args)
-        assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
-        assert len(rows) == 6 and blowup is None and True in reads
+        a, b, error = flow._rk4_numpy(L, flow._sample_times(*args[1:4]).tolist(), 1e-9)
+        assert error is None and [x.tobytes() + y.tobytes() for x, y in zip(a, b)] == rows
+        assert True in reads
 
     @pytest.mark.parametrize("dt", [1e-17, 5e-324])
     def test_step_below_float_spacing_is_a_value_error(self, dt):
@@ -1175,6 +1200,91 @@ class TestRk4Stacks:
             flow.solve_rk4(L2, -1.0, 0.0099)
         with pytest.raises(ValueError, match="MAX_RK4_STEPS"):
             flow.trajectory(L2, -0.5, 0.5, 0.25, "rk4", rk4_dt=0.0099)
+
+
+def random_lattice(rng, n, mixed):
+    """Lattice with a in (-2, 3) and |b| in (0.05, 2), b > 0 or sign-mixed."""
+    b = rng.uniform(0.05, 2.0, n - 1)
+    if mixed:
+        b *= np.resize([1.0, -1.0], n - 1)
+    return lax.LaxMatrix(n=n, a=rng.uniform(-2.0, 3.0, n), b=b)
+
+
+def stepper_cases(rng, n):
+    """(L0, sample times, dt) runs of size n for the two RK4 steppers: cone
+    and sign-mixed lattices, scaled by s = 1, 1e3 or 1e5 (a by s, b by s**2,
+    times by 1 / s) so that |b| overflows within some windows, forward and
+    backward, windows that end in a partial step, a state that overflows in
+    its first step, one past the threshold at t0, and one whose subdiagonal
+    decays out of double range."""
+    cases = []
+    for case in range(6):
+        s = (1.0, 1e3, 1e5)[case % 3]
+        L = random_lattice(rng, n, mixed=case % 2 == 1)
+        dt = float(rng.choice([3e-3, 7e-3, 1e-2])) / s
+        if case < 2:  # one interval, like solve_rk4, forward or backward
+            times = [0.0, float(rng.uniform(-1.0, 1.0)) / s]
+        else:
+            t0 = float(rng.uniform(-1.0, 1.0)) / s
+            times = np.linspace(t0, t0 + float(rng.uniform(0.5, 2.0)) / s, 4).tolist()
+        cases.append((lax.LaxMatrix(n=n, a=s * L.a, b=s * s * L.b), times, dt))
+    huge = lax.LaxMatrix(n=n, a=np.linspace(1e300, -1e300, n), b=np.full(n - 1, 1e300))
+    cases += [(huge, [0.0, 0.0], 1e-3), (huge, [0.0, -0.5], 1e-3)]
+    # past the threshold at t0 only: the gaps of a pull |b| below it at once
+    past = np.full(n - 1, 1e11)
+    past[0] = 1.001e12
+    cases.append((lax.LaxMatrix(n=n, a=-2e6 * np.arange(n), b=past), [0.0, 2e-7, 4e-7], 1e-9))
+    # b_k decays like exp(-100 t) and leaves double range before t = 8
+    decaying = lax.LaxMatrix(n=n, a=-100.0 * np.arange(n), b=np.ones(n - 1))
+    cases.append((decaying, [0.0, 4.0, 8.0], 5e-3))
+    return cases
+
+
+def stepper_outcome(stepper, L0, times, dt):
+    """The bytes of a stepper's rows and its error's type, time and message."""
+    a, b, error = stepper(L0, times, dt)
+    rows = [x.tobytes() + y.tobytes() for x, y in zip(a, b)]
+    return rows, type(error), getattr(error, "time", None), str(error)
+
+
+class TestRk4Steppers:
+    """The generated float stepper and the numpy stepper on both sides of
+    _SCALAR_RK4_MAX_N: equal bands, error types, times and messages."""
+
+    @pytest.mark.parametrize("n", range(2, flow._SCALAR_RK4_MAX_N + 3))
+    def test_steppers_agree(self, n):
+        outcomes = set()
+        for L0, times, dt in stepper_cases(np.random.default_rng([7351, n]), n):
+            want = stepper_outcome(flow._rk4_numpy, L0, times, dt)
+            assert stepper_outcome(flow._rk4_scalar, L0, times, dt) == want, (L0, times, dt)
+            outcomes.add(want[1])
+        assert outcomes == {type(None), Overflow, RangeExceeded}
+
+    @pytest.mark.parametrize("n", [flow._SCALAR_RK4_MAX_N, flow._SCALAR_RK4_MAX_N + 1])
+    def test_size_bound_matches_reference(self, n, monkeypatch):
+        # n = bound runs the generated stepper, n = bound + 1 the numpy one
+        unused = "_rk4_numpy" if n == flow._SCALAR_RK4_MAX_N else "_rk4_scalar"
+        monkeypatch.delattr(flow, unused)
+        rng = np.random.default_rng([4021, n])
+        blowups = set()
+        for case in range(4):
+            L = random_lattice(rng, n, mixed=case % 2 == 1)
+            t = float(rng.uniform(-0.4, 0.4))
+            try:
+                want = np.concatenate(rk4_reference(L, t, 7e-3)).tobytes()
+            except Overflow as exc:
+                want = exc.time
+            try:
+                S = flow.solve_rk4(L, t, 7e-3)
+                got = np.concatenate((S.a, S.b)).tobytes()
+            except Overflow as exc:
+                got = exc.time
+            assert got == want, f"case {case}: t={t!r}"
+            args = (L, -0.2, float(rng.uniform(0.3, 1.5)), 0.25, 7e-3)
+            outcome = rk4_outcome(rk4_trajectory, *args)
+            assert outcome == rk4_outcome(rk4_chain_reference, *args), f"case {case}"
+            blowups.add(outcome[1] is not None)
+        assert blowups == {True, False}
 
 
 def writer_reference_csv(traj):
