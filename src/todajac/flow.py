@@ -35,16 +35,13 @@ over [t], ``solve_rk4`` row 1 of a run over [0, t].
   sample time, each interval stepped by dt with a final partial step.  It
   steps one interleaved state [0, a_1, b_1, ..., b_{n-1}, a_n, -0.0], on
   which each rate is the difference of the two entries beside it (times b
-  for the b entries).  Two steppers give the same bits, and the size picks
-  one.  Up to n = _SCALAR_RK4_MAX_N a Python function generated once per
-  size steps the entries as floats in straight-line code and tests every
-  state.  Above it a numpy loop computes the rates into the rows of one
-  (4, 2n-1) stage buffer made once per run, which one reduction sums, and
-  defers the overflow test: the steps keep running extrema of the states,
-  read every few hundred steps and at each sample time, and only when a
-  read shows an overflow do the steps since the last clean read run again
-  with each state tested.  Either way Overflow carries the time of the
-  same step as a per-step test.
+  for the b entries).  Two interval steppers with one signature give the
+  same bits, and the size picks one.  Up to n = _SCALAR_RK4_MAX_N a Python
+  function generated once per size steps the entries as floats in
+  straight-line code; above it a numpy loop computes the rates into the
+  rows of one (4, 2n-1) stage buffer made once per run, which one
+  reduction sums.  Both test every new state by one rule, so Overflow
+  carries the time of the first step past the threshold.
 
 The three routes agree on regular trajectories and report blowups
 differently: the closed forms fail exactly where a tau value vanishes, the
@@ -75,9 +72,6 @@ from .errors import (
 )
 
 RK4_OVERFLOW_THRESHOLD = 1e12
-# _rk4_numpy: steps between reads of the running extrema, so an overflow
-# costs at most this many steps past it and as many again in the rerun
-_EXTREMA_STEPS = 256
 # _rk4_stacks: largest n stepped by generated float code; the numpy loop is
 # faster above it (the measured table is in CHANGES.md)
 _SCALAR_RK4_MAX_N = 18
@@ -285,7 +279,7 @@ def solve_tau(L0: lax.LaxMatrix, t: float) -> lax.LaxMatrix:
     """
     a, b, error = _tau_stacks(L0, [t])
     if isinstance(error, NonGeneralDivisor):
-        raise Blowup(t, tau_index=error.index) from error
+        raise Blowup(float(t), tau_index=error.index) from error
     if error is not None:
         raise error
     return lax.LaxMatrix._trusted(n=L0.n, a=a[0], b=b[0])
@@ -314,15 +308,6 @@ def toda_derivative(a: np.ndarray, b: np.ndarray) -> tuple:
     rates = y[2:] - y[:-2]
     rates[1::2] *= b
     return rates[::2], rates[1::2]
-
-
-def _overflowed(peak: np.ndarray, trough: np.ndarray) -> bool:
-    """Whether interleaved states [a_1, b_1, ..., a_n] with these entrywise
-    extrema (a state is its own) hold a non-finite entry or a subdiagonal
-    magnitude, read at the odd offsets, past the threshold."""
-    if not (np.isfinite(peak).all() and np.isfinite(trough).all()):
-        return True
-    return max(peak[1::2].max(), -trough[1::2].min()) > RK4_OVERFLOW_THRESHOLD
 
 
 # one function per size; _rk4_stacks asks for sizes up to _SCALAR_RK4_MAX_N
@@ -392,71 +377,47 @@ def _rk4_interval(n: int):
     return namespace["run"]
 
 
-def _rk4_scalar(L0: lax.LaxMatrix, times: list, dt: float) -> tuple:
-    """``_rk4_stacks`` on Python floats: one call of the generated stepper
-    ``_rk4_interval(n)`` per sample interval."""
-    run = _rk4_interval(L0.n)
-    dt = float(dt)  # a numpy scalar would step in numpy scalar arithmetic
-    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
-    a[0], b[0] = L0.a, L0.b
-    state = _interleaved(L0.a, L0.b)[1:-1].tolist()
-    for stop, (prev, t) in enumerate(zip(times, times[1:]), 1):
-        elapsed, overflowed, *state = run(dt, t - prev, *state)
-        if overflowed:
-            return a[:stop], b[:stop], Overflow(prev + elapsed)
-        a[stop], b[stop] = state[::2], state[1::2]
-        if not lax._in_range(a[stop], b[stop]):
-            return a[:stop], b[:stop], RangeExceeded(t)
-    return a, b, None
-
-
-def _rk4_numpy(L0: lax.LaxMatrix, times: list, dt: float) -> tuple:
-    """``_rk4_stacks`` as a numpy loop whose calls do not grow with n.
+def _rk4_numpy(n: int):
+    """The RK4 stepper of one sample interval for lattices of size n as a
+    numpy loop whose calls do not grow with n: ``run`` with the signature,
+    bits and overflow rule of ``_rk4_interval(n)``, over buffers made once
+    per stepper, so once per run.
 
     The steps run on the interleaved state of ``toda_derivative``, so a
     stage's rates are one subtraction of the state shifted by two and one
     strided product with the b entries.  The four stages are the rows of one
-    buffer, summed by one reduction; every call writes into a buffer made
-    once per run, and the step sizes are 0-d arrays, rebuilt only when the
-    step changes (at a final partial step).  The steps keep running entrywise
-    extrema of the states instead of testing each one; NaN and inf carry
-    through them.  The extrema are read every _EXTREMA_STEPS steps and at
-    each sample time.  A clean read marks the state; one that shows an
-    overflow reruns the steps from the last mark with each state tested,
-    which stops at the step the per-step test would.  Each sample time
-    starts the extrema, the mark and the read period afresh from its state,
-    which is never tested: if no step overflows, the rerun runs to the
-    sample time and the run goes on, so a rerun never crosses a sample time.
+    buffer, summed by one reduction, and the step sizes are 0-d arrays,
+    rebuilt only when the step changes (at a final partial step).  A new
+    state y with y . y < fl(threshold**2) passes the test at once: a sum of
+    squares rounds to at least each square, in any order, so every entry is
+    finite and within the threshold.  Any other state must hold its b
+    entries within the threshold and its a entries finite (a NaN fails
+    either).
     """
-    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
-    a[0], b[0] = L0.a, L0.b
     # Y and S hold the state and a stage input between their end zeros; y
     # and s are the states themselves, [a_1, b_1, ..., a_n]
-    Y = _interleaved(L0.a, L0.b)
+    Y = _interleaved(np.zeros(n), np.zeros(n - 1))
     S = Y.copy()
     y, s = Y[1:-1], S[1:-1]
     Y_next, Y_prev, S_next, S_prev = Y[2:], Y[:-2], S[2:], S[:-2]
     y_a, y_b, s_b = Y[1:-1:2], Y[2:-1:2], S[2:-1:2]
-    held = np.empty((3, y.size))  # the extrema and the mark
     K, acc = np.empty((4, y.size)), np.empty_like(y)
     k1, k2, k3, k4 = K
     k23 = K[1:3]
     k1_b, k2_b, k3_b, k4_b = K[:, 1::2]
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    maximum, minimum = np.maximum, np.minimum
-    add_reduce = np.add.reduce
+    add_reduce, dot = np.add.reduce, y.dot
     two = np.array(2.0)
-    h = full = half = sixth = None
+    bound = RK4_OVERFLOW_THRESHOLD
+    squared = bound * bound
 
-    # the extrema decide an overflow, not numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stop, (prev, t) in enumerate(zip(times, times[1:]), 1):
-            held[:] = y
-            peak, trough, mark = held
-            elapsed, remaining = 0.0, t - prev
-            marked = elapsed, remaining
-            direction = math.copysign(1.0, remaining)
-            every, steps = _EXTREMA_STEPS, 0
+    def run(dt, remaining, *state):
+        y[:] = state
+        direction = math.copysign(1.0, remaining)
+        elapsed = 0.0
+        h = full = half = sixth = None
+        # the state test decides an overflow, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             while abs(remaining) > 0.0:
                 step = direction * min(dt, abs(remaining))
                 if step != h:
@@ -484,52 +445,50 @@ def _rk4_numpy(L0: lax.LaxMatrix, times: list, dt: float) -> tuple:
                 add(y, acc, y)
                 elapsed += h
                 remaining -= h
-                # out= by keyword: numpy deprecates a third positional argument here
-                maximum(peak, y, out=peak)
-                minimum(trough, y, out=trough)
-                steps += 1
-                if steps % every and abs(remaining) > 0.0:
-                    continue
-                if not _overflowed(peak, trough):
-                    np.copyto(mark, y)
-                    marked = elapsed, remaining
-                elif every == 1:  # in the rerun: the first state past the threshold
-                    return a[:stop], b[:stop], Overflow(prev + elapsed)
-                else:
-                    # rerun from the mark, each state its own extrema
-                    np.copyto(y, mark)
-                    elapsed, remaining = marked
-                    peak = trough = y
-                    every = 1
-            if not lax._in_range(y_a, y_b):
-                return a[:stop], b[:stop], RangeExceeded(t)
-            a[stop], b[stop] = y_a, y_b
-    return a, b, None
+                if not dot(y) < squared and not (
+                    np.abs(y_b).max() <= bound and np.abs(y_a).max() < math.inf
+                ):
+                    return elapsed, True, *y.tolist()
+        return elapsed, False, *y.tolist()
+
+    return run
 
 
 def _rk4_stacks(L0: lax.LaxMatrix, sample_ts, dt: float) -> tuple:
     """RK4 states at ``sample_ts`` from L0 at sample_ts[0], as (a, b, error):
     one run of fixed steps, each interval between consecutive sample times
-    stepped by dt with a final partial step.  The error is the Overflow
-    (with the overflowing step's time) or the RangeExceeded (with the sample
-    time) that ended the run.  A dt that is not positive (NaN included), or
+    stepped by dt with a final partial step in one call of an interval
+    stepper.  The error is the Overflow (with the overflowing step's time)
+    or the RangeExceeded (with the sample time) that ended the run; L0
+    itself is never tested.  A dt that is not positive (NaN included), or
     one that asks for more than MAX_RK4_STEPS steps over the span of the
     sample times, is a ValueError.
 
-    Two steppers give the same bits, errors and times.  Up to n =
-    _SCALAR_RK4_MAX_N the steps run in generated Python float code
-    (``_rk4_scalar``), whose cost grows with n; above it, in the numpy loop
-    of ``_rk4_numpy``, whose calls do not.
+    The size picks the stepper, ``run(dt, remaining, *state) -> (elapsed,
+    overflowed, *state)`` on the entries of the interleaved state; both give
+    the same bits and stop at the same step.  Up to n = _SCALAR_RK4_MAX_N it
+    is the generated Python float code of ``_rk4_interval``, whose cost
+    grows with n; above it, the numpy loop of ``_rk4_numpy``, whose calls do
+    not.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    dt = float(dt)  # a numpy scalar would step in numpy scalar arithmetic
     times = sample_ts.tolist()
     if abs(times[-1] - times[0]) / dt > MAX_RK4_STEPS:
-        raise ValueError(
-            f"rk4 dt {float(dt)!r} needs more than MAX_RK4_STEPS = {MAX_RK4_STEPS} steps"
-        )
-    stepper = _rk4_scalar if L0.n <= _SCALAR_RK4_MAX_N else _rk4_numpy
-    return stepper(L0, times, dt)
+        raise ValueError(f"rk4 dt {dt!r} needs more than MAX_RK4_STEPS = {MAX_RK4_STEPS} steps")
+    run = _rk4_interval(L0.n) if L0.n <= _SCALAR_RK4_MAX_N else _rk4_numpy(L0.n)
+    a, b = np.empty((len(times), L0.n)), np.empty((len(times), L0.n - 1))
+    a[0], b[0] = L0.a, L0.b
+    state = _interleaved(L0.a, L0.b)[1:-1].tolist()
+    for stop, (prev, t) in enumerate(zip(times, times[1:]), 1):
+        elapsed, overflowed, *state = run(dt, t - prev, *state)
+        if overflowed:
+            return a[:stop], b[:stop], Overflow(prev + elapsed)
+        a[stop], b[stop] = state[::2], state[1::2]
+        if not lax._in_range(a[stop], b[stop]):
+            return a[:stop], b[:stop], RangeExceeded(t)
+    return a, b, None
 
 
 def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
@@ -537,15 +496,15 @@ def solve_rk4(L0: lax.LaxMatrix, t: float, dt: float) -> lax.LaxMatrix:
     case of the kernel ``trajectory`` uses.
 
     Integrates ceil(|t|/dt) steps with a final partial step; raises Overflow
-    (with the step time) when a subdiagonal magnitude passes 1e12, and, as
-    the closed forms do, RangeExceeded (time t) when one ends below the
+    (with the step time) at the first step whose state holds a subdiagonal
+    magnitude past 1e12 or a non-finite entry (L0 is not tested), and, as
+    the closed forms do, RangeExceeded (time t) when an entry ends below the
     smallest normal double.  A non-finite t, a step that is not positive
     (NaN included) or more than MAX_RK4_STEPS steps, |t| / dt, is a
     ValueError.  Every entry rounds as in the two-array form of the method:
     each rate is one difference, and the update keeps the order
-    (((k1 + 2 k2) + 2 k3) + k4).  Lattices up to n = _SCALAR_RK4_MAX_N step
-    in generated Python float code, larger ones in a numpy loop; both give
-    the same bits, errors and times (``_rk4_stacks``).
+    (((k1 + 2 k2) + 2 k3) + k4), whichever of the two interval steppers of
+    ``_rk4_stacks`` the size picks.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")

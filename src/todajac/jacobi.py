@@ -573,6 +573,7 @@ def evolve_point(F0: JacobiPoint, spec: lax.Spectrum, t: float) -> JacobiPoint:
         raise ValueError("point and spectrum sizes differ")
     w, ok = _evolved(lams[None], F0.f[None], np.array([t], dtype=float))
     if not ok[0]:
+        t = float(t)
         raise RangeExceeded(t, f"evolved coordinates leave double range at t={t!r}")
     return JacobiPoint._trusted(w[0])
 

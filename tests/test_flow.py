@@ -685,6 +685,16 @@ class TestTrajectory:
         assert str(out.value) == (
             "dt_out 1e-09 asks for more than MAX_SAMPLE_STEPS = 100000 sample steps on [0.0, 1.0]"
         )
+        # numpy scalar times of a blowup and of a range failure
+        with pytest.raises(Blowup) as tau:
+            flow.solve_tau(noncone_two_by_two()[0], np.float64(1.0))
+        assert type(tau.value.time) is float
+        assert str(tau.value) == "blowup at t=1.0 (tau[1] vanishes)"
+        spec = lax.Spectrum(np.array([0.5, 4.0, 9.5]))
+        with pytest.raises(RangeExceeded) as far:
+            jacobi.evolve_point(jacobi.JacobiPoint.from_raw([1.0, -1.0, 1.0]), spec, np.float64(1e308))
+        assert type(far.value.time) is float
+        assert str(far.value) == "evolved coordinates leave double range at t=1e+308"
 
     def test_sample_count_limit(self):
         # the sample list grew until the process was killed
@@ -1027,21 +1037,32 @@ class TestTauStacks:
         assert {1, 20} <= stops and len(stops) >= 4
 
 
-def rk4_chain_reference(L0, t0, t1, dt_out, dt):
-    """rk4_reference chained across the sample intervals of a trajectory.
-    Returns the rows up to the first Overflow and its time (None when no
-    step overflows); raises RangeExceeded(sample time) as trajectory does."""
-    rows = [(L0.a, L0.b)]
-    times = flow._sample_times(t0, t1, dt_out)
-    for prev, t in zip(times[:-1].tolist(), times[1:].tolist()):
+def rk4_chain(L0, times, dt):
+    """rk4_reference chained across the intervals of ``times``, as
+    flow._rk4_stacks returns a run: the a rows, the b rows, and the
+    Overflow (step time) or RangeExceeded (sample time) that ended it."""
+    a, b = [L0.a], [L0.b]
+    for prev, t in zip(times, times[1:]):
         try:
-            a, b = rk4_reference(lax.LaxMatrix(n=L0.n, a=rows[-1][0], b=rows[-1][1]), t - prev, dt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a_t, b_t = rk4_reference(lax.LaxMatrix(n=L0.n, a=a[-1], b=b[-1]), t - prev, dt)
         except Overflow as exc:
-            return rows, prev + exc.time
-        if not lax._in_range(a, b):
-            raise RangeExceeded(t)
-        rows.append((a, b))
-    return rows, None
+            return a, b, Overflow(prev + exc.time)
+        if not lax._in_range(a_t, b_t):
+            return a, b, RangeExceeded(t)
+        a.append(a_t)
+        b.append(b_t)
+    return a, b, None
+
+
+def rk4_chain_reference(L0, t0, t1, dt_out, dt):
+    """rk4_chain across the sample times of a trajectory.  Returns the rows
+    up to the first Overflow and its time (None when no step overflows);
+    raises RangeExceeded(sample time) as trajectory does."""
+    a, b, error = rk4_chain(L0, flow._sample_times(t0, t1, dt_out).tolist(), dt)
+    if isinstance(error, RangeExceeded):
+        raise error
+    return list(zip(a, b)), getattr(error, "time", None)
 
 
 def rk4_trajectory(L0, t0, t1, dt_out, dt):
@@ -1062,10 +1083,9 @@ def rk4_outcome(run, *args):
 
 class TestRk4Stacks:
     """The rk4 route of trajectory: one run across the sample intervals, equal
-    to the reference chained across them.  Up to n = _SCALAR_RK4_MAX_N the
-    generated stepper tests every state; above it the numpy stepper's
-    deferred overflow test must stop where the per-step test does, and both
-    steppers must give the same bits, errors and times at every n."""
+    to the reference chained across them.  Both interval steppers test every
+    new state, so a run must stop at the step where the reference does, and
+    the two must give the same bits, errors and times at every n."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(
@@ -1089,8 +1109,8 @@ class TestRk4Stacks:
         "t0, t1, dt_out",
         [
             (0.0, 1.5, 0.5),  # |b| passes 1e12 in the first step of the last interval
-            (-0.3, 0.9, 0.6),  # in step 401 of 600: the read at step 256 marked a clean state
-            (0.0, 1.8, 0.9),  # in step 101 of 900, before the first read
+            (-0.3, 0.9, 0.6),  # in step 401 of 600
+            (0.0, 1.8, 0.9),  # in step 101 of 900
         ],
     )
     def test_overflow_mid_interval_matches_chained_reference(self, t0, t1, dt_out):
@@ -1100,12 +1120,12 @@ class TestRk4Stacks:
         assert got == rk4_outcome(rk4_chain_reference, Lnc, t0, t1, dt_out, 1e-3)
         assert t0 + 1.0 < got[1] < t0 + 1.01
 
-    def test_overflow_after_a_clean_read_matches_reference_loop(self):
+    def test_overflow_after_many_steps_matches_reference_loop(self, monkeypatch):
         # sign-mixed lattices, n = 3..8, whose |b| passes the threshold after
-        # more than 700 steps: the rerun starts from a state a clean read
-        # marked, not L0.  The flow keeps its shape under a -> s a,
-        # b -> s**2 b, t -> t / s, so s = 10**5 starts |b| within a few
-        # decades of the threshold, and a finer step keeps the run long.
+        # more than 700 steps, on both steppers.  The flow keeps its shape
+        # under a -> s a, b -> s**2 b, t -> t / s, so s = 10**5 starts |b|
+        # within a few decades of the threshold, and a finer step keeps the
+        # run long.
         rng = np.random.default_rng(60115)
         b_max = 0.0
         for case in range(12):
@@ -1131,11 +1151,10 @@ class TestRk4Stacks:
             rows, blowup = rk4_outcome(rk4_trajectory, *args)
             assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
             assert len(rows) == 2
-            # the numpy stepper, which these sizes do not select, reads its
-            # extrema clean at least once in the second interval
-            _, _, error = flow._rk4_numpy(L, flow._sample_times(*args[1:4]).tolist(), h)
-            assert error.time == blowup
-            assert blowup - (when - 300 * h) > flow._EXTREMA_STEPS * h
+            # the numpy stepper, which these sizes do not select
+            with monkeypatch.context() as m:
+                m.setattr(flow, "_SCALAR_RK4_MAX_N", 0)
+                assert rk4_outcome(rk4_trajectory, *args) == (rows, blowup)
         assert b_max > 1e10
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, -1e-3, 0.5])
@@ -1154,35 +1173,20 @@ class TestRk4Stacks:
         assert got == want
         assert (t == 0.0) == isinstance(got, bytes)
 
-    def test_rerun_that_finds_no_overflow_matches_reference(self, monkeypatch):
-        # L0 is past the threshold and no step is: in the numpy stepper a
-        # read shows an overflow, the rerun tests each state, finds none and
-        # runs on to the sample time, and the run goes on across the later
-        # sample times
+    def test_only_l0_past_the_threshold_runs_on_like_reference(self, monkeypatch):
+        # L0 is past the threshold and no step is: L0 is never tested, so the
+        # run goes on across the sample times on either stepper (bound 0
+        # selects the numpy one)
         L = lax.LaxMatrix(3, a=[2e6, 0.0, -2e6], b=[1.001e12, 1e11])
-        got = flow.solve_rk4(L, 1e-6, 1e-9)
         want_a, want_b = rk4_reference(L, 1e-6, 1e-9)
-        assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b)
         args = (L, 0.0, 1e-6, 2e-7, 1e-9)
-        rows, blowup = rk4_outcome(rk4_trajectory, *args)
-        assert (rows, blowup) == rk4_outcome(rk4_chain_reference, *args)
-        assert len(rows) == 6 and blowup is None
-
-        reads = []
-        overflowed = flow._overflowed
-
-        def spy(peak, trough):
-            reads.append(overflowed(peak, trough))
-            return reads[-1]
-
-        monkeypatch.setattr(flow, "_overflowed", spy)
-        a, b, error = flow._rk4_numpy(L, [0.0, 1e-6], 1e-9)
-        assert error is None and np.array_equal(a[1], want_a) and np.array_equal(b[1], want_b)
-        assert True in reads
-        reads.clear()
-        a, b, error = flow._rk4_numpy(L, flow._sample_times(*args[1:4]).tolist(), 1e-9)
-        assert error is None and [x.tobytes() + y.tobytes() for x, y in zip(a, b)] == rows
-        assert True in reads
+        want = rk4_outcome(rk4_chain_reference, *args)
+        assert len(want[0]) == 6 and want[1] is None
+        for bound in (flow._SCALAR_RK4_MAX_N, 0):
+            monkeypatch.setattr(flow, "_SCALAR_RK4_MAX_N", bound)
+            got = flow.solve_rk4(L, 1e-6, 1e-9)
+            assert np.array_equal(got.a, want_a) and np.array_equal(got.b, want_b)
+            assert rk4_outcome(rk4_trajectory, *args) == want
 
     @pytest.mark.parametrize("dt", [1e-17, 5e-324])
     def test_step_below_float_spacing_is_a_value_error(self, dt):
@@ -1215,8 +1219,9 @@ def stepper_cases(rng, n):
     and sign-mixed lattices, scaled by s = 1, 1e3 or 1e5 (a by s, b by s**2,
     times by 1 / s) so that |b| overflows within some windows, forward and
     backward, windows that end in a partial step, a state that overflows in
-    its first step, one past the threshold at t0, and one whose subdiagonal
-    decays out of double range."""
+    its first step, one past the threshold at t0, one whose subdiagonal
+    decays out of double range, and one whose diagonal stays finite beyond
+    the threshold."""
     cases = []
     for case in range(6):
         s = (1.0, 1e3, 1e5)[case % 3]
@@ -1237,33 +1242,52 @@ def stepper_cases(rng, n):
     # b_k decays like exp(-100 t) and leaves double range before t = 8
     decaying = lax.LaxMatrix(n=n, a=-100.0 * np.arange(n), b=np.ones(n - 1))
     cases.append((decaying, [0.0, 4.0, 8.0], 5e-3))
+    # |a| > 1e12 in every state while |b| stays below it: no overflow
+    large_a = lax.LaxMatrix(n=n, a=1e13 + np.arange(n), b=np.full(n - 1, 0.5))
+    cases.append((large_a, [0.0, 0.3, 1.0], 7e-3))
     return cases
 
 
-def stepper_outcome(stepper, L0, times, dt):
-    """The bytes of a stepper's rows and its error's type, time and message."""
-    a, b, error = stepper(L0, times, dt)
+def outcome_of(a, b, error):
+    """The bytes of a run's rows and its error's type, time and message."""
     rows = [x.tobytes() + y.tobytes() for x, y in zip(a, b)]
     return rows, type(error), getattr(error, "time", None), str(error)
 
 
+def stepper_outcome(monkeypatch, numpy, L0, times, dt):
+    """outcome_of the RK4 run over ``times``, stepped by the numpy stepper or
+    by the generated one: _SCALAR_RK4_MAX_N picks it in the one sample loop."""
+    monkeypatch.setattr(flow, "_SCALAR_RK4_MAX_N", L0.n - 1 if numpy else L0.n)
+    return outcome_of(*flow._rk4_stacks(L0, np.array(times), dt))
+
+
 class TestRk4Steppers:
     """The generated float stepper and the numpy stepper on both sides of
-    _SCALAR_RK4_MAX_N: equal bands, error types, times and messages."""
+    _SCALAR_RK4_MAX_N, each selected through the one sample loop of
+    _rk4_stacks: equal bands, error types, times and messages."""
 
     @pytest.mark.parametrize("n", range(2, flow._SCALAR_RK4_MAX_N + 3))
-    def test_steppers_agree(self, n):
+    def test_steppers_agree(self, n, monkeypatch):
         outcomes = set()
         for L0, times, dt in stepper_cases(np.random.default_rng([7351, n]), n):
-            want = stepper_outcome(flow._rk4_numpy, L0, times, dt)
-            assert stepper_outcome(flow._rk4_scalar, L0, times, dt) == want, (L0, times, dt)
+            want = stepper_outcome(monkeypatch, True, L0, times, dt)
+            assert stepper_outcome(monkeypatch, False, L0, times, dt) == want, (L0, times, dt)
+            outcomes.add(want[1])
+        assert outcomes == {type(None), Overflow, RangeExceeded}
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_numpy_stepper_matches_reference(self, n, monkeypatch):
+        outcomes = set()
+        for L0, times, dt in stepper_cases(np.random.default_rng([7351, n]), n):
+            want = outcome_of(*rk4_chain(L0, times, dt))
+            assert stepper_outcome(monkeypatch, True, L0, times, dt) == want, (L0, times, dt)
             outcomes.add(want[1])
         assert outcomes == {type(None), Overflow, RangeExceeded}
 
     @pytest.mark.parametrize("n", [flow._SCALAR_RK4_MAX_N, flow._SCALAR_RK4_MAX_N + 1])
     def test_size_bound_matches_reference(self, n, monkeypatch):
         # n = bound runs the generated stepper, n = bound + 1 the numpy one
-        unused = "_rk4_numpy" if n == flow._SCALAR_RK4_MAX_N else "_rk4_scalar"
+        unused = "_rk4_numpy" if n == flow._SCALAR_RK4_MAX_N else "_rk4_interval"
         monkeypatch.delattr(flow, unused)
         rng = np.random.default_rng([4021, n])
         blowups = set()
@@ -1285,6 +1309,14 @@ class TestRk4Steppers:
             assert outcome == rk4_outcome(rk4_chain_reference, *args), f"case {case}"
             blowups.add(outcome[1] is not None)
         assert blowups == {True, False}
+        # a numpy scalar step: plain float times and messages on both sides
+        flat = lax.LaxMatrix(n=n, a=np.zeros(n), b=np.full(n - 1, -1e11))
+        with pytest.raises(Overflow) as err:
+            flow.solve_rk4(flat, 1.0, np.float64(1e-3))
+        assert type(err.value.time) is float
+        assert str(err.value) == "numerical blowup: |b| exceeded threshold at t=0.001"
+        blowup = flow.trajectory(flat, 0.0, 1.0, 0.5, "rk4", rk4_dt=np.float64(1e-3)).blowup
+        assert type(blowup) is float and blowup == 0.001
 
 
 def writer_reference_csv(traj):
