@@ -662,10 +662,10 @@ def detect_blowup(
     when every class is such, as on every cone point, the answer is None
     without a scan.  Otherwise a uniform grid is scanned for sign changes,
     summing only the tau classes from the first to the last uncertified one
-    (never tau').  The scan runs in time order, in chunks of one kernel
-    block and then twice the previous chunk, and stops at the first chunk
-    that holds an exact zero or a sign change (the last row of a chunk is
-    compared with the first of the next).  The earliest bracket is refined
+    (``sums`` forms no tau').  The scan runs in time order, in chunks of
+    one kernel block and then twice the previous chunk, and stops at the
+    first chunk that holds an exact zero or a sign change (the last row of a
+    chunk is compared with the first of the next).  The earliest bracket is refined
     by one bisection over every class that changes sign in it (``_bisect``):
     each step sums only the range of classes still live, keeps the half
     where some of them changes sign and stops at an exact zero of one, and

@@ -43,8 +43,8 @@ from .lax import _readonly
 DEFAULT_GENERAL_TOL = 1e-12
 DEFAULT_ZERO_COFACTOR_TOL = 1e-12
 
-# terms per kernel block: the (times, 2^(n+1)) work arrays stay at 128 KiB
-# each, and each numpy call stays short
+# terms per kernel block: the (times, 2^n) work arrays stay at 128 KiB each,
+# and each numpy call stays short
 _BLOCK_TERMS = 1 << 14
 # log of the largest finite double
 _LOG_HUGE = math.log(np.finfo(float).max)
@@ -178,13 +178,9 @@ class _Subsets(NamedTuple):
 
     masks: np.ndarray  # (2^n,) bit mask of each set (bit i: index i+1 in S)
     complements: np.ndarray  # (2^n,) bit mask of the complement of each set
-    below: np.ndarray  # (n, 1, n) True at [k, 0, i] for i < k
-    sizes: np.ndarray  # (2^n,) |S|, nondecreasing
+    sizes: np.ndarray  # (2^n,) |S|, nondecreasing: the tau class of each term
     signs: np.ndarray  # (2^n,) sign of S's Laplace term before the f signs
-    # (2n+3,) first term of each size class, unprimed then primed, then the
-    # term count
-    term_bounds: np.ndarray
-    term_classes: np.ndarray  # (2^(n+1),) class of each term
+    term_bounds: np.ndarray  # (n+2,) first term of each size class, then 2^n
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,27 +197,10 @@ def _subsets(n: int) -> _Subsets:
     return _Subsets(
         masks=_readonly(masks, dtype=np.intp),
         complements=_readonly((count - 1) ^ masks, dtype=np.intp),
-        below=_readonly(np.tri(n, k=-1)[:, None, :], dtype=bool),
         sizes=_readonly(sizes, dtype=int),
         signs=_readonly(np.where(parity == 0, 1.0, -1.0) * epsilon_signs(n)[sizes]),
-        term_bounds=_readonly(np.concatenate([starts, starts + count, [2 * count]]), dtype=int),
-        term_classes=_readonly(np.concatenate([sizes, sizes + n + 1]), dtype=int),
+        term_bounds=_readonly(np.append(starts, count), dtype=int),
     )
-
-
-def _subset_sums(x: np.ndarray) -> np.ndarray:
-    """sum(x[s, S]) for every row s of x (rows, m) and every subset S of
-    range(m), indexed by bit mask: shape (rows, 2^m).
-
-    Each sum adds its members from the lowest index up, one elementwise add
-    per member, so no value depends on memory layout or on the number of
-    rows (BLAS picks its summation order by matrix shape, so a stacked BLAS
-    product rounds differently from the single-row one).
-    """
-    out = np.zeros((x.shape[0], 1 << x.shape[1]))
-    for k in range(x.shape[1]):
-        out[:, 1 << k : 2 << k] = out[:, : 1 << k] + x[:, k : k + 1]
-    return out
 
 
 class TauGrid(NamedTuple):
@@ -243,33 +222,34 @@ class TauKernel:
         (-1)**(sum(S) + parity(k)) * prod(f[S]) * vdm(lams[S]) * vdm(lams[~S])
 
     (1-based row sums; vdm factors are positive for an increasing spectrum).
-    The primed determinants carry an extra factor e1(S) = sum(lams[S]) from
-    the shifted top power (a bialternant identity).  Along the flow only
-    prod(f[S]) moves: evolve_point(F, spec, t) has coordinates
-    f[i] * exp(t * (lams[i] - lams[0])), so the log of each term gains
-    t * (e1(S) - k * lams[0]).  Term logs, signs and these rates are fixed by
-    (spec, F), and ``evaluate`` sums them for a whole array of times without
-    forming the evolved points, so no coordinate can leave double range.
-    Summing each signed class with its largest magnitude factored out is
-    accurate at any coordinate grading, with relative error ~ eps divided by
-    the generality ratio.
+    The primed determinant's term for S is the same term times e1(S) =
+    sum(lams[S]), from the shifted top power (a bialternant identity), so
+    tau'[k] is the e1-weighted sum of tau[k]'s terms and the kernel holds
+    the 2^n terms once: their logs, signs, weights sign * e1(S) and rates.
+    Along the flow only prod(f[S]) moves: evolve_point(F, spec, t) has
+    coordinates f[i] * exp(t * (lams[i] - lams[0])), so the log of each term
+    gains t * (e1(S) - k * lams[0]).  These tables are fixed by (spec, F),
+    and ``evaluate`` sums them for a whole array of times without forming the
+    evolved points, so no coordinate can leave double range.  Summing each
+    signed class with its largest magnitude factored out is accurate at any
+    coordinate grading, with relative error ~ eps divided by the generality
+    ratio; tau' is summed over the same scaled terms.
 
-    The terms form 2n+2 classes: tau[0..n] (unprimed), then tau'[0..n]
-    (primed).  ``sums`` evaluates any contiguous range of them, each class
-    over the same terms in the same order as ``evaluate``, so its columns
-    equal the full evaluation bit for bit.  ``zero_free`` certifies the tau
-    classes whose terms all have one sign: by Laguerre's rule of signs such
-    an exponential sum has no real zero.
+    The terms form n+1 classes by size, tau[0..n].  ``sums`` evaluates any
+    contiguous range of them, each class over the same terms in the same
+    order as ``evaluate``, so its columns equal the full evaluation bit for
+    bit.  ``zero_free`` certifies the classes whose terms all have one sign:
+    by Laguerre's rule of signs such an exponential sum has no real zero.
 
     ``spec`` and ``F`` may also be stacks: arrays of eigenvalue rows and of
     point rows, shape (S, n) each.  Every term sum is built by elementwise
-    adds in a fixed order (``_subset_sums``), which depends on neither memory
-    layout nor stack height, so each row equals the kernel of that row alone
-    bit for bit.  Gaps or sums of eigenvalues beyond double range give inf
-    or NaN logs, quietly; reconstruction reports them as out of range.
+    adds in a fixed order, which depends on neither memory layout nor stack
+    height, so each row equals the kernel of that row alone bit for bit.
+    Gaps or sums of eigenvalues beyond double range give inf or NaN logs,
+    quietly; reconstruction reports them as out of range.
     """
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def __init__(self, spec, F):
         lams = spec.lambdas if isinstance(spec, lax.Spectrum) else np.asarray(spec, dtype=float)
         f = F.f if isinstance(F, JacobiPoint) else np.asarray(F, dtype=float)
@@ -281,30 +261,32 @@ class TauKernel:
         lams, f = lams.reshape(-1, n), f.reshape(-1, n)
         rows = lams.shape[0]
         sub = _subsets(n)
-        # [k, s, i] = log|lams[s, k] - lams[s, i]| for i < k, 0 elsewhere
-        gaps = np.log(np.abs(np.where(sub.below, lams.T[:, :, None] - lams, 1.0)))
-        sums = _subset_sums(
-            np.concatenate([np.log(np.abs(f)), lams, (f < 0.0) * 1.0, gaps.reshape(n * rows, n)])
-        )
+        # per point: log|f|, lams and the negative entries, then the gap rows
+        # [s, i] = log|lams[s, k] - lams[s, i]| for k = n-1, ..., 1, read
+        # for i < k only
+        gaps = np.log(np.abs(lams[:, :0:-1].T[:, :, None] - lams))
+        x = np.concatenate([np.log(np.abs(f)), lams, f < 0.0, gaps.reshape(-1, n)])
+        # sums[:, S] = sum(x[:, S]) by bit mask, adding from the lowest index up
+        sums, vdm = np.zeros((x.shape[0], 1 << n)), np.zeros((rows, 1 << n))
+        for j in range(n):
+            if j:
+                # log vdm(lams[S]): adding index j, the largest so far, adds
+                # the log gaps between j and every i in S
+                gap = sums[(n + 2 - j) * rows : (n + 3 - j) * rows, : 1 << j]
+                np.add(vdm[:, : 1 << j], gap, out=vdm[:, 1 << j : 2 << j])
+            # gap row k is read on the subsets of 0..k-1 only, so index j
+            # joins the rows of k > j: a prefix
+            top = (n + 2 - j) * rows
+            np.add(sums[:top, : 1 << j], x[:top, j : j + 1], out=sums[:top, 1 << j : 2 << j])
         by_set = sums[: 3 * rows, sub.masks]
-        log_f, e1, negatives = by_set[:rows], by_set[rows : 2 * rows], by_set[2 * rows :]
-        pairs = sums[3 * rows :].reshape(n, rows, -1)
-        # log vdm(lams[S]): adding index k, the largest so far, adds the log
-        # gaps between k and every i in S
-        vdm = np.zeros((rows, 1 << n))
-        for k in range(1, n):
-            vdm[:, 1 << k : 2 << k] = vdm[:, : 1 << k] + pairs[k, :, : 1 << k]
-        logs = log_f + vdm[:, sub.masks] + vdm[:, sub.complements]
+        e1, negatives = by_set[rows : 2 * rows], by_set[2 * rows :]
+        # one column block per size class
+        self.logs = by_set[:rows] + vdm[:, sub.masks] + vdm[:, sub.complements]
         # an exact count, so its parity is exact
-        signs = sub.signs * np.where(negatives.astype(int) & 1, -1.0, 1.0)
-        # unprimed terms, then primed ones (the empty set's primed term is 0,
-        # which gives tau'[0] = 0); one column block per size class
-        log_e1 = np.log(np.abs(e1), out=np.full_like(e1, -math.inf), where=e1 != 0.0)
-        self.logs = np.concatenate([logs, logs + log_e1], axis=1)
-        self.signs = np.concatenate([signs, signs * np.sign(e1)], axis=1)
-        rates = e1 - sub.sizes * lams[:, :1]
-        self.rates = np.concatenate([rates, rates], axis=1)
-        self.bounds, self.classes = sub.term_bounds, sub.term_classes
+        self.signs = sub.signs * np.where(negatives.astype(int) & 1, -1.0, 1.0)
+        self.weights = self.signs * e1
+        self.rates = e1 - sub.sizes * lams[:, :1]
+        self.bounds, self.classes = sub.term_bounds, sub.sizes
         self.n = n
 
     def zero_free(self, t0: float, t1: float) -> np.ndarray:
@@ -318,10 +300,9 @@ class TauKernel:
         generality is exactly 1, while every term log stays finite
         (``_finite_logs``).
         """
-        k = self.n + 1
-        signs, starts = self.signs[:, : self.bounds[k]], self.bounds[:k]
-        lowest = np.minimum.reduceat(signs, starts, axis=1)
-        one_signed = lowest == np.maximum.reduceat(signs, starts, axis=1)
+        starts = self.bounds[:-1]
+        lowest = np.minimum.reduceat(self.signs, starts, axis=1)
+        one_signed = lowest == np.maximum.reduceat(self.signs, starts, axis=1)
         return one_signed & self._finite_logs(t0, t1)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -332,22 +313,30 @@ class TauKernel:
         between.  A term whose log is -inf reads as an exact 0 in ``sums``:
         a class with such a term can underflow to a false zero.
         """
-        k = self.n + 1
-        logs, rates = self.logs[:, : self.bounds[k]], self.rates[:, : self.bounds[k]]
+        logs, rates = self.logs, self.rates
         finite = np.isfinite(logs + t0 * rates) & np.isfinite(logs + t1 * rates)
-        return np.logical_and.reduceat(finite, self.bounds[:k], axis=1)
+        return np.logical_and.reduceat(finite, self.bounds[:-1], axis=1)
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def sums(self, times, first: int = 0, stop: int | None = None) -> tuple:
-        """(sign, log|value|, generality) of term classes first..stop-1 at
-        each of ``times``, each a (rows, stop - first) array.
-
-        Classes 0..n are tau[0..n] and n+1..2n+1 are tau'[0..n]; the default
-        is all of them.  For a stack, row s is point s evolved by times[s]
+        """(sign, log|tau[k]|, generality) of classes k = first..stop-1 at
+        each of ``times``, each a (rows, stop - first) array; the default is
+        every class, 0..n.  For a stack, row s is point s evolved by times[s]
         (one time for all rows, or one point for all times, broadcasts).
         """
+        return self._blocks(times, first, self.n + 1 if stop is None else stop, False)
+
+    def evaluate(self, times) -> TauGrid:
+        """Tau and tau' data of the point evolved by each of ``times``: the
+        classes of ``sums``, and over the same scaled terms their e1-weighted
+        sums, tau'[0..n] (stacks as in ``sums``)."""
+        sign, log_abs, generality, sign_p, log_p = self._blocks(times, 0, self.n + 1, True)
+        return TauGrid(sign, log_abs, sign_p, log_p, generality)
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def _blocks(self, times, first: int, stop: int, primed: bool) -> tuple:
+        """``sums`` of classes first..stop-1, then sign and log|tau'| of the
+        same classes when ``primed``, in blocks of at most _BLOCK_TERMS terms."""
         times = np.array(times, dtype=float, ndmin=1, copy=None)
-        stop = self.bounds.size - 1 if stop is None else stop
         cols = slice(self.bounds[first], self.bounds[stop])
         starts, classes = self.bounds[first:stop], self.classes[cols]
         if first:
@@ -356,8 +345,7 @@ class TauKernel:
         rows = max(points, times.size)
         if {points, times.size} - {1, rows}:
             raise ValueError(f"{times.size} times do not match a stack of {points} points")
-        shape = (rows, starts.size)
-        sign, log_abs, generality = np.empty(shape), np.empty(shape), np.empty(shape)
+        sign, log_abs, generality, sign_p, log_p = (np.empty((rows, starts.size)) for _ in range(5))
         block = max(1, _BLOCK_TERMS // terms)
         for lo in range(0, rows, block):
             part = slice(lo, lo + block)
@@ -373,14 +361,13 @@ class TauKernel:
             log_abs[part] = m + np.log(np.abs(total))
             generality[part] = np.where(total == 0.0, 0.0, np.abs(total) / bound)
             sign[part] = np.sign(total)
+            if primed:
+                total = np.add.reduceat(scaled * self.weights[at, cols], starts, axis=1)
+                sign_p[part] = np.sign(total)
+                log_p[part] = m + np.log(np.abs(total))
+        if primed:
+            return sign, log_abs, generality, sign_p, log_p
         return sign, log_abs, generality
-
-    def evaluate(self, times) -> TauGrid:
-        """Tau data of the point evolved by each of ``times``: ``sums`` of
-        every class, split into tau and tau' (stacks as in ``sums``)."""
-        sign, log_abs, generality = self.sums(times)
-        k = self.n + 1
-        return TauGrid(sign[:, :k], log_abs[:, :k], sign[:, k:], log_abs[:, k:], generality[:, :k])
 
 
 @dataclass(frozen=True, eq=False)

@@ -374,7 +374,7 @@ def run_verification(
         runs.append(("converse", _converse_chunk))
 
     # a stack holds at most _BLOCK_TERMS tau terms
-    height = max(1, jacobi._BLOCK_TERMS >> (n + 1))
+    height = max(1, jacobi._BLOCK_TERMS >> n)
     total = 0
     failure_cases = []
     for tag, chunk in runs:

@@ -9,6 +9,7 @@ evaluation) or against invariants that admit direct verification.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -454,11 +455,11 @@ class TestTauKernel:
             for times in (0.7, np.linspace(-5.0, 5.0, 301)):
                 full = kernel.sums(times)
                 grid = kernel.evaluate(times)
-                np.testing.assert_array_equal(full[0][:, : n + 1], grid.sign_tau)
-                np.testing.assert_array_equal(full[1][:, n + 1 :], grid.log_abs_tau_prime)
-                np.testing.assert_array_equal(full[2][:, : n + 1], grid.generality)
-                for first in range(2 * n + 2):
-                    for stop in range(first + 1, 2 * n + 3):
+                np.testing.assert_array_equal(full[0], grid.sign_tau)
+                np.testing.assert_array_equal(full[1], grid.log_abs_tau)
+                np.testing.assert_array_equal(full[2], grid.generality)
+                for first in range(n + 1):
+                    for stop in range(first + 1, n + 2):
                         for part, whole in zip(kernel.sums(times, first, stop), full):
                             np.testing.assert_array_equal(part, whole[:, first:stop])
         # a stack of points, one time each
@@ -492,6 +493,45 @@ class TestTauKernel:
         kernel = jacobi.TauKernel(random_spectrum(rng, 4, min_gap=1.0), random_cone_point(rng, 4))
         assert (kernel.evaluate(-1e308).sign_tau[0, 2:] == 0.0).all()
         assert not kernel.zero_free(-1e308, -1e307)[0, 2:].any()
+
+    def test_tau_prime_and_a_match_50_digit_sums(self):
+        # checks the summation only: the kernel's term logs, signs, rates
+        # and weights sign * e1(S) are taken as exact inputs, and tau' and a
+        # are compared with 50-digit sums of those same terms
+        rng = np.random.default_rng(5155)
+        checked = 0
+        with mpmath.workdps(50):
+            for n in range(2, 7):
+                lams = np.sort(rng.uniform(-5.0, 5.0, (8, n)), axis=1)
+                f = rng.choice([-1.0, 1.0], (8, n)) * np.exp(rng.uniform(-20.0, 20.0, (8, n)))
+                times = rng.uniform(-30.0, 30.0, 8)
+                kernel = jacobi.TauKernel(lams, f / f[:, :1])
+                grid = kernel.evaluate(times)
+                rows = jacobi._reconstruct_rows(grid)
+                bounds = kernel.bounds
+                for s, t in enumerate(times):
+                    tau, prime = [], []
+                    for k in range(n + 1):
+                        terms = range(bounds[k], bounds[k + 1])
+                        x = [
+                            mpmath.exp(mpmath.mpf(kernel.logs[s, j]) + mpmath.mpf(t) * kernel.rates[s, j])
+                            for j in terms
+                        ]
+                        tau.append(mpmath.fsum(float(kernel.signs[s, j]) * e for j, e in zip(terms, x)))
+                        prime.append(mpmath.fsum(float(kernel.weights[s, j]) * e for j, e in zip(terms, x)))
+                    general = grid.generality[s] > 1e-6
+                    for k in np.flatnonzero(general[1:]) + 1:
+                        assert grid.sign_tau_prime[s, k] == mpmath.sign(prime[k])
+                        got = mpmath.exp(mpmath.mpf(grid.log_abs_tau_prime[s, k]))
+                        assert abs(got / abs(prime[k]) - 1) <= 1e-12
+                        checked += 1
+                    if general.all():
+                        ratios = [0] + [prime[k] / tau[k] for k in range(1, n + 1)]
+                        a = [ratios[k] - ratios[k - 1] for k in range(1, n + 1)]
+                        scale = max(abs(x) for x in a)
+                        error = max(abs(mpmath.mpf(rows.a[s, i]) - a[i]) for i in range(n))
+                        assert error <= 1e-12 * scale
+        assert checked > 100
 
     def test_trajectory_matches_solve_tau(self):
         rng = np.random.default_rng(5152)
