@@ -669,7 +669,9 @@ def detect_blowup(
     by one bisection over every class that changes sign in it (``_bisect``):
     each step sums only the range of classes still live, keeps the half
     where some of them changes sign and stops at an exact zero of one, and
-    one kernel call sums the midpoints of the next _BISECT_DEPTH steps.  A
+    one kernel call sums the midpoints of the next _BISECT_DEPTH steps.
+    The bracket narrows to REFINE_TOL, or to two adjacent doubles where
+    those are wider apart (|t| >= 2**23), and its midpoint is returned.  A
     tau that dips below the tangency threshold without changing sign is
     reported as a GridMiss warning, not resolved.  One TauKernel serves the
     whole grid and every bisection step.
@@ -737,6 +739,10 @@ def _bisect(kernel, lo, hi, first, s_lo, live) -> float:
     One ``sums`` call evaluates the midpoints of the next _BISECT_DEPTH steps
     down every path; a class summed in a wider range equals its narrower
     sum bit for bit, so the steps are those of one call per step.
+
+    Past |t| = 2**23 adjacent doubles can be more than REFINE_TOL apart: when
+    lo and hi are adjacent, no midpoint lies strictly between them, and the
+    bisection stops there with a bracket wider than REFINE_TOL.
     """
     mids, node = [], 0
     while hi - lo > REFINE_TOL:
@@ -746,9 +752,11 @@ def _bisect(kernel, lo, hi, first, s_lo, live) -> float:
             keep = slice(span[0], span[-1] + 1)
             first, live, s_lo = first + int(span[0]), live[keep], s_lo[keep]
         if node >= len(mids):
-            mids, node, base = _midpoint_tree(lo, hi, _BISECT_DEPTH), 0, first
+            mids, node, base = _midpoint_tree(lo, hi), 0, first
             tree = kernel.sums(mids, first, first + live.size)[0]
         mid, s_mid = mids[node], tree[node, first - base : first - base + live.size]
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         left = live & (s_mid * s_lo < 0.0)
         if left.any():
             hi, live, node = mid, left, 2 * node + 1
@@ -759,12 +767,12 @@ def _bisect(kernel, lo, hi, first, s_lo, live) -> float:
     return 0.5 * (lo + hi)
 
 
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list:
-    """Midpoints of ``depth`` bisection steps of [lo, hi] down every path, in
-    heap order: node j bisects a bracket whose left half node 2j + 1 and
-    right half node 2j + 2 bisect next."""
+def _midpoint_tree(lo: float, hi: float) -> list:
+    """Midpoints of _BISECT_DEPTH bisection steps of [lo, hi] down every
+    path, in heap order: node j bisects a bracket whose left half node
+    2j + 1 and right half node 2j + 2 bisect next."""
     brackets, mids = [(lo, hi)], []
-    for j in range((1 << depth) - 1):
+    for j in range((1 << _BISECT_DEPTH) - 1):
         a, b = brackets[j]
         mids.append(0.5 * (a + b))
         brackets += [(a, mids[j]), (mids[j], b)]

@@ -24,7 +24,7 @@ block of 2^14 terms (32 samples at n = 8).
 Every stacked row equals its per-sample call bit for bit.  The rejection
 blocks read a stream past its accepted try, which changes nothing: nothing
 reads that stream afterwards.  A row the stack does not pass (a spectrum
-retry, non-general, out of range, nonsimple, not TNN, not in the cone, ...)
+retry, non-general, out of range, nonsimple, not TNN, a zero cofactor, ...)
 is simply run again through the per-sample ``_forward_case`` or
 ``_converse_case``, which stays the definition: it decides the row and
 writes its report entry.
@@ -45,6 +45,14 @@ DEFAULT_SPEC_RANGE = (0.1, 10.0)
 DEFAULT_COORD_LOG_RANGE = 3.0
 DEFAULT_TOL = 1e-9
 
+# sample_tnn_rejection: diagonal and subdiagonal draw ranges, and the tries
+# before the fallback construction
+_A_RANGE = (0.05, 3.0)
+_B_RANGE = (0.01, 1.0)
+_MAX_TRIES = 2000
+# run_verification: failure cases keep their sampled objects up to this count
+_KEEP_CASES_UP_TO = 10
+
 _FORWARD = 0
 _CONVERSE = 1
 _PATTERN = 2
@@ -60,8 +68,14 @@ _TRY_BLOCK = 32
 
 def sample_spectrum(rng, n, lo=DEFAULT_SPEC_RANGE[0], hi=DEFAULT_SPEC_RANGE[1], min_gap=None):
     """Sorted eigenvalues in [lo, hi), resampled until every gap clears
-    min_gap (default 1e-6 * (hi - lo)) and ``lax.DEFAULT_SEPARATION``."""
+    min_gap (default 1e-6 * (hi - lo)) and ``lax.DEFAULT_SEPARATION``.
+    Raises ValueError when n - 1 such gaps cannot fit inside [lo, hi)."""
     min_gap = max(1e-6 * (hi - lo) if min_gap is None else min_gap, lax.DEFAULT_SEPARATION)
+    if n >= 2 and not (n - 1) * min_gap < hi - lo:
+        raise ValueError(
+            f"{n} eigenvalues in [{float(lo)!r}, {float(hi)!r}) cannot be more than "
+            f"{float(min_gap)!r} apart"
+        )
     while True:
         lams = np.sort(rng.uniform(lo, hi, n))
         if n == 1 or np.min(np.diff(lams)) > min_gap:
@@ -80,18 +94,18 @@ def sample_cone_point(rng, n, log_range=DEFAULT_COORD_LOG_RANGE):
     return sample_point(rng, n, jacobi.alternating_signs(n), log_range)
 
 
-def sample_tnn_rejection(
-    rng, n, a_range=(0.05, 3.0), b_range=(0.01, 1.0), max_tries=2000
-):
-    """Rejection-sample a TNN phase-space matrix.
+def sample_tnn_rejection(rng, n):
+    """Rejection-sample a TNN phase-space matrix, a from _A_RANGE and b from
+    _B_RANGE.
 
-    Falls back to a bidiagonal-product construction (always TNN) if the try
-    budget is exhausted, keeping the stream deterministic either way.
+    Falls back to a bidiagonal-product construction (always TNN) after
+    _MAX_TRIES tries, keeping the stream deterministic either way.
     """
-    # rng.uniform draws are finite, and a positive b range keeps b nonzero
-    make = lax.LaxMatrix._trusted if n >= 2 and b_range[0] > 0.0 else lax.LaxMatrix
-    for _ in range(max_tries):
-        L = make(n=n, a=rng.uniform(*a_range, n), b=rng.uniform(*b_range, n - 1))
+    # rng.uniform draws are finite, and _B_RANGE is positive; n < 2 goes
+    # through the constructor for its error
+    make = lax.LaxMatrix._trusted if n >= 2 else lax.LaxMatrix
+    for _ in range(_MAX_TRIES):
+        L = make(n=n, a=rng.uniform(*_A_RANGE, n), b=rng.uniform(*_B_RANGE, n - 1))
         if tnn.is_tnn_tridiagonal(L, tol=0.0).is_tnn:
             return L
     a, b = _bidiagonal_product(rng, n)
@@ -205,23 +219,24 @@ def _reconstructed(lams, f, ok):
     return a, b, stands
 
 
-def _rejection_picks(rngs, n, a_range=(0.05, 3.0), b_range=(0.01, 1.0), max_tries=2000):
-    """Bands of ``sample_tnn_rejection(rng, n, ...)`` for each of ``rngs``.
+def _rejection_picks(rngs, n):
+    """Bands of ``sample_tnn_rejection(rng, n)`` for each of ``rngs``.
 
-    Each stream draws its tries _TRY_BLOCK at a time, and one stacked
-    verdict pass decides the tries of every stream still drawing; a stream
-    is read past its accepted try.  After ``max_tries`` tries, exactly as
-    many as the sampler reads, the fallback construction follows.
+    Each stream draws its tries _TRY_BLOCK at a time, from _A_RANGE and
+    _B_RANGE, and one stacked verdict pass decides the tries of every
+    stream still drawing; a stream is read past its accepted try.  After
+    _MAX_TRIES tries, exactly as many as the sampler reads, the fallback
+    construction follows.
     """
     a, b = np.empty((len(rngs), n)), np.empty((len(rngs), n - 1))
     pending = np.arange(len(rngs))
-    for tried in range(0, max_tries, _TRY_BLOCK):
+    for tried in range(0, _MAX_TRIES, _TRY_BLOCK):
         if not pending.size:
             break
-        k = min(_TRY_BLOCK, max_tries - tried)
+        k = min(_TRY_BLOCK, _MAX_TRIES - tried)
         u = _draw_rows([rngs[r] for r in pending], k * (2 * n - 1))
         u = u.reshape(pending.size, k, 2 * n - 1)
-        try_a, try_b = _uniform(*a_range, u[:, :, :n]), _uniform(*b_range, u[:, :, n:])
+        try_a, try_b = _uniform(*_A_RANGE, u[:, :, :n]), _uniform(*_B_RANGE, u[:, :, n:])
         good = tnn._tridiagonal_verdicts(try_a.reshape(-1, n), try_b.reshape(-1, n - 1), 0.0)
         good = good.reshape(pending.size, k)
         hit = good.any(axis=1)
@@ -238,18 +253,17 @@ def _cone_images(a, b):
 
     One stacked ``eigh`` (spectra and eigenvectors, as in lax.spectrum) and
     one stacked Weyl-residue evaluation, as in abel_jacobi; a row reads True
-    only where abel_jacobi returns a cone point without error.
+    only where abel_jacobi returns a point without error: a simple spectrum
+    and no numerically zero cofactor value.  For b > 0 that point is in the
+    cone: the values are Weyl residues (-1)^(n-1) v_i[0]^2 p'(lambda_i),
+    which alternate in sign at ascending eigenvalues (de Boor and Golub,
+    Linear Algebra Appl. 21, 1978).
     """
-    n = a.shape[1]
     lams, vecs = np.linalg.eigh(lax._symmetric_tridiagonal(a, np.sqrt(b)))
     vals = lax._weyl_cofactor_values(vecs, lams)
     simple = np.min(np.diff(lams, axis=1), axis=1) > lax.DEFAULT_SEPARATION
     scale = np.max(np.abs(vals), axis=1, keepdims=True)
-    general = (np.abs(vals) > jacobi.DEFAULT_ZERO_COFACTOR_TOL * scale).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = vals[:, 1:] / vals[:, :1]
-    cone = np.array(jacobi.alternating_signs(n)) > 0
-    return simple & general & ((tail > 0.0) == cone).all(axis=1)
+    return simple & (np.abs(vals) > jacobi.DEFAULT_ZERO_COFACTOR_TOL * scale).all(axis=1)
 
 
 def _settle(case_fn, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range) -> list:
@@ -293,18 +307,18 @@ def _converse_chunk(n, seed, lo, hi, tol, spec_lo, spec_hi, coord_range):
     return _settle(_converse_case, passed, n, seed, lo, tol, spec_lo, spec_hi, coord_range)
 
 
-def _pattern_case(n, seed, index, tol, spec_lo, spec_hi, coord_range, signs):
+def _pattern_case(n, seed, index, signs):
     """None when the draw reconstructs to a non-TNN matrix, else why not."""
     rng = np.random.default_rng([seed, _PATTERN, index])
     # resample within the stream until the draw is general
     for _ in range(256):
-        spec = sample_spectrum(rng, n, spec_lo, spec_hi)
-        point = sample_point(rng, n, signs, coord_range)
+        spec = sample_spectrum(rng, n)
+        point = sample_point(rng, n, signs)
         try:
             L = jacobi.reconstruct(spec, point)
         except NonGeneralDivisor:
             continue
-        if tnn.is_tnn_tridiagonal(L, tol=tol).is_tnn:
+        if tnn.is_tnn_tridiagonal(L, tol=DEFAULT_TOL).is_tnn:
             return "non-cone reconstruction is TNN"
         return None
     return "no general draw found for the pattern"
@@ -343,13 +357,12 @@ def run_verification(
     tol: float = DEFAULT_TOL,
     spec_range=DEFAULT_SPEC_RANGE,
     coord_log_range: float = DEFAULT_COORD_LOG_RANGE,
-    keep_cases_up_to: int = 10,
 ) -> VerificationReport:
     """Run the sampled checks and aggregate a replayable report.
 
     Failures always carry the (seed, direction, index) replay key; full
     sampled objects are embedded only while the failure count stays at or
-    below ``keep_cases_up_to``.  A sample that leaves double range is no
+    below _KEEP_CASES_UP_TO (10).  A sample that leaves double range is no
     theorem failure: ValueError("sampling ranges too wide: ...") is raised.
     """
     if not 2 <= n <= 8:
@@ -394,7 +407,7 @@ def run_verification(
                         "case": case,
                     }
                 )
-    if len(failure_cases) > keep_cases_up_to:
+    if len(failure_cases) > _KEEP_CASES_UP_TO:
         for entry in failure_cases:
             entry.pop("case", None)
 
@@ -414,15 +427,10 @@ def run_verification(
     )
 
 
-def verify_sign_patterns(
-    n: int,
-    samples_per_pattern: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-    spec_range=DEFAULT_SPEC_RANGE,
-    coord_log_range: float = DEFAULT_COORD_LOG_RANGE,
-) -> dict:
-    """For every non-alternating sign pattern, count non-TNN reconstructions.
+def verify_sign_patterns(n: int, samples_per_pattern: int, seed: int) -> dict:
+    """For every non-alternating sign pattern, count non-TNN reconstructions
+    of draws at DEFAULT_SPEC_RANGE and DEFAULT_COORD_LOG_RANGE, judged at
+    DEFAULT_TOL.
 
     Returns a mapping pattern-string -> {"samples", "non_tnn", "failures"},
     where failures lists the replayable indices of any TNN hit (there should
@@ -437,9 +445,7 @@ def verify_sign_patterns(
         key = str(jacobi.SignComponent(signs=bits))
         bad = []
         for index in range(offset, offset + samples_per_pattern):
-            diagnostic = _pattern_case(
-                n, seed, index, tol, spec_range[0], spec_range[1], coord_log_range, bits
-            )
+            diagnostic = _pattern_case(n, seed, index, bits)
             if diagnostic is not None:
                 bad.append({"index": index, "diagnostic": diagnostic})
         offset += samples_per_pattern

@@ -279,6 +279,11 @@ class TestLuUnitLower:
         np.testing.assert_allclose(N, np.eye(3))
         np.testing.assert_allclose(R, np.eye(3))
 
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "1-D"])
+    def test_non_square_raises(self, M):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            flow.lu_unit_lower(M)
+
     def test_zero_pivot(self):
         with pytest.raises(SingularLeadingMinor) as err:
             flow.lu_unit_lower([[0.0, 1.0], [1.0, 0.0]])
@@ -1761,3 +1766,18 @@ class TestDetectBlowup:
                 self.SPEC, jacobi.JacobiPoint.from_raw([1.0, 1.0]), -1.0, -1e-12
             )
         assert out is None
+
+    def test_bisection_stops_at_adjacent_doubles(self):
+        # past |t| = 2**23 adjacent doubles are more than REFINE_TOL apart;
+        # tau[1] changes sign between two of them and vanishes at neither, so
+        # no midpoint falls strictly inside the last bracket
+        spec = lax.Spectrum(np.array([0.0, 2.2760582019099247e-07]))
+        point = jacobi.JacobiPoint.from_raw([1.0, 0.0003710401258664214])
+        root = flow.detect_blowup(spec, point, 3.0e7, 4.0e7)
+        after = float(np.nextafter(root, math.inf))
+        assert root == 34705616.6604289 and after - root > flow.REFINE_TOL
+        signs = [
+            jacobi.tau_sequence(spec, jacobi.evolve_point(point, spec, t)).sign_tau[1]
+            for t in (root, after)
+        ]
+        assert signs == [1.0, -1.0]

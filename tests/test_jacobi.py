@@ -7,6 +7,7 @@ evaluation) or against invariants that admit direct verification.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -624,8 +625,6 @@ class TestLibraryBuiltValues:
         # coordinates beyond double range: the constructor's own message
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^point entries must be"):
             verify.sample_cone_point(np.random.default_rng(1), 6, log_range=800.0)
-        with pytest.raises(ValueError, match="^all subdiagonal entries must be nonzero$"):
-            verify.sample_tnn_rejection(np.random.default_rng(2), 3, b_range=(0.0, 0.0))
         with pytest.raises(ValueError, match="^LaxMatrix needs n >= 2$"):
             verify.sample_tnn_rejection(np.random.default_rng(3), 1)
         # eigenvalue differences beyond double range, and the recurrence's
@@ -642,3 +641,45 @@ class TestLibraryBuiltValues:
             warnings.simplefilter("error")
             with pytest.raises(RangeExceeded, match="at t=0.0$"):
                 jacobi.reconstruct(spec, point)
+
+
+def _overflowing_normalization():
+    # the division by f[0] overflows; numpy's warning is silenced so the
+    # constructor's own error shows
+    with np.errstate(over="ignore"):
+        return jacobi.JacobiPoint.from_raw([1e-300, 1e300])
+
+
+TWO = lax.Spectrum(np.array([1.0, 2.0]))
+NOT_1D = "point must be a nonempty 1-D array"
+NORMALIZATION = "normalization by the first entry under/overflowed"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: jacobi.JacobiPoint.from_raw(np.ones((2, 2))), NOT_1D, id="point-2d"),
+        pytest.param(lambda: jacobi.JacobiPoint.from_raw([]), NOT_1D, id="point-empty"),
+        pytest.param(_overflowing_normalization, NORMALIZATION, id="point-overflow"),
+        pytest.param(
+            lambda: jacobi.JacobiPoint.from_raw([1e300, 1e-300]), NORMALIZATION, id="point-underflow"
+        ),
+        pytest.param(lambda: jacobi.SignComponent(signs=(1, 0)), "signs must be +1 or -1", id="sign"),
+        pytest.param(
+            lambda: jacobi.TauKernel(TWO, np.array([1.0, 0.0])),
+            "point entries must be nonzero",
+            id="tau-kernel-zero",
+        ),
+        pytest.param(
+            lambda: jacobi.theta(1, [1.0, 2.0, 3.0], TWO),
+            "tuple length (3,) does not match spectrum size 2",
+            id="theta-length",
+        ),
+        pytest.param(
+            lambda: jacobi.theta(3, [1.0, 2.0], TWO), "theta index 3 out of range 0..2", id="theta-index"
+        ),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

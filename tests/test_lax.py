@@ -5,6 +5,8 @@ evaluation plus interpolation for polynomials, LAPACK eigensolves for
 spectra, and hand-checkable 2x2 / 3x3 cofactor expansions.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -594,3 +596,19 @@ class TestDivisorOfComponent:
         for k in (0, 3, -1):
             with pytest.raises(BadIndex):
                 lax.divisor_of_component(L, k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lax.Spectrum(np.ones((2, 2))), "spectrum must be a nonempty 1-D array"),
+        (
+            lambda: lax.PolynomialVector(entries=(np.array([1.0]),), variable="z"),
+            "variable tag must be 'x' or 'y'",
+        ),
+    ],
+    ids=["spectrum-2d", "polynomial-tag"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -847,3 +848,22 @@ class TestInterlacingRoute:
         L = make([1.0, 1.0], [1.0])
         assert tnn.is_tnn_exhaustive(L).is_tnn and tnn.is_tnn_tridiagonal(L).is_tnn
         assert not tnn.is_tnn_interlacing(L).is_tnn
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tnn.is_tnn_exhaustive(np.ones((2, 3))), "expected a square matrix"),
+        (lambda: tnn.is_totally_positive(np.ones(3)), "expected a square matrix"),
+        (
+            lambda: tnn.InterlacingData(
+                lambdas=lax.Spectrum(np.array([1.0, 2.0])), mus=lax.Spectrum(np.array([1.0, 2.0]))
+            ),
+            "corner spectrum must have length n-1",
+        ),
+    ],
+    ids=["exhaustive-2x3", "totally-positive-1d", "interlacing-length"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

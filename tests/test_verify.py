@@ -39,10 +39,27 @@ class TestSamplers:
             L = verify.sample_tnn_rejection(rng, n)
             assert tnn.is_tnn_tridiagonal(L, tol=0.0).is_tnn
 
-    def test_rejection_fallback_is_tnn(self):
+    def test_rejection_fallback_is_tnn(self, monkeypatch):
+        monkeypatch.setattr(verify, "_A_RANGE", (0.0, 1e-6))
+        monkeypatch.setattr(verify, "_MAX_TRIES", 3)
         rng = np.random.default_rng(4)
-        L = verify.sample_tnn_rejection(rng, 5, a_range=(0.0, 1e-6), max_tries=3)
+        L = verify.sample_tnn_rejection(rng, 5)
         assert tnn.is_tnn_tridiagonal(L, tol=1e-15).is_tnn
+
+    @pytest.mark.parametrize(
+        "n, lo, hi, min_gap",
+        [(3, 1.0, 1.0, None), (2, 0.0, 1.0, 1.0), (5, 0.0, 1.0, 0.25), (3, np.nan, 1.0, None)],
+    )
+    def test_spectrum_sampler_rejects_gaps_that_cannot_fit(self, n, lo, hi, min_gap):
+        # no n draws in [lo, hi) can clear the gap: the sampler would draw forever
+        with pytest.raises(ValueError, match=f"^{n} eigenvalues in .* cannot be more than"):
+            verify.sample_spectrum(np.random.default_rng(0), n, lo, hi, min_gap)
+
+    def test_spectrum_sampler_gaps_that_fit_return(self):
+        s = verify.sample_spectrum(np.random.default_rng(0), 3, 0.0, 1.0, 0.4)
+        assert np.all(np.diff(s.lambdas) > 0.4)
+        one = verify.sample_spectrum(np.random.default_rng(0), 1, 1.0, 1.0)
+        assert one.lambdas.tolist() == [1.0]
 
 
 class TestRunVerification:
@@ -89,6 +106,58 @@ class TestSignPatterns:
     def test_pattern_count(self):
         out = verify.verify_sign_patterns(4, samples_per_pattern=5, seed=2)
         assert len(out) == 2 ** 3 - 1
+
+
+class TestConverseCone:
+    """For b > 0 the cofactor values are Weyl residues whose signs alternate,
+    so every image abel_jacobi returns is in the cone, and the stacked
+    converse test, which checks only a simple spectrum and nonzero cofactor
+    values, passes no row that the per-sample check fails."""
+
+    @staticmethod
+    def matrices(n):
+        """Bands with a spread over +-50 and b = e^U(-40, 40), and over +-5
+        and e^U(-3, 3), then the converse draws of two seeds at coordinate
+        range 20."""
+        rng = np.random.default_rng([3838, n])
+        wide = [
+            lax.LaxMatrix(n, rng.uniform(-a, a, n), np.exp(rng.uniform(-b, b, n - 1)))
+            for a, b in [(50.0, 40.0)] * 40 + [(5.0, 3.0)] * 40
+        ]
+        lo, hi = verify.DEFAULT_SPEC_RANGE
+        args = [
+            (n, seed, i, verify.DEFAULT_TOL, lo, hi, 20.0) for seed in (0, 1) for i in range(16)
+        ]
+        drawn = [verify._converse_draw(n, seed, i, lo, hi, 20.0) for n, seed, i, *_ in args]
+        converse = [d if isinstance(d, lax.LaxMatrix) else jacobi.reconstruct(*d) for d in drawn]
+        return wide, converse, args
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_image_is_in_the_cone(self, n):
+        wide, converse, _ = self.matrices(n)
+        images = 0
+        for L in wide + converse:
+            try:
+                image = jacobi.abel_jacobi(L)
+            except TodaError:
+                continue
+            assert jacobi.sign_component(image)[1], (n, L.a, L.b)
+            images += 1
+        assert images > 50
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_passes_imply_per_sample_passes(self, n):
+        wide, converse, args = self.matrices(n)
+        a = np.array([L.a for L in wide + converse])
+        b = np.array([L.b for L in wide + converse])
+        passed = verify._cone_images(a, b)
+        for L, ok in zip(wide, passed[: len(wide)]):
+            if ok:
+                assert jacobi.sign_component(jacobi.abel_jacobi(L))[1]
+        for key, ok in zip(args, passed[len(wide) :]):
+            if ok:
+                assert verify._converse_case(key)[1], key
+        assert 50 < passed.sum() < passed.size
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +269,23 @@ class TestStackedRoute:
                     failures += got["failures"]
         assert failures > 150
 
-    def test_failures_past_the_cap_keep_no_cases(self):
+    def test_failures_past_the_cap_keep_no_cases(self, monkeypatch):
         kwargs = dict(n=4, samples=40, seed=3, tol=-0.2)
         got = verify.run_verification(**kwargs).to_json_dict()
-        full = verify.run_verification(**kwargs, keep_cases_up_to=1000).to_json_dict()
+        monkeypatch.setattr(verify, "_KEEP_CASES_UP_TO", 1000)
+        full = verify.run_verification(**kwargs).to_json_dict()
         assert got["failures"] == full["failures"] > 10
         for entry, kept in zip(got["failure_cases"], full["failure_cases"], strict=True):
             assert set(entry) == {"direction", "index", "replay_key", "diagnostic"}
             assert entry == {key: value for key, value in kept.items() if key != "case"}
         assert got == per_sample_report(**kwargs)
 
-    def test_run_with_kept_failure_cases_matches_per_sample_loop(self):
-        kwargs = dict(n=4, samples=40, seed=3, tol=-0.2, keep_cases_up_to=1000)
+    def test_run_with_kept_failure_cases_matches_per_sample_loop(self, monkeypatch):
+        monkeypatch.setattr(verify, "_KEEP_CASES_UP_TO", 1000)
+        kwargs = dict(n=4, samples=40, seed=3, tol=-0.2)
         seq = verify.run_verification(**kwargs).to_json_dict()
         assert seq["failures"] > 10
-        assert seq == per_sample_report(**kwargs)
+        assert seq == per_sample_report(**kwargs, keep_cases_up_to=1000)
 
     def test_stacked_draws_match_per_sample_draws(self):
         samples = 20
@@ -252,7 +323,7 @@ class TestStackedRoute:
                         matched += 1
         assert matched > 5000 and handed_back > 300
 
-    def test_rejection_picks_match_sampler_across_blocks_and_fallback(self):
+    def test_rejection_picks_match_sampler_across_blocks_and_fallback(self, monkeypatch):
         """Picks accepted in the first block of tries, in the second, and
         after max_tries (the fallback construction) equal the sampler's."""
         where = {"first block": 0, "second block": 0, "fallback": 0}
@@ -261,13 +332,13 @@ class TestStackedRoute:
         for n in range(2, 9):
             rare = ((0.05, diagonal_top[n]), verify._TRY_BLOCK + 8)
             for a_range, max_tries in (((0.0, 1e-6), 3), rare):
+                monkeypatch.setattr(verify, "_A_RANGE", a_range)
+                monkeypatch.setattr(verify, "_MAX_TRIES", max_tries)
                 keys = [[7, 1, i] for i in range(60)]
                 streams = [np.random.default_rng(key) for key in keys]
-                a, b = verify._rejection_picks(streams, n, a_range=a_range, max_tries=max_tries)
+                a, b = verify._rejection_picks(streams, n)
                 for row, key in enumerate(keys):
-                    L = verify.sample_tnn_rejection(
-                        np.random.default_rng(key), n, a_range=a_range, max_tries=max_tries
-                    )
+                    L = verify.sample_tnn_rejection(np.random.default_rng(key), n)
                     assert np.array_equal(L.a, a[row]) and np.array_equal(L.b, b[row])
                     tries = accepted_try(np.random.default_rng(key), n, a_range, max_tries)
                     block = "fallback" if tries is None else (
