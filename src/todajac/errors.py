@@ -22,7 +22,8 @@ class BadIndex(TodaError):
 
 
 class DegenerateComponent(TodaError):
-    """A cofactor-vector component is identically zero."""
+    """A cofactor-vector component is identically zero.  Kept for callers: no
+    package function raises it, since every minor has top coefficient +-1."""
 
 
 class TooLarge(TodaError):

@@ -176,7 +176,7 @@ def _symes_qr(L0: lax.LaxMatrix, times) -> tuple:
     Symes's QR form of the flow (module docstring): S(t) = Q^T diag(lambda) Q
     with Q the Q factor of diag(exp(t(lambda - max)/2)) V^T, rows sorted by
     decreasing exponent; a = diag S and b = subdiag(S)**2, so the signs of
-    R's diagonal drop out.  The one ``eigh`` of ``lax.spectrum`` serves
+    R's diagonal drop out.  L0's one ``eigh`` (``LaxMatrix._eigh``) serves
     every time and one stacked QR covers them all.  S is summed elementwise,
     not by BLAS products, so a row equals its single-time call bit for bit.
 
@@ -192,7 +192,7 @@ def _symes_qr(L0: lax.LaxMatrix, times) -> tuple:
     if not (np.isfinite(similarity).all() and similarity.all()):
         error = RangeExceeded(float(times[0]), "the eigenvectors of L0 leave double range")
         return np.empty((0, L0.n)), np.empty((0, L0.n - 1)), error
-    lams, V = spec.lambdas, spec._vectors_of(L0)
+    lams, V = spec.lambdas, L0._eigh[1]
     rates = times[:, None] * lams
     order = np.argsort(-rates, axis=1, kind="stable")
     rates = np.take_along_axis(rates, order, axis=1)

@@ -69,7 +69,8 @@ class JacobiPoint:
         if np.any(f == 0.0):
             raise ValueError("point entries must be nonzero")
         if f[0] != 1.0:
-            f = f / f[0]
+            with np.errstate(over="ignore"):
+                f = f / f[0]
             if np.any(f == 0.0) or not np.all(np.isfinite(f)):
                 raise ValueError("normalization by the first entry under/overflowed")
         object.__setattr__(self, "f", _readonly(f))
@@ -450,17 +451,15 @@ def theta(k: int, Z, spec: lax.Spectrum) -> float:
 def abel_jacobi(L: lax.LaxMatrix, spec: lax.Spectrum | None = None) -> JacobiPoint:
     """Linearization map: (1,1)-cofactor values at the eigenvalues, normalized.
 
-    For b > 0 they are Weyl residues from the eigenvectors ``spectrum(L)``
-    keeps; another ``spec`` costs an ``eigh`` of L.  Raises RangeExceeded
-    (t = 0) when a value leaves double range, ZeroCofactorValue when one is
-    at most DEFAULT_ZERO_COFACTOR_TOL times the largest.
+    For b > 0 they are Weyl residues from the eigenvectors of L's one
+    ``eigh`` (``LaxMatrix._eigh``) at ``spec``'s eigenvalues.  Raises
+    RangeExceeded (t = 0) when a value leaves double range, ZeroCofactorValue
+    when one is at most DEFAULT_ZERO_COFACTOR_TOL times the largest.
     """
     if spec is None:
         spec = lax.spectrum(L)
-    vecs = spec._vectors_of(L)
-    if vecs is None and np.all(L.b > 0):
-        vecs = np.linalg.eigh(lax._symmetric_tridiagonal(L.a, np.sqrt(L.b)))[1]
-    vals = None if vecs is None else lax._weyl_cofactor_values(vecs, spec.lambdas)
+    eigh = L._eigh
+    vals = None if eigh is None else lax._weyl_cofactor_values(eigh[1], spec.lambdas)
     if vals is None or not np.isfinite(vals).all():
         # sign-mixed b, or eigenvalue differences beyond double range
         with np.errstate(over="ignore", invalid="ignore"):

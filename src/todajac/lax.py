@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,13 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    BadIndex,
-    DegenerateComponent,
-    NonRealSpectrum,
-    NonSimpleSpectrum,
-    SpectrumOverflow,
-)
+from .errors import BadIndex, NonRealSpectrum, NonSimpleSpectrum, RangeExceeded, SpectrumOverflow
 
 DEFAULT_SEPARATION = 1e-10
 DEFAULT_IMAG_TOL = 1e-8
@@ -99,6 +94,16 @@ class LaxMatrix:
         object.__setattr__(out, "b", _frozen(b))
         return out
 
+    @functools.cached_property
+    def _eigh(self):
+        """None unless every b > 0; else the read-only (eigenvalues,
+        eigenvectors) of one ``eigh`` of the symmetrized matrix (off-diagonals
+        sqrt(b)), which ``spectrum``, ``abel_jacobi`` and Symes's QR route read."""
+        if not np.all(self.b > 0):
+            return None
+        lams, vectors = np.linalg.eigh(_symmetric_tridiagonal(self.a, np.sqrt(self.b)))
+        return _readonly(lams), _readonly(vectors)
+
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
         m[np.arange(self.n), np.arange(self.n)] = self.a
@@ -127,12 +132,10 @@ class Spectrum:
 
     Every gap exceeds ``DEFAULT_SEPARATION``, the package's one simple-spectrum
     rule; ``positive`` records whether the smallest eigenvalue is positive.
-    ``_eigh``, not a field, is (L, read-only eigenvectors) when
-    ``spectrum(L)`` took one ``eigh`` of a b > 0 matrix L.
+    It holds its eigenvalues only, and stands for every matrix that has them.
     """
 
     lambdas: np.ndarray
-    _eigh = (None, None)
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -154,17 +157,12 @@ class Spectrum:
         object.__setattr__(self, "lambdas", _readonly(lams))
 
     @classmethod
-    def _trusted(cls, lambdas, eigh=(None, None)):
+    def _trusted(cls, lambdas):
         """Eigenvalues the caller knows to be finite with every gap above
-        ``DEFAULT_SEPARATION``, and ``_eigh``.  No checks."""
+        ``DEFAULT_SEPARATION``.  No checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "lambdas", _readonly(lambdas))
-        object.__setattr__(out, "_eigh", eigh)
         return out
-
-    def _vectors_of(self, L: LaxMatrix):
-        """The eigenvectors if ``spectrum`` decomposed this very L, else None."""
-        return self._eigh[1] if self._eigh[0] is L else None
 
     @property
     def n(self) -> int:
@@ -221,11 +219,11 @@ def _minor_polys(a, b) -> list:
     minors det((L - x E)[k:, k:]) are the leading minors of the reversed
     bands ``a[::-1]``, ``b[::-1]``.
     """
-    polys = [np.array([1.0]), np.array([a[0], -1.0])]
-    for k in range(2, len(a) + 1):
-        # det_k = (a_k - x) det_{k-1} - b_{k-1} det_{k-2}
+    polys = [np.array([1.0])]
+    for k in range(1, len(a) + 1):
+        # det_k = (a_k - x) det_{k-1} - b_{k-1} det_{k-2}, and det_1 = a_1 - x
         nxt = npoly.polymul(np.array([a[k - 1], -1.0]), polys[-1])
-        polys.append(npoly.polysub(nxt, b[k - 2] * polys[-2]))
+        polys.append(npoly.polysub(nxt, b[k - 2] * polys[-2]) if k > 1 else nxt)
     return polys
 
 
@@ -361,17 +359,13 @@ def charpoly_root_eigenvalues(L: LaxMatrix) -> np.ndarray:
 def spectrum(L: LaxMatrix) -> Spectrum:
     """All eigenvalues of L, sorted ascending.
 
-    With a positive subdiagonal, L is diagonally similar to the symmetric
-    tridiagonal matrix with off-diagonals sqrt(b); one LAPACK ``eigh`` of it
-    gives the (real) eigenvalues and the eigenvectors the result keeps.
-    Otherwise falls back to ``charpoly_root_eigenvalues`` (polished ``eigvals``),
-    which never returns a non-finite value.
+    With a positive subdiagonal, the (real) eigenvalues of L's one ``eigh``
+    (``LaxMatrix._eigh``, whose eigenvectors ``abel_jacobi`` and Symes's QR
+    route read).  Otherwise falls back to ``charpoly_root_eigenvalues``
+    (polished ``eigvals``), which never returns a non-finite value.
     """
-    if np.all(L.b > 0):
-        lams, vectors = np.linalg.eigh(_symmetric_tridiagonal(L.a, np.sqrt(L.b)))
-        vectors = _readonly(vectors)
-    else:
-        lams, vectors = charpoly_root_eigenvalues(L), None
+    eigh = L._eigh
+    lams = charpoly_root_eigenvalues(L) if eigh is None else eigh[0]
     # a gap beyond double range is inf, and passes; abel_jacobi reports the range
     with np.errstate(over="ignore"):
         gaps = np.diff(lams)
@@ -381,7 +375,7 @@ def spectrum(L: LaxMatrix) -> Spectrum:
             f"eigenvalues {float(lams[i])!r} and {float(lams[i + 1])!r} closer than "
             f"{DEFAULT_SEPARATION:.1e}"
         )
-    return Spectrum._trusted(lams, (L, vectors))
+    return Spectrum._trusted(lams)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +472,6 @@ class ComponentDivisor:
 
 
 def _component_roots(coeffs: np.ndarray):
-    if np.all(coeffs == 0.0):
-        raise DegenerateComponent("component polynomial is identically zero")
     if coeffs.size == 1:
         return np.array([]), False
     roots = npoly.polyroots(coeffs)
@@ -493,14 +485,22 @@ def _component_roots(coeffs: np.ndarray):
 def divisor_of_component(L: LaxMatrix, k: int) -> ComponentDivisor:
     """Roots of the k-th cofactor-vector component (math index 1 <= k <= n).
 
-    The descending-chart entry contributes k-1 roots, the ascending-chart
-    entry n-k roots.  Complex roots are returned with ``off_real_axis`` set.
+    The component is made of two minors of L - x E, each formed from its own
+    bands: the leading one of order k-1 (the descending-chart entry, k-1
+    roots) and the trailing one of order n-k (the ascending-chart entry, whose
+    scale b_1*...*b_{k-1} moves no root; n-k roots).  Complex roots are
+    returned with ``off_real_axis`` set.  Raises RangeExceeded (t = 0) when a
+    minor's coefficients leave double range.
     """
     if not 1 <= k <= L.n:
         raise BadIndex(f"component index {k} out of range 1..{L.n}")
-    v_minus, v_plus = cofactor_vectors(L)
-    rm, flag_m = _component_roots(v_minus[k - 1])
-    rp, flag_p = _component_roots(v_plus[k - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = _minor_polys(L.a[: k - 1], L.b)[-1]
+        trail = _minor_polys(L.a[k:][::-1], L.b[k:][::-1])[-1]
+    if not (np.isfinite(lead).all() and np.isfinite(trail).all()):
+        raise RangeExceeded(0.0, f"the minors of component {k} leave double range")
+    rm, flag_m = _component_roots(lead)
+    rp, flag_p = _component_roots(trail)
     return ComponentDivisor(
         roots_minus=rm, roots_plus=rp, off_real_axis=flag_m or flag_p
     )

@@ -597,6 +597,18 @@ def test_reconstruct_unloadable_inputs_exit_one(tmp_path, capsys, spectrum, poin
     assert one_error_line(capsys) == f"error: cannot load inputs: {message}\n"
 
 
+def test_point_normalization_overflow_prints_only_the_error_line(tmp_path):
+    # numpy's overflow warning for the division by f[0] came first
+    spath = write_json(tmp_path / "s.json", {"lambdas": [1.0, 2.0]})
+    ppath = write_json(tmp_path / "p.json", {"f": [1e-300, 1e300]})
+    proc = run_in_shell("reconstruct", "--spectrum", spath, "--point", ppath)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: cannot load inputs: normalization by the first entry under/overflowed\n"
+    )
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("size, kind", [("2.9", "float"), ('"2"', "str"), ("2.0", "float")])
 def test_matrix_size_that_is_not_an_integer_exit_one(tmp_path, capsys, size, kind):
     # int() truncated 2.9 and parsed "2", and check-tnn reported on n = 2

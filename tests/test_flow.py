@@ -162,6 +162,8 @@ def detect_blowup_reference(spec, F0, t0, t1, grid=1000, refine_tol=1e-9):
         s_lo = signs[i, k]
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # lo and hi are adjacent doubles
+                break
             s_mid = kernel.evaluate(mid).sign_tau[0, k]
             if s_mid == 0.0:
                 lo = hi = mid
@@ -184,6 +186,8 @@ def sequential_bisection(kernel, lo, hi, first, s_lo, live, refine_tol=1e-9):
         keep = slice(span[0], span[-1] + 1)
         first, live, s_lo = first + int(span[0]), live[keep], s_lo[keep]
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         mids.append(mid)
         s_mid = kernel.sums(mid, first, first + live.size)[0][0]
         left = live & (s_mid * s_lo < 0.0)
@@ -1776,6 +1780,7 @@ class TestDetectBlowup:
         root = flow.detect_blowup(spec, point, 3.0e7, 4.0e7)
         after = float(np.nextafter(root, math.inf))
         assert root == 34705616.6604289 and after - root > flow.REFINE_TOL
+        assert root == detect_blowup_reference(spec, point, 3.0e7, 4.0e7)[0]
         signs = [
             jacobi.tau_sequence(spec, jacobi.evolve_point(point, spec, t)).sign_tau[1]
             for t in (root, after)

@@ -152,6 +152,7 @@ class TestTauSequence:
             vdm = np.prod([lams[j] - lams[i] for i in range(n) for j in range(i + 1, n)])
             assert ts.tau[0] == pytest.approx(vdm, rel=1e-10)
             assert ts.tau[0] > 0
+            assert ts.n == n
 
     def test_tau_prime_zero_convention(self):
         ts = jacobi.tau_sequence(SPEC13, jacobi.JacobiPoint.from_raw([1.0, -1.0]))
@@ -232,23 +233,42 @@ class TestAbelJacobi:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_spectrum_without_vectors_takes_its_own_eigh(self, n):
-        # a validated Spectrum carries no eigenvectors; abel_jacobi then
-        # decomposes L itself and must land on the same bits
+        # a Spectrum holds its eigenvalues only; the eigenvectors are L's own
+        # memo, so a validated Spectrum must land on the same bits
         rng = np.random.default_rng(5150 + n)
         for _ in range(25):
             L = make(rng.uniform(-2.0, 3.0, n), np.exp(rng.uniform(-3.0, 1.0, n - 1)))
             spec = lax.spectrum(L)
-            assert not spec._vectors_of(L).flags.writeable
+            assert vars(spec).keys() == {"lambdas"}
+            assert not L._eigh[1].flags.writeable
             bare = lax.Spectrum(spec.lambdas)
-            assert bare._vectors_of(L) is None
+            assert vars(bare).keys() == {"lambdas"}
             np.testing.assert_array_equal(
                 jacobi.abel_jacobi(L, spec=bare).f, jacobi.abel_jacobi(L).f
             )
 
+    def test_one_eigh_per_matrix(self, monkeypatch):
+        # spectrum, abel_jacobi with any spectrum, and Symes's QR route all
+        # read the one eigh a b > 0 matrix memoizes
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        L = make([0.5, 1.0, 2.0, 3.0], [0.3, 1.2, 0.7])
+        lams = lax.spectrum(L).lambdas
+        jacobi.abel_jacobi(L, spec=lax.Spectrum(lams))
+        jacobi.abel_jacobi(L)
+        flow.solve_symes(L, 0.3)
+        assert calls == [(4, 4)]
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_spectrum_of_another_class_member(self, n):
         # a Spectrum stands for its whole isospectral class, but the
-        # eigenvectors spectrum(L0) keeps belong to L0 alone: the flowed
+        # eigenvectors of L0's eigh belong to L0 alone: the flowed
         # matrix and a matrix rebuilt from another point (any signs) must map
         # to their own coordinates, not to those of L0
         rng = np.random.default_rng(6160 + n)
@@ -644,10 +664,9 @@ class TestLibraryBuiltValues:
 
 
 def _overflowing_normalization():
-    # the division by f[0] overflows; numpy's warning is silenced so the
-    # constructor's own error shows
-    with np.errstate(over="ignore"):
-        return jacobi.JacobiPoint.from_raw([1e-300, 1e300])
+    # the division by f[0] overflows; the constructor's own error shows, not
+    # numpy's warning (an error under the suite's warning filter)
+    return jacobi.JacobiPoint.from_raw([1e-300, 1e300])
 
 
 TWO = lax.Spectrum(np.array([1.0, 2.0]))

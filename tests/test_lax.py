@@ -17,6 +17,7 @@ from todajac.errors import (
     NonGeneralDivisor,
     NonRealSpectrum,
     NonSimpleSpectrum,
+    RangeExceeded,
     SpectrumOverflow,
 )
 
@@ -439,6 +440,7 @@ class TestCofactorVectors:
             n = int(RNG.integers(2, 7))
             L = make(RNG.uniform(-2, 2, n), RNG.uniform(0.1, 2, n - 1) * RNG.choice([-1, 1], n - 1))
             vm, vp = lax.cofactor_vectors(L)
+            assert len(vm) == len(vp) == n
             sign = (-1.0) ** (n - 1)
             bprod = 1.0
             for i in range(n):
@@ -596,6 +598,33 @@ class TestDivisorOfComponent:
         for k in (0, 3, -1):
             with pytest.raises(BadIndex):
                 lax.divisor_of_component(L, k)
+
+    # the component's scale b_1*...*b_{k-1} leaves double range in these;
+    # the suite turns any numpy warning into an error
+
+    def test_underflowing_scale_moves_no_root(self):
+        L = make([1, 2, 3, 4], [1e-200] * 3)
+        for k, minus, plus in [(3, [1, 2], [4]), (4, [1, 2, 3], [])]:
+            d = lax.divisor_of_component(L, k)
+            np.testing.assert_allclose(d.roots_minus, minus, rtol=1e-12)
+            np.testing.assert_allclose(d.roots_plus, plus, rtol=1e-12)
+            assert not d.off_real_axis
+
+    def test_overflowing_scale_moves_no_root(self):
+        L = make([1, 2, 3, 4], [1e200] * 3)
+        d = lax.divisor_of_component(L, 2)
+        np.testing.assert_allclose(d.roots_minus, [1.0], rtol=1e-12)
+        np.testing.assert_allclose(d.roots_plus, [-1e100, 1e100], rtol=1e-12)
+        d = lax.divisor_of_component(L, 3)
+        np.testing.assert_allclose(d.roots_minus, [-1e100, 1e100], rtol=1e-12)
+        np.testing.assert_allclose(d.roots_plus, [4.0], rtol=1e-12)
+
+    def test_minor_beyond_double_range_is_range_exceeded(self):
+        # the 4x4 leading minor has the term b_1 * b_3 = 1e400
+        L = make([1, 2, 3, 4, 5, 6], [1e200] * 5)
+        with pytest.raises(RangeExceeded, match="^the minors of component 5 leave") as info:
+            lax.divisor_of_component(L, 5)
+        assert info.value.time == 0.0
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ SEALED = {
     "LaxMatrix": bands,
     "LaxMatrix._trusted": lambda L: bands(trusted_from_writable_buffer(L)),
     "Spectrum": lambda L: [lax.spectrum(L).lambdas, lax.Spectrum([1.0, 2.0]).lambdas],
-    "Spectrum._vectors_of": lambda L: [lax.spectrum(L)._vectors_of(L)],
+    "LaxMatrix._eigh": lambda L: list(L._eigh),
     "JacobiPoint": lambda L: [jacobi.abel_jacobi(L).f, jacobi.JacobiPoint.from_raw([2.0, -1.0]).f],
     "TauSequence": tau_sequence_fields,
     "PolynomialVector": lambda L: [e for v in lax.cofactor_vectors(L) for e in v.entries],
